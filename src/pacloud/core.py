@@ -25,6 +25,7 @@ from .errors import (
 _CATEGORY_RE = re.compile(r"[a-z0-9+_.-]+\Z")
 _NAME_RE = re.compile(r"[A-Za-z0-9+_.-]+\Z")
 _FLAG_RE = re.compile(r"[A-Za-z0-9_@-]+\Z")
+_DOT_SEGMENTS = (".", "..")
 _VERSION_RE = re.compile(r"(\d+(?:\.\d+)*)([a-z])?(?:-r(\d+))?\Z")
 
 
@@ -40,6 +41,10 @@ class PackageId:
             raise MalformedPackageId(f"bad category: {self.category!r}")
         if not self.name or not _NAME_RE.match(self.name):
             raise MalformedPackageId(f"bad package name: {self.name!r}")
+        # "." and ".." match the patterns but, used as directory names,
+        # would point outside the category/name tree.
+        if self.category in _DOT_SEGMENTS or self.name in _DOT_SEGMENTS:
+            raise MalformedPackageId(f"dot segment in {self.category}/{self.name}")
 
     @classmethod
     def parse(cls, text: str) -> "PackageId":

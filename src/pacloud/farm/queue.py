@@ -17,6 +17,8 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..files import rewrite_text
+
 VISIBILITY_TIMEOUT = 15.0
 RENEWAL_INTERVAL = 10.0
 MAX_DELIVERIES = 3
@@ -156,9 +158,7 @@ class CompileQueue:
             "dead_letters": [vars(m) for m in self._dead],
         }
         self._persist_path.parent.mkdir(parents=True, exist_ok=True)
-        self._persist_path.write_text(
-            json.dumps(doc, indent=2) + "\n", encoding="utf-8"
-        )
+        rewrite_text(self._persist_path, json.dumps(doc, indent=2) + "\n")
 
     def _load(self) -> None:
         doc = json.loads(self._persist_path.read_text(encoding="utf-8"))

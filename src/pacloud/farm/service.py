@@ -8,7 +8,11 @@ and enqueues exactly one compile message; while the record stays pending,
 further requests return pending without enqueuing again.
 
 The socket server speaks the wire protocol: one newline-terminated JSON
-request per connection, answered with one JSON response.
+request per connection, answered with one JSON response. Connections are
+served one at a time on the server's thread: the service handles requests
+under one lock anyway, and starting a thread per connection costs more
+than the exchange itself. A client that sends no full request line within
+``REQUEST_TIMEOUT`` seconds is disconnected so it cannot hold up others.
 """
 from __future__ import annotations
 
@@ -34,6 +38,7 @@ from .stores import BUILT, FAILED, BuildRecordStore
 logger = logging.getLogger("pacloud.farm")
 
 MAX_REQUEST_BYTES = 65536
+REQUEST_TIMEOUT = 5.0
 
 
 class RequestService:
@@ -62,8 +67,14 @@ class RequestService:
 
 
 class _ExchangeHandler(socketserver.StreamRequestHandler):
+    timeout = REQUEST_TIMEOUT
+
     def handle(self) -> None:
-        line = self.rfile.readline(MAX_REQUEST_BYTES)
+        try:
+            line = self.rfile.readline(MAX_REQUEST_BYTES)
+        except TimeoutError:
+            logger.warning("dropping a connection that sent no request")
+            return
         if not line:
             return
         try:
@@ -76,8 +87,7 @@ class _ExchangeHandler(socketserver.StreamRequestHandler):
         self.wfile.write(payload.encode("utf-8"))
 
 
-class _Server(socketserver.ThreadingTCPServer):
-    daemon_threads = True
+class _Server(socketserver.TCPServer):
     allow_reuse_address = True
 
 

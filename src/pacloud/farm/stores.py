@@ -7,7 +7,8 @@ upload is simply ignored.
 
 When given a directory, both write through to files (records as JSON
 documents, artifacts as tars) named by the build key's canonical string
-with ``/`` replaced by ``_``.
+with ``/`` replaced by ``_``. The artifact index is append-only, so an
+upload writes the same few bytes however many artifacts are stored.
 """
 from __future__ import annotations
 
@@ -17,12 +18,14 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from ..core import BuildKey
+from ..files import rewrite_text
+from ..wire import ARTIFACT_URL_PREFIX
 
 PENDING = "pending"
 BUILT = "built"
 FAILED = "failed"
 
-ARTIFACT_URL_PREFIX = "store://"
+INDEX_FILE = "index.jsonl"
 
 
 @dataclass
@@ -142,9 +145,9 @@ class BuildRecordStore:
             return
         self._persist_dir.mkdir(parents=True, exist_ok=True)
         path = self._persist_dir / f"{_token(record.key)}.json"
-        path.write_text(
+        rewrite_text(
+            path,
             json.dumps(record.to_document(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
         )
 
 
@@ -155,16 +158,31 @@ class ArtifactStore:
         self.put_attempts: dict[str, int] = {}
         self._persist_dir = Path(persist_dir) if persist_dir else None
         if self._persist_dir:
-            index = self._persist_dir / "index.json"
-            if index.is_file():
-                # Forward index: file-name tokens are not reversible when a
-                # category itself contains '_'.
-                for token, canonical in json.loads(
-                    index.read_text(encoding="utf-8")
-                ).items():
-                    blob = self._persist_dir / f"{token}.tar"
-                    if blob.is_file():
-                        self._blobs[canonical] = blob.read_bytes()
+            for token, canonical in self._read_index():
+                blob = self._persist_dir / f"{token}.tar"
+                if blob.is_file():
+                    self._blobs[canonical] = blob.read_bytes()
+
+    def _read_index(self) -> list[tuple[str, str]]:
+        """(file-name token, canonical key) pairs of the stored artifacts.
+
+        A forward index is needed because tokens are not reversible when a
+        category itself contains '_'. Each put appends one line to
+        ``index.jsonl``; an ``index.json`` object written by earlier
+        versions is read first.
+        """
+        assert self._persist_dir is not None
+        pairs: list[tuple[str, str]] = []
+        legacy = self._persist_dir / "index.json"
+        if legacy.is_file():
+            pairs += json.loads(legacy.read_text(encoding="utf-8")).items()
+        index = self._persist_dir / INDEX_FILE
+        if index.is_file():
+            pairs += [
+                tuple(json.loads(line))
+                for line in index.read_text(encoding="utf-8").splitlines()
+            ]
+        return pairs
 
     @staticmethod
     def url_for(key: BuildKey) -> str:
@@ -181,16 +199,10 @@ class ArtifactStore:
                     self._persist_dir.mkdir(parents=True, exist_ok=True)
                     path = self._persist_dir / f"{_token(canonical)}.tar"
                     path.write_bytes(data)
-                    index = self._persist_dir / "index.json"
-                    (index).write_text(
-                        json.dumps(
-                            {_token(c): c for c in sorted(self._blobs)},
-                            indent=2,
-                            sort_keys=True,
-                        )
-                        + "\n",
-                        encoding="utf-8",
-                    )
+                    with open(
+                        self._persist_dir / INDEX_FILE, "a", encoding="utf-8"
+                    ) as fh:
+                        fh.write(json.dumps([_token(canonical), canonical]) + "\n")
             return self.url_for(key)
 
     def get(self, key: BuildKey) -> bytes | None:

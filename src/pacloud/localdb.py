@@ -8,8 +8,15 @@ Layout under the database root:
 Metadata documents are JSON, UTF-8, written in a canonical form (sorted
 keys, two-space indent, trailing newline) so that identical logical state
 is always byte-identical on disk. Local-only fields (installed, explicit,
-required_by, files) are preserved across syncs; the remote store wins for
-description and versions.
+depends, required_by, files) are preserved across syncs; the remote store
+wins for description and versions.
+
+Install state is kept as edges in both directions. ``depends`` lists an
+installed package's resolved runtime dependencies and is present only
+while the package is installed, like ``files``; ``required_by`` is its
+inverse, naming the installed packages whose ``depends`` list this one.
+Installing or removing a package therefore reads and writes only the
+package and its old and new dependencies, whatever the database size.
 
 The remote store is reached through the PackageStore interface: a
 ``manifest.txt`` of category names at the root, one ``<category>.json``
@@ -37,6 +44,8 @@ from .errors import (
     UnknownPackage,
     UnknownVersion,
 )
+from .files import rewrite_text
+from .wire import ARTIFACT_URL_PREFIX
 
 METADATA_FILE = "metadata.json"
 MANIFEST_FILE = "manifest.txt"
@@ -62,6 +71,7 @@ class PackageMetadata:
     explicit: bool = False
     required_by: list[PackageId] = field(default_factory=list)
     files: list[str] | None = None
+    depends: list[PackageId] | None = None
 
     def __post_init__(self):
         if self.installed is not None and self.installed not in self.versions:
@@ -97,6 +107,8 @@ class PackageMetadata:
             doc["installed"] = self.installed
             doc["explicit"] = self.explicit
             doc["files"] = list(self.files or [])
+            if self.depends is not None:
+                doc["depends"] = sorted(p.render() for p in self.depends)
         return doc
 
     @classmethod
@@ -117,6 +129,7 @@ class PackageMetadata:
             ]
             installed = doc.get("installed")
             files = doc.get("files")
+            depends = doc.get("depends")
             return cls(
                 name=name,
                 description=str(doc.get("description", "")),
@@ -125,6 +138,10 @@ class PackageMetadata:
                 explicit=bool(doc.get("explicit", False)),
                 required_by=required_by,
                 files=list(files) if files is not None else None,
+                depends=(
+                    [PackageId.parse(p) for p in depends]
+                    if depends is not None else None
+                ),
             )
         except (KeyError, TypeError, AttributeError, MalformedPackageId,
                 MalformedVersion) as exc:
@@ -212,9 +229,6 @@ class DirectoryStore:
             return (self.root / "artifacts" / f"{token}.tar").read_bytes()
         except OSError as exc:
             raise StoreUnreachable(f"cannot fetch artifact {url}: {exc}") from exc
-
-
-ARTIFACT_URL_PREFIX = "store://"
 
 
 def artifact_url_token(url: str) -> str:
@@ -399,6 +413,7 @@ class LocalDb:
                 explicit=local.explicit,
                 required_by=local.required_by,
                 files=local.files,
+                depends=local.depends,
             )
         text = dump_document(merged.to_document())
         if local is None:
@@ -409,14 +424,28 @@ class LocalDb:
         else:
             report.packages_updated += 1
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        rewrite_text(path, text)
 
     # --- install state ---
 
     def _write_metadata(self, meta: PackageMetadata) -> None:
         path = self.metadata_path(meta.name)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(dump_document(meta.to_document()), encoding="utf-8")
+        rewrite_text(path, dump_document(meta.to_document()))
+
+    def _installed_depends(self, meta: PackageMetadata) -> list[PackageId]:
+        """The forward edges an installed package's document records."""
+        if meta.installed is None:
+            return []
+        if meta.depends is not None:
+            return meta.depends
+        # Installed before documents carried ``depends``: rebuild the
+        # forward edges from the reverse ones with one scan.
+        return [
+            other.name
+            for other in self.iter_packages()
+            if meta.name in other.required_by
+        ]
 
     def record_install(
         self,
@@ -431,9 +460,10 @@ class LocalDb:
         Idempotent: required_by lists end up reflecting exactly this
         install's dependency list, so re-recording (or recording an
         upgrade whose dependencies changed) leaves no stale reverse
-        dependencies behind.
+        dependencies behind. Only the package, its new dependencies and
+        the ones its previous install recorded are read or written.
         """
-        deps = list(resolved_deps)
+        deps = list(dict.fromkeys(resolved_deps))
         with self.write_lock():
             meta = self.get_metadata(package)
             if meta is None:
@@ -441,38 +471,53 @@ class LocalDb:
             rendered = version.render()
             if rendered not in meta.versions:
                 raise UnknownVersion(f"{package} has no version {rendered}")
+            metas = {package: meta}
             for dep in deps:
-                if dep != package and self.get_metadata(dep) is None:
-                    raise UnknownPackage(f"no metadata for dependency {dep}")
+                if dep not in metas:
+                    dep_meta = self.get_metadata(dep)
+                    if dep_meta is None:
+                        raise UnknownPackage(f"no metadata for dependency {dep}")
+                    metas[dep] = dep_meta
+            stale = [
+                p for p in self._installed_depends(meta) if p not in deps
+            ]
             meta.installed = rendered
             meta.explicit = explicit
             meta.files = sorted(files)
-            self._write_metadata(meta)
-            for other in self.iter_packages():
-                if other.name not in deps and package in other.required_by:
+            meta.depends = deps
+            changed = {package: meta}
+            for dep in stale:
+                other = changed.get(dep) or self.get_metadata(dep)
+                if other is not None and package in other.required_by:
                     other.required_by.remove(package)
-                    self._write_metadata(other)
+                    changed[dep] = other
             for dep in deps:
-                dep_meta = self.get_metadata(dep)
-                assert dep_meta is not None
-                if package not in dep_meta.required_by:
-                    dep_meta.required_by.append(package)
-                    self._write_metadata(dep_meta)
+                if package not in metas[dep].required_by:
+                    metas[dep].required_by.append(package)
+                    changed[dep] = metas[dep]
+            for other in changed.values():
+                self._write_metadata(other)
 
     def record_removal(self, package: PackageId) -> None:
-        """Clear install state and drop the package from required_by lists."""
+        """Clear install state and drop the package from its dependencies'
+        required_by lists."""
         with self.write_lock():
             meta = self.get_metadata(package)
             if meta is None or meta.installed is None:
                 raise NotInstalled(f"{package} is not installed")
+            deps = self._installed_depends(meta)
             meta.installed = None
             meta.explicit = False
             meta.files = None
-            self._write_metadata(meta)
-            for other in self.iter_packages():
-                if package in other.required_by:
+            meta.depends = None
+            changed = {package: meta}
+            for dep in deps:
+                other = changed.get(dep) or self.get_metadata(dep)
+                if other is not None and package in other.required_by:
                     other.required_by.remove(package)
-                    self._write_metadata(other)
+                    changed[dep] = other
+            for other in changed.values():
+                self._write_metadata(other)
 
     # --- archive cache ---
 
@@ -497,15 +542,16 @@ class LocalDb:
         from . import depparse  # local import: depparse depends on this module
 
         problems: list[str] = []
-        installed: set[str] = set()
-        metas = list(self.iter_packages())
-        for meta in metas:
+        metas = {meta.name: meta for meta in self.iter_packages()}
+        for meta in metas.values():
             if meta.installed is not None:
-                installed.add(meta.name.render())
                 if meta.files is None:
                     problems.append(f"{meta.name}: installed but no files list")
-            elif meta.files is not None:
-                problems.append(f"{meta.name}: files present but not installed")
+            else:
+                if meta.files is not None:
+                    problems.append(f"{meta.name}: files present but not installed")
+                if meta.depends is not None:
+                    problems.append(f"{meta.name}: depends present but not installed")
             for rendered, info in meta.versions.items():
                 for dep in info.dependencies:
                     try:
@@ -515,11 +561,27 @@ class LocalDb:
                             f"{meta.name}-{rendered}: bad dependency "
                             f"{dep!r}: {exc}"
                         )
-        for meta in metas:
+        for meta in metas.values():
+            for dep in meta.depends or []:
+                dep_meta = metas.get(dep)
+                if dep_meta is None or meta.name not in dep_meta.required_by:
+                    problems.append(
+                        f"{meta.name}: depends on {dep} whose required_by "
+                        f"does not list it"
+                    )
             for requirer in meta.required_by:
-                if requirer.render() not in installed:
+                requirer_meta = metas.get(requirer)
+                if requirer_meta is None or requirer_meta.installed is None:
                     problems.append(
                         f"{meta.name}: required_by {requirer} which is "
                         f"not installed"
+                    )
+                # A requirer installed before documents carried ``depends``
+                # has no forward edges to compare against.
+                elif (requirer_meta.depends is not None
+                      and meta.name not in requirer_meta.depends):
+                    problems.append(
+                        f"{meta.name}: required_by {requirer} whose depends "
+                        f"does not list it"
                     )
         return problems

@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 from .core import (
     DependencyAtom,
@@ -157,7 +157,20 @@ class _ClosureWalk:
                 atoms.append(atom)
         return atoms
 
-    def _visit(self, pkg: PackageId) -> None:
+    def _visit(self, root: PackageId) -> None:
+        """Depth-first walk from root, on an explicit stack of expansions
+        so that deep dependency chains cannot exhaust Python's stack."""
+        stack = [self._expand(root)]
+        while stack:
+            child = next(stack[-1], None)
+            if child is None:
+                stack.pop()
+            else:
+                stack.append(self._expand(child))
+
+    def _expand(self, pkg: PackageId) -> Iterator[PackageId]:
+        """Visit one package, yielding each dependency to walk before the
+        next one is examined (the order a recursive walk would take)."""
         if pkg in self._visited:
             return
         self._visited.add(pkg)
@@ -209,7 +222,7 @@ class _ClosureWalk:
                 edge_list.append(dep_pkg)
             if dep_pkg not in deps:
                 deps.append(dep_pkg)
-            self._visit(dep_pkg)
+            yield dep_pkg
 
 
 def _plan_from_walk(walk: _ClosureWalk) -> InstallPlan:
@@ -278,34 +291,42 @@ def _tarjan(
     lowlink: dict[PackageId, int] = {}
     on_stack: set[PackageId] = set()
     stack: list[PackageId] = []
-    counter = 0
     sccs: list[list[PackageId]] = []
 
-    def strongconnect(v: PackageId) -> None:
-        nonlocal counter
-        index[v] = lowlink[v] = counter
-        counter += 1
+    def enter(v: PackageId) -> tuple[PackageId, Iterator[PackageId]]:
+        index[v] = lowlink[v] = len(index)
         stack.append(v)
         on_stack.add(v)
-        for w in edges.get(v, []):
-            if w not in index:
-                strongconnect(w)
-                lowlink[v] = min(lowlink[v], lowlink[w])
-            elif w in on_stack:
-                lowlink[v] = min(lowlink[v], index[w])
-        if lowlink[v] == index[v]:
-            scc = []
-            while True:
-                w = stack.pop()
-                on_stack.remove(w)
-                scc.append(w)
-                if w == v:
-                    break
-            sccs.append(scc)
+        return v, iter(edges.get(v, []))
 
+    # Iterative, so that deep graphs cannot exhaust Python's stack: each
+    # frame holds a node and the edges it has yet to follow.
     for node in nodes:
-        if node not in index:
-            strongconnect(node)
+        if node in index:
+            continue
+        work = [enter(node)]
+        while work:
+            v, pending = work[-1]
+            for w in pending:
+                if w not in index:
+                    work.append(enter(w))
+                    break
+                if w in on_stack:
+                    lowlink[v] = min(lowlink[v], index[w])
+            else:
+                work.pop()
+                if lowlink[v] == index[v]:
+                    scc = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.remove(w)
+                        scc.append(w)
+                        if w == v:
+                            break
+                    sccs.append(scc)
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[v])
     return sccs
 
 

@@ -7,7 +7,8 @@ One exchange carries one UTF-8 JSON request and one JSON response:
     response: {"status": "available"|"pending"|"failed",
                "url": optional, "error": optional}
 
-The status vocabulary is closed; anything else is a protocol error.
+The status vocabulary is closed; anything else is a protocol error. An
+available artifact's url is ``store://<canonical build key>``.
 """
 from __future__ import annotations
 
@@ -24,6 +25,8 @@ from .errors import (
 STATUS_AVAILABLE = "available"
 STATUS_PENDING = "pending"
 STATUS_FAILED = "failed"
+
+ARTIFACT_URL_PREFIX = "store://"
 
 
 @dataclass(frozen=True)

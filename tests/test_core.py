@@ -197,7 +197,11 @@ class TestPackageId:
         assert PackageId.parse(pid.render()) == pid
 
     @pytest.mark.parametrize(
-        "text", ["noslash", "a/b/c", "/name", "cat/", "UPPER/name", "cat/na me"]
+        "text",
+        [
+            "noslash", "a/b/c", "/name", "cat/", "UPPER/name", "cat/na me",
+            "../..", "./name", "cat/..", "cat/.",
+        ],
     )
     def test_malformed(self, text):
         with pytest.raises(MalformedPackageId):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from pacloud.core import BuildKey
@@ -189,6 +191,25 @@ class TestArtifactStore:
         reloaded = ArtifactStore(tmp_path)
         assert reloaded.get(KEY) == b"bytes"
         assert (tmp_path / f"{KEY.path_token()}.tar").is_file()
+
+    def test_index_is_appended_once_per_new_artifact(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        other = BuildKey.parse("cat_x/pkg-1.0[]")
+        store.put(KEY, b"a")
+        store.put(KEY, b"again")
+        store.put(other, b"b")
+        lines = (tmp_path / "index.jsonl").read_text().splitlines()
+        assert len(lines) == 2
+        reloaded = ArtifactStore(tmp_path)
+        assert reloaded.get(KEY) == b"a"
+        assert reloaded.get(other) == b"b"
+
+    def test_reads_an_index_json_from_earlier_versions(self, tmp_path):
+        (tmp_path / f"{KEY.path_token()}.tar").write_bytes(b"old")
+        (tmp_path / "index.json").write_text(
+            json.dumps({KEY.path_token(): KEY.canonical()})
+        )
+        assert ArtifactStore(tmp_path).get(KEY) == b"old"
 
 
 class TestRecordStore:

@@ -106,6 +106,8 @@ class TestSync:
         db.sync(store)
         meta = db.get_metadata(pkg("sys-libs/ncurses"))
         assert meta.required_by == [pkg("app-editors/vim")]
+        vim = db.get_metadata(pkg("app-editors/vim"))
+        assert vim.depends == [pkg("sys-libs/ncurses")]
 
     def test_unreachable_store_leaves_db_untouched(self, db):
         with pytest.raises(StoreUnreachable):
@@ -222,6 +224,47 @@ class TestInstallState:
         assert self.db.get_metadata(acl).required_by == [self.vim]
         assert self.db.validate() == []
 
+    def test_depends_recorded_only_while_installed(self):
+        self.db.record_install(self.ncurses, parse_version("6.1-r2"), False, [], [])
+        self.db.record_install(
+            self.vim, parse_version("8.1"), True, [self.ncurses], []
+        )
+        doc = json.loads(self.db.metadata_path(self.vim).read_text())
+        assert doc["depends"] == ["sys-libs/ncurses"]
+        self.db.record_removal(self.vim)
+        doc = json.loads(self.db.metadata_path(self.vim).read_text())
+        assert "depends" not in doc
+
+    def _install_vim_without_depends(self):
+        """Install vim over ncurses, then drop ``depends`` from vim's
+        document, as a database written before the field existed has it."""
+        self.db.record_install(self.ncurses, parse_version("6.1-r2"), False, [], [])
+        self.db.record_install(
+            self.vim, parse_version("8.1"), True, [self.ncurses], []
+        )
+        path = self.db.metadata_path(self.vim)
+        doc = json.loads(path.read_text())
+        del doc["depends"]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+
+    def test_removal_without_depends_field(self):
+        self._install_vim_without_depends()
+        self.db.record_removal(self.vim)
+        assert all(
+            self.vim not in meta.required_by for meta in self.db.iter_packages()
+        )
+        assert self.db.validate() == []
+
+    def test_reinstall_without_depends_field(self):
+        acl = pkg("sys-apps/acl")
+        self._install_vim_without_depends()
+        self.db.record_install(acl, parse_version("2.2.53"), False, [], [])
+        self.db.record_install(self.vim, parse_version("8.1"), True, [acl], [])
+        assert self.db.get_metadata(self.ncurses).required_by == []
+        assert self.db.get_metadata(acl).required_by == [self.vim]
+        assert self.db.get_metadata(self.vim).depends == [acl]
+        assert self.db.validate() == []
+
     def test_unknown_version(self):
         with pytest.raises(UnknownVersion):
             self.db.record_install(self.ncurses, parse_version("9.9"), True, [], [])
@@ -271,6 +314,22 @@ class TestInstallState:
         assert any("bad dependency" in p for p in problems)
         assert any("not installed" in p for p in problems)
 
+    @pytest.mark.parametrize("side", ["depends", "required_by"])
+    def test_validate_reports_one_sided_edge(self, side):
+        self.db.record_install(self.ncurses, parse_version("6.1-r2"), False, [], [])
+        self.db.record_install(
+            self.vim, parse_version("8.1"), True, [self.ncurses], []
+        )
+        # Drop the edge from one side only.
+        owner = self.vim if side == "depends" else self.ncurses
+        path = self.db.metadata_path(owner)
+        doc = json.loads(path.read_text())
+        doc[side] = []
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        problems = self.db.validate()
+        assert problems
+        assert all("does not list it" in p for p in problems)
+
     def test_referential_integrity_random_sequences(self):
         import random
 
@@ -319,6 +378,51 @@ class TestInstallState:
                     and self.db.get_metadata(requirer).installed is not None
                 )
                 assert [p.render() for p in meta.required_by] == expected
+                # depends is the recorded dependency list, while installed
+                if meta.installed is None:
+                    assert meta.depends is None
+                else:
+                    assert sorted(p.render() for p in meta.depends) == sorted(
+                        p.render() for p in recorded_deps[meta.name]
+                    )
+
+    @pytest.mark.parametrize("size", [20, 400])
+    def test_install_and_removal_reads_do_not_grow_with_database(
+        self, size, tmp_path, monkeypatch
+    ):
+        from pacloud.localdb import PackageMetadata, VersionInfo
+
+        metas = [
+            PackageMetadata(
+                name=pkg(f"cat/p{i:03d}"),
+                description="d",
+                versions={"1.0": VersionInfo()},
+            )
+            for i in range(size)
+        ]
+        store = tmp_path / "sized-store"
+        write_store(store, metas)
+        db = LocalDb(tmp_path / "sized-db")
+        db.sync(DirectoryStore(store))
+        a, b, c = (pkg(f"cat/p{i:03d}") for i in range(3))
+        v = parse_version("1.0")
+        db.record_install(b, v, False, [], [])
+        db.record_install(c, v, False, [], [])
+        reads = []
+        real = PackageMetadata.from_document.__func__
+
+        def counting(cls, doc):
+            reads.append(doc["name"])
+            return real(cls, doc)
+
+        monkeypatch.setattr(PackageMetadata, "from_document", classmethod(counting))
+        db.record_install(a, v, True, [b, c], [])
+        db.record_removal(a)
+        monkeypatch.undo()
+        assert db.validate() == []
+        # The package and its two dependencies, once per verb, whatever the
+        # database size: a database scan would read every document.
+        assert sorted(reads) == sorted(p.render() for p in [a, b, c] * 2)
 
 
 class TestArchiveCache:

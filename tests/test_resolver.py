@@ -207,6 +207,24 @@ class TestResolveRuntimeClosure:
         assert chosen["cat/d"] == "1.0"
         assert "cat/e" not in chosen
 
+    def test_deep_chain_resolves(self):
+        # Far deeper than Python's default recursion limit of 1000.
+        depth = 3000
+        db = FakeDb(
+            [
+                make_meta(
+                    f"c/p{i}",
+                    {"1.0": [f"c/p{i + 1}"] if i + 1 < depth else []},
+                )
+                for i in range(depth)
+            ]
+        )
+        plan = resolve_runtime_closure([any_atom("c/p0")], db, NO_FLAGS)
+        assert [p.render() for p, _ in plan.steps] == [
+            f"c/p{i}" for i in reversed(range(depth))
+        ]
+        assert plan.dependencies[pkg("c/p0")] == (pkg("c/p1"),)
+
     def test_random_dags_satisfy_plan_invariants(self):
         rng = random.Random(21)
         for _ in range(40):

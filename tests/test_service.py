@@ -13,6 +13,7 @@ from pacloud.farm import (
     VirtualClock,
     generate_emerge_commands,
 )
+from pacloud.farm import service as service_module
 from pacloud.localdb import DirectoryStore
 from pacloud.wire import (
     Response,
@@ -147,6 +148,15 @@ class TestFarmServer:
         server_obj, _ = server
         line = tcp_exchange(server_obj.address, b"this is not json\n")
         assert line == b""
+
+    def test_stalled_client_does_not_block_others(self, server, monkeypatch):
+        monkeypatch.setattr(service_module._ExchangeHandler, "timeout", 0.2)
+        server_obj, _ = server
+        host, port = server_obj.address[len("tcp://"):].rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=5.0):
+            request = json.dumps(encode_request(KEY)) + "\n"
+            line = tcp_exchange(server_obj.address, request.encode("utf-8"))
+        assert json.loads(line.decode("utf-8"))["status"] == STATUS_PENDING
 
 
 class TestFarmPersistence:
