@@ -9,12 +9,14 @@ out of.
 """
 from __future__ import annotations
 
+import heapq
 import threading
 from pathlib import Path
 
 from .clock import Clock, VirtualClock, WallClock
 from .commands import generate_emerge_commands
 from .queue import (
+    DEAD_LETTER_ERROR,
     MAX_DELIVERIES,
     RENEWAL_INTERVAL,
     VISIBILITY_TIMEOUT,
@@ -51,6 +53,7 @@ __all__ = [
     "BUILT",
     "Clock",
     "CompileQueue",
+    "DEAD_LETTER_ERROR",
     "ExecutionResult",
     "ExecutorFactory",
     "ExecutorTable",
@@ -87,7 +90,8 @@ class BuildFarm:
         queue_path = self.root / "queue.json" if self.root else None
         records_dir = self.root / "records" if self.root else None
         artifacts_dir = self.root / "artifacts" if self.root else None
-        self.queue = CompileQueue(queue_path)
+        self.queue = CompileQueue(queue_path, on_dead_letter=self._dead_lettered)
+        self._dead_letters: set[str] = set()  # their records may be pending
         self.records = BuildRecordStore(records_dir)
         self.artifacts = ArtifactStore(artifacts_dir)
         self.executor_factory = ExecutorFactory(executor_table)
@@ -124,6 +128,7 @@ class BuildFarm:
 
         def pump() -> None:
             while not self._pump_stop.is_set():
+                self._fail_unheld_dead_letters(self.clock.now())
                 for worker in self.workers:
                     worker.step(self.clock.now())
                 self._pump_stop.wait(pump_interval)
@@ -152,37 +157,75 @@ class BuildFarm:
         ]
         return min(times) if times else None
 
-    def _step_due(self, t: float) -> None:
-        for worker in self.workers:
-            due = worker.next_event_time()
-            if due is not None and due <= t:
-                worker.step(t)
-
     def advance_to(self, target: float) -> None:
         """Run all worker events up to the target time, then land on it."""
-        assert isinstance(self.clock, VirtualClock)
-        while True:
-            t = self.next_event_time()
-            if t is None or t > target:
-                break
-            if t > self.clock.now():
-                self.clock.set_time(t)
-            self._step_due(t)
+        self._run(target, settle=False)
         if target > self.clock.now():
             self.clock.set_time(target)
 
     def run_until_settled(self, max_time: float) -> None:
         """Run until no record is pending, or progress becomes impossible."""
+        self._run(max_time, settle=True)
+
+    def _run(self, limit: float, settle: bool) -> None:
+        """Drive the workers' events in time order, up to ``limit``.
+
+        A min-heap holds each driven worker's next event as ``(time,
+        index)``, so events at one instant run in worker order. Only a
+        worker changes its own event times, and external calls
+        (``interrupt``, ``resume``, ``crash``) come between runs, so the
+        heap is built once per call and never goes stale. With
+        ``settle``, the run stops once every event of an instant has run
+        and no record is pending, or nothing left can settle one.
+        """
         assert isinstance(self.clock, VirtualClock)
-        while self.records.pending_keys():
-            if self.queue.depth() == 0 and not any(
-                w.mode in (WorkerMode.BUILDING, WorkerMode.HIBERNATED)
-                for w in self.workers
-            ):
-                break
-            t = self.next_event_time()
-            if t is None or t > max_time:
-                break
-            if t > self.clock.now():
-                self.clock.set_time(t)
-            self._step_due(t)
+        self._fail_unheld_dead_letters(self.clock.now())
+        heap = [
+            (t, i)
+            for i, t in enumerate(w.next_event_time() for w in self.workers)
+            if t is not None
+        ]
+        heapq.heapify(heap)
+        instant = None
+        while heap:
+            t, i = heap[0]
+            if t != instant:
+                if t > limit or (settle and self._settled()):
+                    return
+                if t > self.clock.now():
+                    self.clock.set_time(t)
+                instant = t
+            worker = self.workers[i]
+            worker.step(t)
+            after = worker.next_event_time()
+            if after is None:
+                heapq.heappop(heap)
+            else:
+                heapq.heapreplace(heap, (after, i))
+
+    def _settled(self) -> bool:
+        if self.records.pending_count() == 0:
+            return True
+        return self.queue.depth() == 0 and not any(
+            w.mode in (WorkerMode.BUILDING, WorkerMode.HIBERNATED)
+            for w in self.workers
+        )
+
+    # --- dead letters ---
+
+    def _dead_lettered(self, canonical: str, now: float) -> None:
+        self._dead_letters.add(canonical)
+        self._fail_unheld_dead_letters(now)
+
+    def _fail_unheld_dead_letters(self, now: float) -> None:
+        """Fail the record of each dead-lettered key no worker holds.
+
+        A building or hibernated worker may yet publish its build, so
+        while one holds the key its record waits; it fails once that
+        worker has crashed. First write wins, so a record the holder
+        finalized meanwhile keeps its status.
+        """
+        for canonical in sorted(self._dead_letters):
+            if not any(w.holding == canonical for w in self.workers):
+                self._dead_letters.discard(canonical)
+                self.records.finalize_failed(canonical, DEAD_LETTER_ERROR, now)

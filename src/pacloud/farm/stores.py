@@ -77,6 +77,7 @@ class BuildRecordStore:
     def __init__(self, persist_dir: str | Path | None = None):
         self._lock = threading.Lock()
         self._records: dict[str, BuildRecord] = {}
+        self._pending = 0  # records not yet terminal, kept live for pending_count
         self._persist_dir = Path(persist_dir) if persist_dir else None
         if self._persist_dir and self._persist_dir.is_dir():
             for path in sorted(self._persist_dir.glob("*.json")):
@@ -84,6 +85,9 @@ class BuildRecordStore:
                     json.loads(path.read_text(encoding="utf-8"))
                 )
                 self._records[record.key] = record
+            self._pending = sum(
+                not r.terminal for r in self._records.values()
+            )
 
     def get(self, canonical: str) -> BuildRecord | None:
         with self._lock:
@@ -97,6 +101,7 @@ class BuildRecordStore:
                 return False
             record = BuildRecord(canonical, PENDING, created_at=now)
             self._records[canonical] = record
+            self._pending += 1
             self._save(record)
             return True
 
@@ -121,14 +126,21 @@ class BuildRecordStore:
             if record is None:
                 record = BuildRecord(canonical, PENDING, created_at=now)
                 self._records[canonical] = record
-            if record.terminal:
+            elif record.terminal:
                 return replace(record)
+            else:
+                self._pending -= 1
             record.status = status
             record.artifact_url = url
             record.error_message = error
             record.completed_at = now
             self._save(record)
             return replace(record)
+
+    def pending_count(self) -> int:
+        """How many records are pending; O(1), unlike ``pending_keys``."""
+        with self._lock:
+            return self._pending
 
     def pending_keys(self) -> list[str]:
         with self._lock:

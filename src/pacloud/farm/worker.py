@@ -283,6 +283,14 @@ class Worker:
     # --- external events ---
 
     @property
+    def holding(self) -> str | None:
+        """Canonical key of the build this worker may still publish."""
+        if self.mode in (WorkerMode.BUILDING, WorkerMode.HIBERNATED):
+            assert self._key is not None
+            return self._key.canonical()
+        return None
+
+    @property
     def reclaiming(self) -> bool:
         """A reclamation notice is pending on the current build."""
         return self._stop_after_build or self._hibernate_at is not None

@@ -167,9 +167,7 @@ def run_fault_schedule(seed: int) -> dict:
         if t is None or (pending_resume is not None and pending_resume < t):
             farm.clock.set_time(pending_resume)
             continue
-        if t > farm.clock.now():
-            farm.clock.set_time(t)
-        farm._step_due(t)
+        farm.advance_to(t)
         # fault injection against anyone but the protected worker
         if rng.random() < 0.2:
             building = [

@@ -1,3 +1,4 @@
+import json
 import random
 
 from pacloud.farm.queue import (
@@ -174,3 +175,30 @@ class TestPersistence:
         q.receive(now=60.0)
         reloaded = CompileQueue(path)
         assert [d.body for d in reloaded.dead_letters()] == [BODY]
+
+    def test_document_bytes_are_stable(self, tmp_path):
+        """queue.json keeps its layout, byte for byte: messages in send
+        order, then dead letters in the order they died."""
+        path = tmp_path / "queue.json"
+        q = CompileQueue(path)
+        q.send("a/one-1.0[]", now=0.0)
+        q.send("a/two-1.0[]", now=0.0)
+        q.send("a/three-1.0[]", now=1.0)
+        _, one = q.receive(now=1.0)
+        _, two = q.receive(now=1.0)
+        assert q.renew(one, now=5.0) is True
+        assert q.delete(two) is True
+        for t in (16.0, 31.0, 46.0, 61.0):
+            q.receive(now=t)
+        three = {"id": "m3", "body": "a/three-1.0[]", "visible_at": 76.0,
+                 "receive_count": 2}
+        dead = {"id": "m1", "body": "a/one-1.0[]", "visible_at": 61.0,
+                "receive_count": 3}
+        expected = {"seq": 9, "messages": [three], "dead_letters": [dead]}
+        assert path.read_text() == json.dumps(expected, indent=2) + "\n"
+        reloaded = CompileQueue(path)
+        reloaded.send("a/four-1.0[]", now=62.0)
+        _, four = reloaded.receive(now=62.0)
+        assert reloaded.delete(four) is True
+        expected["seq"] = 11
+        assert path.read_text() == json.dumps(expected, indent=2) + "\n"

@@ -3,14 +3,18 @@ import socket
 
 import pytest
 
+from pacloud.client import InProcessTransport, await_package
 from pacloud.core import BuildKey, PackageId, UseFlagSet, parse_version
-from pacloud.errors import ProtocolError
+from pacloud.errors import BuildFailed, ProtocolError
 from pacloud.farm import (
+    DEAD_LETTER_ERROR,
+    MAX_DELIVERIES,
     BuildFarm,
     ExecutorTable,
     FarmServer,
     JobProfile,
     VirtualClock,
+    WorkerMode,
     generate_emerge_commands,
 )
 from pacloud.farm import service as service_module
@@ -67,6 +71,101 @@ class TestHandleRequest:
         response = farm.service.handle_request(KEY)
         assert response.status == STATUS_FAILED
         assert response.error == error_text
+
+
+class TestDeadLetters:
+    """A key whose message is dead-lettered fails instead of staying
+    pending, unless a worker still holds its build."""
+
+    def make_farm(self):
+        return BuildFarm(
+            clock=VirtualClock(),
+            executor_table=ExecutorTable(default=JobProfile(duration=1000.0)),
+            num_workers=4,
+        )
+
+    def crash_next_holder(self, farm):
+        """Run until a worker takes the message, then crash that worker."""
+        while not any(w.mode is WorkerMode.BUILDING for w in farm.workers):
+            farm.advance_to(farm.clock.now() + 1.0)
+        next(w for w in farm.workers if w.mode is WorkerMode.BUILDING).crash()
+
+    def test_three_crashed_deliveries_fail_the_record(self):
+        farm = self.make_farm()
+        farm.service.handle_request(KEY)
+        for _ in range(MAX_DELIVERIES):
+            self.crash_next_holder(farm)
+        assert farm.clock.now() == 30.0
+        farm.advance_to(100.0)
+        [dead] = farm.queue.dead_letters()
+        assert dead.receive_count == MAX_DELIVERIES
+        record = farm.records.get(KEY.canonical())
+        assert record.status == "failed"
+        assert record.error_message == DEAD_LETTER_ERROR
+        assert record.error_message == "dead-lettered after 3 deliveries"
+        assert record.completed_at == 45.0  # the fourth poll dead-letters it
+        response = farm.service.handle_request(KEY)
+        assert response.status == STATUS_FAILED
+        assert response.error == DEAD_LETTER_ERROR
+        assert farm.queue.depth() == 0
+
+    def test_waiting_client_gets_the_failure(self):
+        farm = self.make_farm()
+
+        def on_sleep(target):
+            farm.advance_to(target)
+            for worker in farm.workers:
+                if worker.mode is WorkerMode.BUILDING:
+                    worker.crash()
+
+        farm.clock.on_sleep = on_sleep
+        with pytest.raises(BuildFailed) as exc_info:
+            await_package(InProcessTransport(farm.service), KEY, farm.clock)
+        assert exc_info.value.error == DEAD_LETTER_ERROR
+        assert farm.clock.now() == 60.0  # not the 7200 s timeout
+
+    def test_built_record_survives_a_later_dead_letter(self):
+        farm = self.make_farm()
+        farm.service.handle_request(KEY)
+        for t in (0.0, 15.0, 30.0):
+            assert farm.queue.receive(t) is not None
+        farm.records.finalize_built(KEY.canonical(), "store://x", 31.0)
+        assert farm.queue.receive(45.0) is None
+        assert len(farm.queue.dead_letters()) == 1
+        record = farm.records.get(KEY.canonical())
+        assert (record.status, record.completed_at) == ("built", 31.0)
+
+    def hibernate_holder_then_dead_letter(self):
+        farm = self.make_farm()
+        farm.service.handle_request(KEY)
+        farm.advance_to(1.0)
+        holder = farm.workers[0]
+        holder.interrupt(1.0, notice=5.0)
+        farm.advance_to(6.0)
+        assert holder.mode is WorkerMode.HIBERNATED
+        for _ in range(MAX_DELIVERIES - 1):
+            self.crash_next_holder(farm)
+        farm.advance_to(100.0)
+        assert len(farm.queue.dead_letters()) == 1
+        assert farm.records.get(KEY.canonical()).status == "pending"
+        return farm, holder
+
+    def test_hibernated_holder_still_publishes(self):
+        farm, holder = self.hibernate_holder_then_dead_letter()
+        holder.resume(100.0)
+        farm.run_until_settled(10_000.0)
+        record = farm.records.get(KEY.canonical())
+        assert (record.status, record.completed_at) == ("built", 1094.0)
+        assert farm.service.handle_request(KEY).status == STATUS_AVAILABLE
+
+    def test_record_fails_once_the_holder_crashes(self):
+        farm, holder = self.hibernate_holder_then_dead_letter()
+        holder.crash()
+        farm.advance_to(101.0)
+        record = farm.records.get(KEY.canonical())
+        assert record.status == "failed"
+        assert record.error_message == DEAD_LETTER_ERROR
+        assert record.completed_at == 100.0
 
 
 class TestWireDocuments:
