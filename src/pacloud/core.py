@@ -29,6 +29,12 @@ _DOT_SEGMENTS = (".", "..")
 _VERSION_RE = re.compile(r"(\d+(?:\.\d+)*)([a-z])?(?:-r(\d+))?\Z")
 
 
+def is_category(text: str) -> bool:
+    """Whether ``text`` is a valid category name, usable as a directory name."""
+    # "." and ".." match the pattern but would point outside the tree.
+    return bool(_CATEGORY_RE.match(text)) and text not in _DOT_SEGMENTS
+
+
 @dataclass(frozen=True)
 class PackageId:
     """A package name qualified by its category, e.g. ``sys-libs/ncurses``."""
@@ -37,13 +43,13 @@ class PackageId:
     name: str
 
     def __post_init__(self):
-        if not self.category or not _CATEGORY_RE.match(self.category):
+        if not is_category(self.category):
             raise MalformedPackageId(f"bad category: {self.category!r}")
         if not self.name or not _NAME_RE.match(self.name):
             raise MalformedPackageId(f"bad package name: {self.name!r}")
-        # "." and ".." match the patterns but, used as directory names,
+        # "." and ".." match the pattern but, used as a directory name,
         # would point outside the category/name tree.
-        if self.category in _DOT_SEGMENTS or self.name in _DOT_SEGMENTS:
+        if self.name in _DOT_SEGMENTS:
             raise MalformedPackageId(f"dot segment in {self.category}/{self.name}")
 
     @classmethod

@@ -16,7 +16,10 @@ installed package's resolved runtime dependencies and is present only
 while the package is installed, like ``files``; ``required_by`` is its
 inverse, naming the installed packages whose ``depends`` list this one.
 Installing or removing a package therefore reads and writes only the
-package and its old and new dependencies, whatever the database size.
+package and its old and new dependencies, whatever the database size,
+and ``resolver.compute_orphans`` walks ``depends`` from the packages
+being removed, reading only the documents it walks. ``search`` matches
+directory names and reads only the documents it returns.
 
 The remote store is reached through the PackageStore interface: a
 ``manifest.txt`` of category names at the root, one ``<category>.json``
@@ -27,13 +30,14 @@ from __future__ import annotations
 
 import fcntl
 import json
+import os
 import shutil
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Protocol
 
-from .core import BuildKey, PackageId, Version, parse_version
+from .core import BuildKey, PackageId, Version, is_category, parse_version
 from .errors import (
     MalformedCategoryDocument,
     MalformedManifest,
@@ -160,6 +164,12 @@ def dump_document(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _read_metadata(path: Path) -> PackageMetadata:
+    return PackageMetadata.from_document(
+        json.loads(path.read_text(encoding="utf-8"))
+    )
+
+
 @dataclass(frozen=True)
 class SearchResult:
     package: PackageId
@@ -239,13 +249,19 @@ def artifact_url_token(url: str) -> str:
 
 
 def parse_manifest(text: str) -> list[str]:
-    """Validate a manifest body: non-empty category tokens, no duplicates."""
+    """Validate a manifest body: valid category names, no duplicates.
+
+    Each name becomes a path under the store, so a name the category rule
+    rejects (``..``, ``a/b``) fails the whole manifest before any fetch.
+    """
     lines = text.splitlines()
     categories: list[str] = []
     for i, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             raise MalformedManifest(f"blank line {i} in manifest")
+        if not is_category(line):
+            raise MalformedManifest(f"bad category {line!r} on line {i} of manifest")
         if line in categories:
             raise MalformedManifest(f"duplicate category {line!r} in manifest")
         categories.append(line)
@@ -330,43 +346,56 @@ class LocalDb:
         path = self.metadata_path(package)
         if not path.is_file():
             return None
-        return PackageMetadata.from_document(
-            json.loads(path.read_text(encoding="utf-8"))
-        )
+        return _read_metadata(path)
+
+    def _metadata_paths(self, needle: str = "") -> list[Path]:
+        """Document paths of the packages whose ``category/name`` contains
+        ``needle`` (case-insensitive), in canonical string order.
+
+        Only directory names are compared, so no document is opened.
+        """
+        if not self.root.is_dir():
+            return []
+        needle = needle.lower()
+        found: list[tuple[str, str]] = []
+        with os.scandir(self.root) as categories:
+            for category in categories:
+                if not category.is_dir():
+                    continue
+                with os.scandir(category.path) as names:
+                    for entry in names:
+                        canonical = f"{category.name}/{entry.name}"
+                        if needle not in canonical.lower():
+                            continue
+                        path = os.path.join(entry.path, METADATA_FILE)
+                        if os.path.isfile(path):
+                            found.append((canonical, path))
+        # canonical order is over "category/name", which is not the same
+        # as directory order once '-' meets '/'
+        return [Path(path) for _, path in sorted(found)]
 
     def iter_packages(self) -> Iterator[PackageMetadata]:
         """All packages, in canonical (category/name) string order."""
-        if not self.root.is_dir():
-            return
-        paths: list[tuple[str, Path]] = []
-        for category_dir in self.root.iterdir():
-            if not category_dir.is_dir():
-                continue
-            for name_dir in category_dir.iterdir():
-                path = name_dir / METADATA_FILE
-                if path.is_file():
-                    # canonical order is over "category/name", which is not
-                    # the same as directory order once '-' meets '/'
-                    paths.append((f"{category_dir.name}/{name_dir.name}", path))
-        for _, path in sorted(paths):
-            yield PackageMetadata.from_document(
-                json.loads(path.read_text(encoding="utf-8"))
-            )
+        for path in self._metadata_paths():
+            yield _read_metadata(path)
 
     def search(self, key: str) -> list[SearchResult]:
-        """Case-insensitive substring match against category/name."""
-        needle = key.lower()
+        """Case-insensitive substring match against category/name.
+
+        Matching compares directory names; only the matching packages'
+        documents are read.
+        """
         results = []
-        for meta in self.iter_packages():
-            if needle in meta.name.render().lower():
-                results.append(
-                    SearchResult(
-                        package=meta.name,
-                        versions=tuple(meta.known_versions()),
-                        installed=meta.installed_version(),
-                        description=meta.description,
-                    )
+        for path in self._metadata_paths(key):
+            meta = _read_metadata(path)
+            results.append(
+                SearchResult(
+                    package=meta.name,
+                    versions=tuple(meta.known_versions()),
+                    installed=meta.installed_version(),
+                    description=meta.description,
                 )
+            )
         return results
 
     # --- sync ---
@@ -433,8 +462,9 @@ class LocalDb:
         path.parent.mkdir(parents=True, exist_ok=True)
         rewrite_text(path, dump_document(meta.to_document()))
 
-    def _installed_depends(self, meta: PackageMetadata) -> list[PackageId]:
-        """The forward edges an installed package's document records."""
+    def installed_depends(self, meta: PackageMetadata) -> list[PackageId]:
+        """An installed package's forward edges: the packages it depends
+        on. Empty when the package is not installed."""
         if meta.installed is None:
             return []
         if meta.depends is not None:
@@ -479,7 +509,7 @@ class LocalDb:
                         raise UnknownPackage(f"no metadata for dependency {dep}")
                     metas[dep] = dep_meta
             stale = [
-                p for p in self._installed_depends(meta) if p not in deps
+                p for p in self.installed_depends(meta) if p not in deps
             ]
             meta.installed = rendered
             meta.explicit = explicit
@@ -505,7 +535,7 @@ class LocalDb:
             meta = self.get_metadata(package)
             if meta is None or meta.installed is None:
                 raise NotInstalled(f"{package} is not installed")
-            deps = self._installed_depends(meta)
+            deps = self.installed_depends(meta)
             meta.installed = None
             meta.explicit = False
             meta.files = None

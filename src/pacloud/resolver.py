@@ -14,10 +14,11 @@ what makes reinstalls and upgrades possible.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 from .core import (
     DependencyAtom,
@@ -90,9 +91,15 @@ def resolve_runtime_closure(
     """Expand runtime dependencies of the targets into an install plan."""
     target_pkgs = {a.package for a in targets}
     accumulated: dict[PackageId, list[DependencyAtom]] = {}
+    # Every pass re-walks the closure: read each package's metadata and
+    # evaluate each dependency string once per resolution, not per pass.
+    get_metadata = functools.cache(db.get_metadata)
+    dep_atoms = functools.cache(
+        lambda text: tuple(eval_use_conditionals(parse_dep_string(text), flags))
+    )
 
     for _ in range(_MAX_PASSES):
-        walk = _ClosureWalk(db, flags, target_pkgs, accumulated)
+        walk = _ClosureWalk(get_metadata, dep_atoms, target_pkgs, accumulated)
         walk.run(targets)
         if walk.is_stable():
             return _plan_from_walk(walk)
@@ -109,13 +116,13 @@ class _ClosureWalk:
 
     def __init__(
         self,
-        db: MetadataSource,
-        flags: UseFlagSet,
+        get_metadata: Callable[[PackageId], PackageMetadata | None],
+        dep_atoms: Callable[[str], tuple[DependencyAtom, ...]],
         target_pkgs: set[PackageId],
         accumulated: dict[PackageId, list[DependencyAtom]],
     ):
-        self.db = db
-        self.flags = flags
+        self.get_metadata = get_metadata
+        self.dep_atoms = dep_atoms
         self.target_pkgs = target_pkgs
         self.accumulated = accumulated
         self.found: dict[PackageId, list[DependencyAtom]] = {}
@@ -140,7 +147,7 @@ class _ClosureWalk:
         )
 
     def _require_known(self, atom: DependencyAtom) -> PackageMetadata:
-        meta = self.db.get_metadata(atom.package)
+        meta = self.get_metadata(atom.package)
         if meta is None:
             raise MissingPackage(f"{atom} names unknown package {atom.package}")
         return meta
@@ -174,7 +181,7 @@ class _ClosureWalk:
         if pkg in self._visited:
             return
         self._visited.add(pkg)
-        meta = self.db.get_metadata(pkg)
+        meta = self.get_metadata(pkg)
         assert meta is not None
         atoms = self._constraints(pkg)
         available = meta.known_versions()
@@ -207,9 +214,7 @@ class _ClosureWalk:
         self.chosen[pkg] = version
         dep_atoms: list[DependencyAtom] = []
         for dep_string in meta.versions[version.render()].dependencies:
-            dep_atoms.extend(
-                eval_use_conditionals(parse_dep_string(dep_string), self.flags)
-            )
+            dep_atoms.extend(self.dep_atoms(dep_string))
         edge_list = self.edges.setdefault(pkg, [])
         deps = self.dep_map.setdefault(pkg, [])
         for atom in dep_atoms:
@@ -339,33 +344,44 @@ def compute_orphans(
     swept in, and only once nothing outside the set requires them;
     explicitly installed packages are never auto-removed. The result is
     ordered dependents before dependencies.
+
+    The walk follows forward edges from the removal set, so it reads only
+    the roots and the dependencies it examines, whatever the database
+    size. A package's eligibility changes only when one of its requirers
+    joins the set, and each joining package re-examines its dependencies,
+    so the walk reaches the same fixed point as a scan of every package.
     """
-    root_list: list[PackageId] = []
-    for pkg in roots:
-        if pkg not in root_list:
-            root_list.append(pkg)
-    metas: dict[PackageId, PackageMetadata] = {
-        m.name: m for m in db.iter_packages() if m.installed is not None
-    }
+    root_list = list(dict.fromkeys(roots))
+    seen: dict[PackageId, PackageMetadata | None] = {}
+
+    def installed(pkg: PackageId) -> PackageMetadata | None:
+        if pkg not in seen:
+            meta = db.get_metadata(pkg)
+            seen[pkg] = (
+                meta if meta is not None and meta.installed is not None else None
+            )
+        return seen[pkg]
+
+    removal: dict[PackageId, PackageMetadata] = {}
     for pkg in root_list:
-        if pkg not in metas:
+        meta = installed(pkg)
+        if meta is None:
             raise NotInstalled(f"{pkg} is not installed")
-    removal: set[PackageId] = set(root_list)
-    changed = True
-    while changed:
-        changed = False
-        for pkg in sorted(metas, key=PackageId.render):
-            if pkg in removal:
+        removal[pkg] = meta
+    work = list(root_list)
+    while work:
+        for dep in db.installed_depends(removal[work.pop()]):
+            if dep in removal:
                 continue
-            meta = metas[pkg]
-            if meta.explicit:
+            meta = installed(dep)
+            if meta is None or meta.explicit:
                 continue
             requirers = set(meta.required_by)
-            if requirers and requirers <= removal:
-                removal.add(pkg)
-                changed = True
+            if requirers and requirers <= removal.keys():
+                removal[dep] = meta
+                work.append(dep)
     for pkg in root_list:
-        outside = set(metas[pkg].required_by) - removal
+        outside = set(removal[pkg].required_by) - removal.keys()
         if outside:
             raise StillRequired(
                 f"{pkg} is still required by "
@@ -375,14 +391,14 @@ def compute_orphans(
     # pointee-first component order emits requirers before the required.
     edges = {
         pkg: sorted(
-            (r for r in metas[pkg].required_by if r in removal),
+            (r for r in meta.required_by if r in removal),
             key=PackageId.render,
         )
-        for pkg in removal
+        for pkg, meta in removal.items()
     }
     components = ordered_components(sorted(removal), edges)
     return [pkg for component in components for pkg in component]
 
 
-class OrphanSource(Protocol):
-    def iter_packages(self) -> Iterable[PackageMetadata]: ...
+class OrphanSource(MetadataSource, Protocol):
+    def installed_depends(self, meta: PackageMetadata) -> list[PackageId]: ...

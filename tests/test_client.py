@@ -2,6 +2,7 @@ import pytest
 
 from conftest import ClientEnv
 from pacloud.client import (
+    Client,
     await_package,
     format_search_results,
     request_package,
@@ -25,7 +26,9 @@ from pacloud.errors import (
     StillRequired,
     UnpackError,
 )
+from pacloud.config import Config
 from pacloud.farm import JobProfile, VirtualClock, build_artifact_tar
+from pacloud.localdb import DirectoryStore, PackageMetadata, VersionInfo, write_store
 from pacloud.wire import STATUS_AVAILABLE, STATUS_PENDING
 
 
@@ -329,3 +332,64 @@ class TestUpdateVerb:
         lines = env.config.log_path.read_text().splitlines()
         assert len(lines) == 2
         assert all(" " in line for line in lines)
+
+
+class TestReadsDoNotGrowWithDatabase:
+    """Remove and search read only the documents they walk or return."""
+
+    @pytest.fixture(params=[20, 400])
+    def sized(self, request, tmp_path):
+        metas = [
+            PackageMetadata(
+                name=pkg(f"cat/p{i:03d}"),
+                description="d",
+                versions={"1.0": VersionInfo()},
+            )
+            for i in range(request.param)
+        ]
+        write_store(tmp_path / "store", metas)
+        config = Config(
+            db_path=tmp_path / "db",
+            log_path=tmp_path / "pacloud.log",
+            install_root=tmp_path / "image",
+        )
+        client = Client(config, store=DirectoryStore(tmp_path / "store"))
+        client.update()
+        return client
+
+    @staticmethod
+    def count_reads(monkeypatch):
+        reads = []
+        real = PackageMetadata.from_document.__func__
+
+        def counting(cls, doc):
+            reads.append(doc["name"])
+            return real(cls, doc)
+
+        monkeypatch.setattr(PackageMetadata, "from_document", classmethod(counting))
+        return reads
+
+    def test_remove(self, sized, monkeypatch):
+        a, b, c = (pkg(f"cat/p{i:03d}") for i in range(3))
+        v = parse_version("1.0")
+        sized.db.record_install(b, v, False, [], [])
+        sized.db.record_install(c, v, False, [], [])
+        sized.db.record_install(a, v, True, [b, c], [])
+        reads = self.count_reads(monkeypatch)
+        assert sized.remove([a]) == [a, b, c]
+        monkeypatch.undo()
+        assert sized.db.validate() == []
+        # compute_orphans reads each once; then each package is read to
+        # unlink its files and again by record_removal, and a's removal
+        # reads its two dependencies. A scan would read every document.
+        assert sorted(reads) == sorted(
+            [a.render()] * 3 + [b.render()] * 4 + [c.render()] * 4
+        )
+
+    def test_search(self, sized, monkeypatch):
+        reads = self.count_reads(monkeypatch)
+        results = sized.search("P00")
+        monkeypatch.undo()
+        names = [f"cat/p{i:03d}" for i in range(10)]
+        assert [r.package.render() for r in results] == names
+        assert reads == names

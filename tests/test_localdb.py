@@ -58,6 +58,30 @@ class TestManifest:
         with pytest.raises(MalformedManifest):
             parse_manifest("sys-libs\nsys-libs\n")
 
+    @pytest.mark.parametrize(
+        "token", ["..", ".", "../outside", "a/b", "/etc", "Sys-libs"]
+    )
+    def test_bad_category_rejected(self, token):
+        with pytest.raises(MalformedManifest):
+            parse_manifest(f"sys-libs\n{token}\n")
+
+    def test_traversal_rejected_before_any_fetch(self, db, tmp_path):
+        store = tmp_path / "store"
+        store.mkdir()
+        (store / "manifest.txt").write_text("../outside\n", encoding="utf-8")
+        (tmp_path / "outside.json").write_text("{}", encoding="utf-8")
+        fetched = []
+
+        class SpyStore(DirectoryStore):
+            def fetch_category(self, category):
+                fetched.append(category)
+                return super().fetch_category(category)
+
+        with pytest.raises(MalformedManifest):
+            db.sync(SpyStore(store))
+        assert fetched == []
+        assert not db.root.exists()
+
 
 class TestSync:
     def test_fresh_sync_creates_categories(self, db, store_dir):

@@ -16,8 +16,12 @@ from pacloud.errors import (
     NotInstalled,
     StillRequired,
 )
-from pacloud.localdb import PackageMetadata, VersionInfo
-from pacloud.resolver import compute_orphans, resolve_runtime_closure
+from pacloud.localdb import LocalDb, PackageMetadata, VersionInfo, dump_document
+from pacloud.resolver import (
+    compute_orphans,
+    ordered_components,
+    resolve_runtime_closure,
+)
 
 NO_FLAGS = UseFlagSet()
 
@@ -63,6 +67,15 @@ class FakeDb:
         return [
             self._metas[name]
             for name in sorted(self._metas, key=PackageId.render)
+        ]
+
+    def installed_depends(self, meta):
+        if meta.installed is None:
+            return []
+        return [
+            other.name
+            for other in self.iter_packages()
+            if meta.name in other.required_by
         ]
 
 
@@ -413,3 +426,153 @@ class TestComputeOrphans:
                     dep_name = f"cat/p{j:02d}"
                     if dep_name in removed:
                         assert position[name] < position[dep_name]
+
+
+class CountingDb(FakeDb):
+    def __init__(self, metas):
+        super().__init__(metas)
+        self.fetched = []
+
+    def get_metadata(self, package):
+        self.fetched.append(package.render())
+        return super().get_metadata(package)
+
+
+class TestResolutionMemo:
+    def test_metadata_fetched_once_per_package(self):
+        # p00 -> p01..p03, each -> p04; p03 narrows p04 after p01 chose
+        # it, so the walk takes a second pass over every package
+        metas = [
+            make_meta("cat/p00", {"1.0": ["cat/p01 cat/p02", "cat/p03"]}),
+            make_meta("cat/p01", {"1.0": ["cat/p04"]}),
+            make_meta("cat/p02", {"1.0": ["x? ( cat/p04 )", "cat/p04"]}),
+            make_meta("cat/p03", {"1.0": ["<cat/p04-2.0"]}),
+            make_meta("cat/p04", {"1.0": [], "2.0": []}),
+        ]
+        db = CountingDb(metas)
+        plan = resolve_runtime_closure([any_atom("cat/p00")], db, NO_FLAGS)
+        assert sorted(db.fetched) == [f"cat/p{i:02d}" for i in range(5)]
+        assert dict((p.render(), v.render()) for p, v in plan.steps)[
+            "cat/p04"
+        ] == "1.0"
+        assert plan.serialize() == resolve_runtime_closure(
+            [any_atom("cat/p00")], FakeDb(metas), NO_FLAGS
+        ).serialize()
+
+    def test_missing_package_fetched_once(self):
+        db = CountingDb(
+            [make_meta("cat/a", {"1.0": ["cat/ghost", "cat/ghost"]})]
+        )
+        with pytest.raises(MissingPackage):
+            resolve_runtime_closure([any_atom("cat/a")], db, NO_FLAGS)
+        assert sorted(db.fetched) == ["cat/a", "cat/ghost"]
+
+
+def scan_orphans(db, roots):
+    """The whole-database scan compute_orphans replaced, kept as its
+    reference: same rule, applied to every installed package until no
+    package joins."""
+    root_list = []
+    for p in roots:
+        if p not in root_list:
+            root_list.append(p)
+    metas = {m.name: m for m in db.iter_packages() if m.installed is not None}
+    for p in root_list:
+        if p not in metas:
+            raise NotInstalled(f"{p} is not installed")
+    removal = set(root_list)
+    changed = True
+    while changed:
+        changed = False
+        for p in sorted(metas, key=PackageId.render):
+            if p in removal or metas[p].explicit:
+                continue
+            requirers = set(metas[p].required_by)
+            if requirers and requirers <= removal:
+                removal.add(p)
+                changed = True
+    for p in root_list:
+        outside = set(metas[p].required_by) - removal
+        if outside:
+            raise StillRequired(
+                f"{p} is still required by "
+                f"{', '.join(sorted(r.render() for r in outside))}"
+            )
+    edges = {
+        p: sorted(
+            (r for r in metas[p].required_by if r in removal),
+            key=PackageId.render,
+        )
+        for p in removal
+    }
+    components = ordered_components(sorted(removal), edges)
+    return [p for component in components for p in component]
+
+
+def random_install_db(rng, root):
+    """A LocalDb holding a random consistent install graph.
+
+    Edges may form cycles; some packages are not installed, and some
+    installed documents lack ``depends``, as written before the field
+    existed.
+    """
+    n = rng.randint(2, 14)
+    names = [pkg(f"c{rng.randint(0, 2)}/p{i:02d}") for i in range(n)]
+    installed = [i for i in range(n) if rng.random() < 0.85] or [0]
+    depends = {
+        i: sorted(
+            {rng.choice(installed) for _ in range(rng.randint(0, 3))} - {i}
+        )
+        for i in installed
+    }
+    explicit = {i for i in installed if rng.random() < 0.2}
+    db = LocalDb(root)
+    for i in range(n):
+        inst = i in depends
+        meta = PackageMetadata(
+            name=names[i],
+            description="d",
+            versions={"1.0": VersionInfo()},
+            installed="1.0" if inst else None,
+            explicit=i in explicit,
+            required_by=[names[j] for j in depends if i in depends[j]],
+            files=[] if inst else None,
+            depends=(
+                [names[j] for j in depends[i]]
+                if inst and rng.random() < 0.8 else None
+            ),
+        )
+        path = db.metadata_path(meta.name)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(dump_document(meta.to_document()), encoding="utf-8")
+    # Mostly packages nothing requires, so that many removals sweep in
+    # dependencies; the rest may be required or not installed at all.
+    tops = [i for i in depends if not any(i in ds for ds in depends.values())]
+    roots = [
+        names[rng.choice(tops) if tops and rng.random() < 0.8 else rng.randrange(n)]
+        for _ in range(rng.randint(1, 3))
+    ]
+    return db, roots
+
+
+def orphans_outcome(fn, db, roots):
+    try:
+        return [p.render() for p in fn(db, roots)]
+    except (NotInstalled, StillRequired) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestOrphansMatchScan:
+    def test_random_install_graphs(self, tmp_path):
+        rng = random.Random(5)
+        kinds = {"swept": 0, "NotInstalled": 0, "StillRequired": 0}
+        for i in range(300):
+            db, roots = random_install_db(rng, tmp_path / f"db{i}")
+            assert db.validate() == []
+            expected = orphans_outcome(scan_orphans, db, roots)
+            assert orphans_outcome(compute_orphans, db, roots) == expected
+            if isinstance(expected, tuple):
+                kinds[expected[0]] += 1
+            elif len(expected) > len(set(roots)):
+                kinds["swept"] += 1
+        assert min(kinds.values()) >= 15, kinds
