@@ -149,6 +149,13 @@ class UsageError(PacloudError):
     pass
 
 
+# --- farm ---
+
+class FarmStateError(PacloudError):
+    """A farm journal, or a state file of an earlier version, cannot be
+    loaded; the message names the file."""
+
+
 # --- benchmarks ---
 
 class UnknownMachine(PacloudError):

@@ -3,9 +3,12 @@
 ``BuildFarm`` wires the pieces together over one clock and drives the
 workers event by event, which keeps every run bit-reproducible under a
 virtual clock. Given a root directory the queue, record store and
-artifact store persist as files beneath it; the same directory doubles as
-the package store surface the client syncs from and downloads artifacts
-out of.
+artifact store persist as files beneath it: the queue and the records as
+append-only journals (``queue.jsonl``, ``records/records.jsonl``), the
+artifacts as tars. ``close`` releases the journals' open handles. The
+same directory doubles as the package store surface the client syncs
+from and downloads artifacts out of. Without a root everything stays in
+memory and no journal code runs.
 """
 from __future__ import annotations
 
@@ -87,7 +90,7 @@ class BuildFarm:
     ):
         self.clock = clock or VirtualClock()
         self.root = Path(root) if root else None
-        queue_path = self.root / "queue.json" if self.root else None
+        queue_path = self.root / "queue.jsonl" if self.root else None
         records_dir = self.root / "records" if self.root else None
         artifacts_dir = self.root / "artifacts" if self.root else None
         self.queue = CompileQueue(queue_path, on_dead_letter=self._dead_lettered)
@@ -146,6 +149,12 @@ class BuildFarm:
         if self._server is not None:
             self._server.stop()
             self._server = None
+
+    def close(self) -> None:
+        """Stop serving, if serving, and close the journals."""
+        self.stop_service()
+        self.queue.close()
+        self.records.close()
 
     # --- event-driven simulation ---
 

@@ -5,8 +5,13 @@ terminal state, and an artifact's first upload is the one that is kept.
 That makes double compilation harmless: a duplicate terminal write or
 upload is simply ignored.
 
-When given a directory, both write through to files (records as JSON
-documents, artifacts as tars) named by the build key's canonical string
+When given a directory, both write through to files. Records go to one
+append-only journal, ``records.jsonl`` (a ``pacloud.files.Journal``):
+each ``create_pending`` and each first finalize appends the record's
+document, and a reload keeps the last line of each key. A key has at most
+two lines, so the journal needs no compaction. Per-key ``<token>.json``
+record files left by earlier versions are imported once and then
+deleted. Artifacts are tars named by the build key's canonical string
 with ``/`` replaced by ``_``. The artifact index is append-only, so an
 upload writes the same few bytes however many artifacts are stored.
 """
@@ -18,7 +23,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from ..core import BuildKey
-from ..files import rewrite_text
+from ..errors import FarmStateError
+from ..files import Journal
 from ..wire import ARTIFACT_URL_PREFIX
 
 PENDING = "pending"
@@ -26,6 +32,7 @@ BUILT = "built"
 FAILED = "failed"
 
 INDEX_FILE = "index.jsonl"
+RECORDS_FILE = "records.jsonl"
 
 
 @dataclass
@@ -78,16 +85,10 @@ class BuildRecordStore:
         self._lock = threading.Lock()
         self._records: dict[str, BuildRecord] = {}
         self._pending = 0  # records not yet terminal, kept live for pending_count
-        self._persist_dir = Path(persist_dir) if persist_dir else None
-        if self._persist_dir and self._persist_dir.is_dir():
-            for path in sorted(self._persist_dir.glob("*.json")):
-                record = BuildRecord.from_document(
-                    json.loads(path.read_text(encoding="utf-8"))
-                )
-                self._records[record.key] = record
-            self._pending = sum(
-                not r.terminal for r in self._records.values()
-            )
+        self._journal = None
+        if persist_dir:
+            self._journal = Journal(Path(persist_dir) / RECORDS_FILE)
+            self._load()
 
     def get(self, canonical: str) -> BuildRecord | None:
         with self._lock:
@@ -152,15 +153,40 @@ class BuildRecordStore:
         with self._lock:
             return [replace(r) for r in self._records.values()]
 
+    def close(self) -> None:
+        """Close the journal; a later write opens it again."""
+        with self._lock:
+            if self._journal is not None:
+                self._journal.close()
+
     def _save(self, record: BuildRecord) -> None:
-        if self._persist_dir is None:
-            return
-        self._persist_dir.mkdir(parents=True, exist_ok=True)
-        path = self._persist_dir / f"{_token(record.key)}.json"
-        rewrite_text(
-            path,
-            json.dumps(record.to_document(), indent=2, sort_keys=True) + "\n",
-        )
+        if self._journal is not None:
+            self._journal.append(record.to_document())
+
+    def _load(self) -> None:
+        assert self._journal is not None
+        path = self._journal.path
+        docs = self._journal.read()
+        legacy = sorted(path.parent.glob("*.json"))
+        if legacy:
+            if path.exists():
+                raise FarmStateError(
+                    f"{legacy[0]}: left by an earlier version beside"
+                    f" {path.name}; remove whichever is stale"
+                )
+            docs = [json.loads(p.read_text(encoding="utf-8")) for p in legacy]
+            self._journal.replace(docs)
+            for p in legacy:
+                p.unlink()
+        for number, doc in enumerate(docs, 1):
+            try:
+                record = BuildRecord.from_document(doc)
+            except (KeyError, TypeError) as exc:
+                raise FarmStateError(
+                    f"{path}: line {number}: not a build record"
+                ) from exc
+            self._records[record.key] = record
+        self._pending = sum(not r.terminal for r in self._records.values())
 
 
 class ArtifactStore:

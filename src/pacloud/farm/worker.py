@@ -249,8 +249,8 @@ class Worker:
         assert self._handle is not None
         self.busy_seconds += t - self._segment_started
         canonical = self._key.canonical()
-        record = self.records.get(canonical)
-        if self._resumed and record is not None and record.terminal:
+        record = self.records.get(canonical) if self._resumed else None
+        if record is not None and record.terminal:
             # Someone else finished this key while we were hibernated.
             self.queue.delete(self._handle)
             status = "discarded"

@@ -1,20 +1,30 @@
-"""Rewriting small files in place.
+"""Writing small files: in-place rewrites and append-only journals.
 
 ``Path.write_text`` opens with ``O_TRUNC``, cutting the file to zero bytes
 before writing it again. ext4 (and other file systems with delayed
 allocation) treat truncate-to-zero followed by a rewrite as a replace and
 start writing the new data back to the disk when the file is closed, so
-every such rewrite waits on the disk. The databases and farm stores
-rewrite the same small JSON documents many times per operation.
+every such rewrite waits on the disk. The client database rewrites the
+same small JSON documents many times per operation.
 
 ``rewrite_text`` writes over the old bytes instead and then cuts the file
 to the new length, which leaves writeback to the page cache. Neither form
 is atomic: a crash mid-write can leave a damaged document either way.
+
+The farm's queue and record store change a little state many times per
+build, so they keep a ``Journal`` instead: one JSON line per change,
+appended through a handle kept open and flushed after each line. A
+process crash loses at most the line being written. That torn last line
+is dropped when the journal is read, and cut off before the next append.
 """
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
+from typing import Any
+
+from .errors import FarmStateError
 
 
 def rewrite_text(path: str | Path, text: str) -> None:
@@ -23,3 +33,81 @@ def rewrite_text(path: str | Path, text: str) -> None:
     with open(fd, "wb") as fh:
         fh.write(text.encode("utf-8"))
         fh.truncate()
+
+
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
+def json_line(doc: Any) -> bytes:
+    """``doc`` as one compact JSON line, the form a ``Journal`` stores."""
+    return (_COMPACT.encode(doc) + "\n").encode("utf-8")
+
+
+class Journal:
+    """An append-only file of JSON documents, one per line.
+
+    Call ``read`` once before the first ``append``: it finds where the
+    last whole line ends, and the first append cuts the file back to it.
+    The append handle is opened on that first append and stays open until
+    ``close``; appending after ``close`` opens it again.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        self.size = 0  # bytes up to the end of the last whole line
+        self._fh = None
+
+    def read(self) -> list[Any]:
+        """The documents on file, in order, without a torn last line.
+
+        The last line is torn when it lacks its newline or does not
+        parse. Any earlier line that does not parse is damage a crash
+        cannot cause, and raises ``FarmStateError``.
+        """
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
+            data = b""
+        *lines, _ = data.split(b"\n")
+        docs = []
+        self.size = 0
+        for number, line in enumerate(lines, 1):
+            try:
+                docs.append(json.loads(line))
+            except ValueError:
+                if number == len(lines):
+                    break
+                raise FarmStateError(
+                    f"{self.path}: line {number} is not JSON"
+                ) from None
+            self.size += len(line) + 1
+        return docs
+
+    def append(self, doc: Any) -> None:
+        if self._fh is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._fh = open(self.path, "ab")
+            self._fh.truncate(self.size)
+        data = json_line(doc)
+        self._fh.write(data)
+        self._fh.flush()
+        self.size += len(data)
+
+    def replace(self, docs: list[Any]) -> None:
+        """Make the journal hold exactly ``docs``, atomically.
+
+        The documents go to a temporary file that ``os.replace`` then
+        moves over the journal, so a crash leaves the old or the new one.
+        """
+        self.close()
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        data = b"".join(json_line(doc) for doc in docs)
+        tmp = self.path.with_name(self.path.name + ".tmp")
+        tmp.write_bytes(data)
+        os.replace(tmp, self.path)
+        self.size = len(data)
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None

@@ -163,6 +163,9 @@ class ClientEnv:
     def _run_farm_to(self, target):
         self.farm.advance_to(target)
 
+    def close(self):
+        self.farm.close()
+
     def request_events(self):
         return [e for e in self.events if e[0] == "request"]
 
@@ -171,5 +174,20 @@ class ClientEnv:
 
 
 @pytest.fixture
-def env(tmp_path):
-    return ClientEnv(tmp_path)
+def make_env(tmp_path):
+    """Builds ``ClientEnv``s on ``tmp_path`` and closes their farms after
+    the test."""
+    envs = []
+
+    def make(**kwargs):
+        envs.append(ClientEnv(tmp_path, **kwargs))
+        return envs[-1]
+
+    yield make
+    for made in envs:
+        made.close()
+
+
+@pytest.fixture
+def env(make_env):
+    return make_env()

@@ -8,7 +8,6 @@ import time
 
 import pytest
 
-from conftest import ClientEnv
 from pacloud.bench import (
     JobSpec,
     device_comparison,
@@ -274,8 +273,8 @@ def test_criterion_06_version_ordering():
               "orders and selects as published")
 
 
-def test_criterion_07_end_to_end_cli_scenario(tmp_path):
-    env = ClientEnv(tmp_path)
+def test_criterion_07_end_to_end_cli_scenario(make_env):
+    env = make_env()
     # update
     report = env.client.update()
     assert report.packages_added == 4
@@ -322,10 +321,9 @@ def test_criterion_07_end_to_end_cli_scenario(tmp_path):
     )
 
 
-def test_criterion_08_failure_propagation(tmp_path):
+def test_criterion_08_failure_propagation(make_env):
     error_text = "configure: error: no acceptable C compiler found"
-    env = ClientEnv(
-        tmp_path,
+    env = make_env(
         profiles={"sys-libs/ncurses-6.1-r2[]": JobProfile(8.0, error=error_text)},
     )
     key = BuildKey.parse("sys-libs/ncurses-6.1-r2[]")

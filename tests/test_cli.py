@@ -104,7 +104,7 @@ timeout = 30
         encoding="utf-8",
     )
     yield config, farm, server
-    farm.stop_service()
+    farm.close()
 
 
 class TestMainAgainstSocketFarm:

@@ -1,6 +1,5 @@
 import pytest
 
-from conftest import ClientEnv
 from pacloud.client import (
     Client,
     await_package,
@@ -197,17 +196,16 @@ class TestInstall:
         assert env.request_events() == []
         assert env.download_events() == []
 
-    def test_use_flag_pulls_conditional_dependency(self, tmp_path):
-        env = ClientEnv(tmp_path, use_flags=UseFlagSet.of(["acl"]))
+    def test_use_flag_pulls_conditional_dependency(self, make_env):
+        env = make_env(use_flags=UseFlagSet.of(["acl"]))
         env.client.update()
         plan = env.client.install([parse_atom("app-editors/vim")])
         names = [p.render() for p, _ in plan.steps]
         assert "sys-apps/acl" in names
 
-    def test_failed_dependency_stops_in_plan_order(self, tmp_path):
+    def test_failed_dependency_stops_in_plan_order(self, make_env):
         error_text = "emerge: vim-core exploded"
-        env = ClientEnv(
-            tmp_path,
+        env = make_env(
             profiles={
                 "app-editors/vim-core-8.1[]": JobProfile(5.0, error=error_text)
             },

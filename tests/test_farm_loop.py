@@ -181,11 +181,13 @@ class TestPendingCount:
             else:
                 store.finalize_built(f"cat/stray{step}-1.0[]", "store://x", 0.0)
             self.check(store)
+        store.close()
         reopened = BuildRecordStore(tmp_path / "records")
         self.check(reopened)
         assert reopened.pending_keys() == store.pending_keys()
         reopened.create_pending("cat/late-1.0[]", 99.0)
         reopened.finalize_built(self.KEYS[0], "store://x", 100.0)
+        reopened.close()
         self.check(reopened)
 
     def test_settled_run_reads_the_count_not_the_sorted_keys(self, monkeypatch):
@@ -202,3 +204,18 @@ class TestPendingCount:
         report = run_makespan(3, jobs)
         assert report.total == 120.0
         assert len(calls) == 1  # run_makespan's own check after the run
+
+    def test_completions_read_no_record_without_a_resume(self, monkeypatch):
+        calls = []
+        get = BuildRecordStore.get
+        monkeypatch.setattr(
+            BuildRecordStore,
+            "get",
+            lambda self, key: calls.append(key) or get(self, key),
+        )
+        jobs = [
+            JobSpec(BuildKey.parse(f"cat/p{i}-1.0[]"), 30.0) for i in range(10)
+        ]
+        assert run_makespan(3, jobs).total == 120.0
+        # one lookup per request by the service; completions read none
+        assert calls == [job.key.canonical() for job in jobs]

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from pacloud.core import BuildKey
+from pacloud.errors import FarmStateError
 from pacloud.farm import (
     ArtifactStore,
     BuildFarm,
@@ -232,12 +233,93 @@ class TestRecordStore:
         records = BuildRecordStore(tmp_path)
         records.create_pending(KEY.canonical(), 0.0)
         records.finalize_failed(KEY.canonical(), "error text", 9.0)
+        records.close()
         reloaded = BuildRecordStore(tmp_path)
         record = reloaded.get(KEY.canonical())
         assert record.status == FAILED
         assert record.error_message == "error text"
         assert record.created_at == 0.0
         assert record.completed_at == 9.0
+
+    def test_keys_with_colliding_file_tokens_stay_apart(self, tmp_path):
+        keys = ["a_b/c-1.0[]", "a/b_c-1.0[]"]
+        records = BuildRecordStore(tmp_path)
+        for i, key in enumerate(keys):
+            records.create_pending(key, float(i))
+            records.finalize_built(key, f"store://{key}", 10.0 + i)
+        records.close()
+        reloaded = BuildRecordStore(tmp_path)
+        assert [r.to_document() for r in reloaded.all_records()] == [
+            r.to_document() for r in records.all_records()
+        ]
+        assert reloaded.get(keys[0]).artifact_url == f"store://{keys[0]}"
+
+    def test_every_truncation_replays_to_a_prefix(self, tmp_path):
+        def documents(store):
+            return [r.to_document() for r in store.all_records()]
+
+        records = BuildRecordStore(tmp_path)
+        prefixes = [documents(records)]
+        for step, (op, key) in enumerate([
+            ("create", "cat/a-1[]"), ("create", "cat/b-1[]"),
+            ("built", "cat/a-1[]"), ("failed", "cat/stray-1[]"),
+            ("create", "cat/c-1[]"), ("failed", "cat/b-1[]"),
+        ]):
+            if op == "create":
+                records.create_pending(key, float(step))
+            elif op == "built":
+                records.finalize_built(key, f"store://{key}", float(step))
+            else:
+                records.finalize_failed(key, "boom", float(step))
+            prefixes.append(documents(records))
+        records.close()
+        data = (tmp_path / "records.jsonl").read_bytes()
+        cut = tmp_path / "cut"
+        cut.mkdir()
+        last = 0
+        for offset in range(len(data) + 1):
+            (cut / "records.jsonl").write_bytes(data[:offset])
+            reopened = BuildRecordStore(cut)
+            got = documents(reopened)
+            assert got in prefixes[last:], offset
+            last = prefixes.index(got, last)
+            assert reopened.pending_count() == len(reopened.pending_keys())
+            reopened.create_pending("cat/after-1[]", 50.0)
+            reopened.finalize_built("cat/c-1[]", "store://c", 51.0)
+            reopened.close()
+            assert documents(BuildRecordStore(cut)) == documents(reopened)
+        assert last == len(prefixes) - 1
+
+    def test_record_files_of_earlier_versions_are_imported_once(self, tmp_path):
+        docs = [
+            {"key": "cat_x/p-1[]", "status": PENDING, "created_at": 1.0},
+            {"key": "cat/q-1[]", "status": BUILT, "created_at": 0.0,
+             "artifact_url": "store://cat/q-1[]", "completed_at": 5.0},
+        ]
+        for doc in docs:
+            name = doc["key"].replace("/", "_")
+            (tmp_path / f"{name}.json").write_text(
+                json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            )
+        records = BuildRecordStore(tmp_path)
+        assert {r.key: r.to_document() for r in records.all_records()} == {
+            doc["key"]: doc for doc in docs
+        }
+        assert records.pending_keys() == ["cat_x/p-1[]"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl"]
+        records.finalize_failed("cat_x/p-1[]", "boom", 6.0)
+        records.close()
+        reopened = BuildRecordStore(tmp_path)
+        assert reopened.get("cat_x/p-1[]").status == FAILED
+        assert reopened.get("cat/q-1[]").completed_at == 5.0
+
+    def test_record_file_beside_a_journal_is_refused(self, tmp_path):
+        records = BuildRecordStore(tmp_path)
+        records.create_pending(KEY.canonical(), 0.0)
+        records.close()
+        (tmp_path / "cat_p-1[].json").write_text("{}")
+        with pytest.raises(FarmStateError, match=r"cat_p-1\[\]\.json"):
+            BuildRecordStore(tmp_path)
 
 
 class TestArtifactPayload:

@@ -1,4 +1,5 @@
 import json
+import os
 import socket
 
 import pytest
@@ -268,8 +269,13 @@ class TestFarmPersistence:
         )
         farm.service.handle_request(KEY)
         farm.run_until_settled(60.0)
-        assert (root / "queue.json").is_file()
-        assert (root / "records" / f"{KEY.path_token()}.json").is_file()
+        farm.close()
+        assert (root / "queue.jsonl").is_file()
+        records = (root / "records" / "records.jsonl").read_text().splitlines()
+        assert [json.loads(line)["key"] for line in records] == [
+            KEY.canonical(), KEY.canonical()
+        ]
+        assert os.listdir(root / "records") == ["records.jsonl"]
         assert (root / "artifacts" / f"{KEY.path_token()}.tar").is_file()
         # the same directory doubles as the download surface for clients
         store = DirectoryStore(root)
@@ -285,10 +291,37 @@ class TestFarmPersistence:
         )
         farm.service.handle_request(KEY)
         farm.run_until_settled(60.0)
+        farm.close()
         reborn = BuildFarm(clock=VirtualClock(), root=root)
         response = reborn.service.handle_request(KEY)
+        reborn.close()
         assert response.status == STATUS_AVAILABLE
         assert reborn.artifacts.get(KEY) == farm.artifacts.get(KEY)
+
+    def test_state_of_earlier_versions_is_imported(self, tmp_path):
+        root = tmp_path / "farm"
+        (root / "records").mkdir(parents=True)
+        canonical = KEY.canonical()
+        (root / "queue.json").write_text(json.dumps({
+            "seq": 1,
+            "messages": [{"id": "m1", "body": canonical, "visible_at": 0.0,
+                          "receive_count": 0}],
+            "dead_letters": [],
+        }, indent=2) + "\n")
+        (root / "records" / f"{KEY.path_token()}.json").write_text(json.dumps(
+            {"key": canonical, "status": "pending", "created_at": 0.0},
+            indent=2, sort_keys=True,
+        ) + "\n")
+        farm = BuildFarm(
+            clock=VirtualClock(),
+            root=root,
+            executor_table=ExecutorTable(default=JobProfile(duration=3.0)),
+        )
+        farm.run_until_settled(60.0)
+        farm.close()
+        assert farm.records.get(canonical).status == "built"
+        assert not (root / "queue.json").exists()
+        assert os.listdir(root / "records") == ["records.jsonl"]
 
 
 class TestServiceMode:
