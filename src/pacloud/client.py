@@ -49,6 +49,7 @@ from .wire import (
     Response,
     STATUS_AVAILABLE,
     STATUS_FAILED,
+    artifact_key,
     decode_response,
     encode_request,
 )
@@ -139,7 +140,7 @@ def await_package(
     poll_interval: float = 10.0,
     timeout: float = 7200.0,
 ) -> str:
-    """Poll until the key is available, sleeping between requests."""
+    """Poll until the key is available; its URL must name ``key``."""
     start = clock.now()
     while True:
         if clock.now() - start >= timeout:
@@ -149,6 +150,8 @@ def await_package(
         response = request_package(transport, key)
         if response.status == STATUS_AVAILABLE:
             assert response.url is not None
+            if artifact_key(response.url) != key:
+                raise ProtocolError(f"{key}: service offered {response.url}")
             return response.url
         if response.status == STATUS_FAILED:
             assert response.error is not None

@@ -4,7 +4,7 @@ Packages are identified as ``category/name``. A version is a dot-joined
 run of integers with an optional single trailing letter and an optional
 ``-rN`` revision. A binary is unique per (package, version, USE-flag set);
 that triple is a BuildKey and its canonical string is the interchange
-format used in file names, queue bodies and the wire protocol.
+format of queue bodies, the wire protocol and (percent-encoded) file names.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import total_ordering
 from typing import Iterable, Iterator
+from urllib.parse import quote, unquote
 
 from .errors import (
     MalformedAtom,
@@ -288,8 +289,17 @@ class BuildKey:
         return self.canonical()
 
     def path_token(self) -> str:
-        """The canonical string made safe for use as a single file name."""
-        return self.canonical().replace("/", "_")
+        """The canonical string as one file name: RFC 3986 percent-encoding
+        that changes only ``/`` (to ``%2F``), so it can be inverted."""
+        return quote(self.canonical(), safe="[],@+")
+
+    @classmethod
+    def from_path_token(cls, token: str) -> "BuildKey":
+        """The inverse of ``path_token``; MalformedBuildKey for other names."""
+        key = cls.parse(unquote(token))
+        if key.path_token() != token:
+            raise MalformedBuildKey(f"not a build key's file name: {token!r}")
+        return key
 
     @classmethod
     def parse(cls, text: str) -> "BuildKey":

@@ -11,13 +11,14 @@ each ``create_pending`` and each first finalize appends the record's
 document, and a reload keeps the last line of each key. A key has at most
 two lines, so the journal needs no compaction. Per-key ``<token>.json``
 record files left by earlier versions are imported once and then
-deleted. Artifacts are tars named by the build key's canonical string
-with ``/`` replaced by ``_``. The artifact index is append-only, so an
-upload writes the same few bytes however many artifacts are stored.
+deleted. Each artifact is the file ``<key.path_token()>.tar``; the token
+decodes back to its key, so the directory is the index. A directory that
+holds the ``index.jsonl`` or ``index.json`` of earlier versions is refused.
 """
 from __future__ import annotations
 
 import json
+import os
 import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -25,17 +26,16 @@ from pathlib import Path
 from ..core import BuildKey
 from ..errors import FarmStateError
 from ..files import Journal
-from ..wire import ARTIFACT_URL_PREFIX
+from ..wire import artifact_url
 
 PENDING = "pending"
 BUILT = "built"
 FAILED = "failed"
 
-INDEX_FILE = "index.jsonl"
 RECORDS_FILE = "records.jsonl"
 
 
-@dataclass
+@dataclass(frozen=True)
 class BuildRecord:
     """Terminal outcome (or pending marker) for one build key."""
 
@@ -76,10 +76,6 @@ class BuildRecord:
         )
 
 
-def _token(canonical: str) -> str:
-    return canonical.replace("/", "_")
-
-
 class BuildRecordStore:
     def __init__(self, persist_dir: str | Path | None = None):
         self._lock = threading.Lock()
@@ -92,8 +88,7 @@ class BuildRecordStore:
 
     def get(self, canonical: str) -> BuildRecord | None:
         with self._lock:
-            record = self._records.get(canonical)
-            return replace(record) if record else None
+            return self._records.get(canonical)
 
     def create_pending(self, canonical: str, now: float) -> bool:
         """Create a pending record; False if any record already exists."""
@@ -126,17 +121,15 @@ class BuildRecordStore:
             record = self._records.get(canonical)
             if record is None:
                 record = BuildRecord(canonical, PENDING, created_at=now)
-                self._records[canonical] = record
             elif record.terminal:
-                return replace(record)
+                return record
             else:
                 self._pending -= 1
-            record.status = status
-            record.artifact_url = url
-            record.error_message = error
-            record.completed_at = now
+            record = replace(record, status=status, artifact_url=url,
+                             error_message=error, completed_at=now)
+            self._records[canonical] = record
             self._save(record)
-            return replace(record)
+            return record
 
     def pending_count(self) -> int:
         """How many records are pending; O(1), unlike ``pending_keys``."""
@@ -151,7 +144,7 @@ class BuildRecordStore:
 
     def all_records(self) -> list[BuildRecord]:
         with self._lock:
-            return [replace(r) for r in self._records.values()]
+            return list(self._records.values())
 
     def close(self) -> None:
         """Close the journal; a later write opens it again."""
@@ -192,67 +185,48 @@ class BuildRecordStore:
 class ArtifactStore:
     def __init__(self, persist_dir: str | Path | None = None):
         self._lock = threading.Lock()
-        self._blobs: dict[str, bytes] = {}
+        self._blobs: dict[str, bytes] = {}  # used only without a directory
         self.put_attempts: dict[str, int] = {}
         self._persist_dir = Path(persist_dir) if persist_dir else None
-        if self._persist_dir:
-            for token, canonical in self._read_index():
-                blob = self._persist_dir / f"{token}.tar"
-                if blob.is_file():
-                    self._blobs[canonical] = blob.read_bytes()
-
-    def _read_index(self) -> list[tuple[str, str]]:
-        """(file-name token, canonical key) pairs of the stored artifacts.
-
-        A forward index is needed because tokens are not reversible when a
-        category itself contains '_'. Each put appends one line to
-        ``index.jsonl``; an ``index.json`` object written by earlier
-        versions is read first.
-        """
-        assert self._persist_dir is not None
-        pairs: list[tuple[str, str]] = []
-        legacy = self._persist_dir / "index.json"
-        if legacy.is_file():
-            pairs += json.loads(legacy.read_text(encoding="utf-8")).items()
-        index = self._persist_dir / INDEX_FILE
-        if index.is_file():
-            pairs += [
-                tuple(json.loads(line))
-                for line in index.read_text(encoding="utf-8").splitlines()
-            ]
-        return pairs
-
-    @staticmethod
-    def url_for(key: BuildKey) -> str:
-        return f"{ARTIFACT_URL_PREFIX}{key.canonical()}"
+        for name in ("index.jsonl", "index.json"):
+            if self._persist_dir and (self._persist_dir / name).exists():
+                raise FarmStateError(
+                    f"{self._persist_dir / name}: left by an earlier version"
+                    f" whose file names could collide; remove the artifacts"
+                    f" and the build records to build them again"
+                )
 
     def put(self, key: BuildKey, data: bytes) -> str:
-        """Store the artifact; a later write for the same key is a no-op."""
+        """Store the artifact; a later write for the same key is a no-op.
+        On disk the tar is renamed into place from a temporary file, so a
+        write cut short is never taken for the first write."""
         canonical = key.canonical()
         with self._lock:
             self.put_attempts[canonical] = self.put_attempts.get(canonical, 0) + 1
-            if canonical not in self._blobs:
-                self._blobs[canonical] = data
-                if self._persist_dir is not None:
-                    self._persist_dir.mkdir(parents=True, exist_ok=True)
-                    path = self._persist_dir / f"{_token(canonical)}.tar"
-                    path.write_bytes(data)
-                    with open(
-                        self._persist_dir / INDEX_FILE, "a", encoding="utf-8"
-                    ) as fh:
-                        fh.write(json.dumps([_token(canonical), canonical]) + "\n")
-            return self.url_for(key)
+            if self._persist_dir is None:
+                self._blobs.setdefault(canonical, data)
+            elif not (path := self._persist_dir / f"{key.path_token()}.tar").exists():
+                self._persist_dir.mkdir(parents=True, exist_ok=True)
+                tmp = path.with_name(path.name + ".tmp")
+                tmp.write_bytes(data)
+                os.rename(tmp, path)
+        return artifact_url(key)
 
     def get(self, key: BuildKey) -> bytes | None:
-        with self._lock:
-            return self._blobs.get(key.canonical())
-
-    def get_by_url(self, url: str) -> bytes | None:
-        if not url.startswith(ARTIFACT_URL_PREFIX):
+        if self._persist_dir is None:
+            with self._lock:
+                return self._blobs.get(key.canonical())
+        try:
+            return (self._persist_dir / f"{key.path_token()}.tar").read_bytes()
+        except FileNotFoundError:
             return None
-        with self._lock:
-            return self._blobs.get(url[len(ARTIFACT_URL_PREFIX):])
 
     def stored_keys(self) -> list[str]:
-        with self._lock:
-            return sorted(self._blobs)
+        if self._persist_dir is None:
+            with self._lock:
+                return sorted(self._blobs)
+        names = os.listdir(self._persist_dir) if self._persist_dir.is_dir() else []
+        return sorted(
+            BuildKey.from_path_token(name.removesuffix(".tar")).canonical()
+            for name in names if name.endswith(".tar")
+        )

@@ -3,7 +3,7 @@
 Layout under the database root:
 
     <root>/<category>/<name>/metadata.json
-    <root>/<category>/<name>/archives/<canonical-build-key>.tar
+    <root>/<category>/<name>/archives/<key.path_token()>.tar
 
 Metadata documents are JSON, UTF-8, written in a canonical form (sorted
 keys, two-space indent, trailing newline) so that identical logical state
@@ -24,7 +24,7 @@ directory names and reads only the documents it returns.
 The remote store is reached through the PackageStore interface: a
 ``manifest.txt`` of category names at the root, one ``<category>.json``
 document per category mapping package name to metadata, and artifact
-blobs addressed by ``store://`` URLs.
+blobs addressed by ``store://`` URLs (``wire.artifact_url``).
 """
 from __future__ import annotations
 
@@ -44,12 +44,13 @@ from .errors import (
     MalformedPackageId,
     MalformedVersion,
     NotInstalled,
+    ProtocolError,
     StoreUnreachable,
     UnknownPackage,
     UnknownVersion,
 )
 from .files import rewrite_text
-from .wire import ARTIFACT_URL_PREFIX
+from .wire import artifact_key
 
 METADATA_FILE = "metadata.json"
 MANIFEST_FILE = "manifest.txt"
@@ -212,8 +213,8 @@ class DirectoryStore:
     """A PackageStore backed by a plain directory tree.
 
     The directory holds ``manifest.txt``, one ``<category>.json`` per
-    category and artifact tars under ``artifacts/`` named by the build
-    key's canonical string with ``/`` replaced by ``_``.
+    category and artifact tars under ``artifacts/``, each named by its
+    build key's ``path_token``.
     """
 
     def __init__(self, root: str | Path):
@@ -234,18 +235,11 @@ class DirectoryStore:
             ) from exc
 
     def fetch_artifact(self, url: str) -> bytes:
-        token = artifact_url_token(url)
         try:
+            token = artifact_key(url).path_token()
             return (self.root / "artifacts" / f"{token}.tar").read_bytes()
-        except OSError as exc:
+        except (ProtocolError, OSError) as exc:
             raise StoreUnreachable(f"cannot fetch artifact {url}: {exc}") from exc
-
-
-def artifact_url_token(url: str) -> str:
-    """File-name token for a ``store://<canonical-key>`` artifact URL."""
-    if not url.startswith(ARTIFACT_URL_PREFIX):
-        raise StoreUnreachable(f"unsupported artifact url: {url!r}")
-    return url[len(ARTIFACT_URL_PREFIX):].replace("/", "_")
 
 
 def parse_manifest(text: str) -> list[str]:

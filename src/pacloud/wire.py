@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .core import BuildKey, PackageId, UseFlagSet, parse_version
 from .errors import (
+    MalformedBuildKey,
     MalformedPackageId,
     MalformedUseFlag,
     MalformedVersion,
@@ -27,6 +28,21 @@ STATUS_PENDING = "pending"
 STATUS_FAILED = "failed"
 
 ARTIFACT_URL_PREFIX = "store://"
+
+
+def artifact_url(key: BuildKey) -> str:
+    """The URL an available artifact of ``key`` is downloaded from."""
+    return f"{ARTIFACT_URL_PREFIX}{key.canonical()}"
+
+
+def artifact_key(url: str) -> BuildKey:
+    """The build key an artifact URL names; ProtocolError if it names none."""
+    if not url.startswith(ARTIFACT_URL_PREFIX):
+        raise ProtocolError(f"unsupported artifact url: {url!r}")
+    try:
+        return BuildKey.parse(url[len(ARTIFACT_URL_PREFIX):])
+    except MalformedBuildKey as exc:
+        raise ProtocolError(f"bad artifact url {url!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -219,6 +219,20 @@ class TestInstall:
         assert db.get_metadata(pkg("app-editors/vim-core")).installed is None
         assert db.get_metadata(pkg("app-editors/vim")).installed is None
 
+    @pytest.mark.parametrize(
+        "url", ["store://sys-apps/acl-2.2.53[]", "store://../x"]
+    )
+    def test_a_url_for_another_key_fails_before_any_fetch(self, env, url):
+        env.client.update()
+        env.client._transport = ScriptedTransport(
+            [{"status": "pending"}, {"status": "available", "url": url}]
+        )
+        with pytest.raises(ProtocolError):
+            env.client.install([parse_atom("sys-libs/ncurses")])
+        assert env.download_events() == []
+        assert tree_files(env.config.install_root) == {}
+        assert env.client.db.get_metadata(pkg("sys-libs/ncurses")).installed is None
+
     def test_missing_api_url_is_lazy(self, env):
         env.client._transport = None
         env.client.update()  # store is injected; update never needs the api

@@ -1,4 +1,5 @@
 import random
+import string
 
 import pytest
 
@@ -20,6 +21,10 @@ from pacloud.errors import (
     MalformedPackageId,
     MalformedVersion,
 )
+
+_CATEGORY = string.ascii_lowercase + string.digits + "+_.-"
+_NAME = string.ascii_letters + string.digits + "+_.-"
+_FLAG = string.ascii_letters + string.digits + "_@-"
 
 FIG8_VERSIONS = ["5.9-r101", "6.0-r1", "6.0-r2", "6.1-r2"]
 
@@ -257,5 +262,33 @@ class TestBuildKey:
             BuildKey.parse(text)
 
     def test_path_token_has_no_slash(self):
-        key = BuildKey.parse("sys-libs/ncurses-6.1-r2[unicode]")
-        assert "/" not in key.path_token()
+        rng = random.Random(4)
+
+        def word(alphabet):
+            return "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
+
+        keys = {
+            BuildKey.parse("sys-libs/ncurses-6.1-r2[unicode]"),
+            # '/' -> '_' once gave these two the same file name
+            BuildKey.parse("a_b/c-1.0[]"),
+            BuildKey.parse("a/b_c-1.0[]"),
+        }
+        while len(keys) < 500:
+            try:
+                package = PackageId(word(_CATEGORY), word(_NAME))
+            except MalformedPackageId:  # "." and ".."
+                continue
+            flags = UseFlagSet.of(word(_FLAG) for _ in range(rng.randint(0, 3)))
+            keys.add(BuildKey(package, random_version(rng), flags))
+        tokens = {key.path_token() for key in keys}
+        assert len(tokens) == len(keys)
+        for key in keys:
+            assert "/" not in key.path_token()
+            assert BuildKey.from_path_token(key.path_token()) == key
+
+    @pytest.mark.parametrize(
+        "token", ["a/b-1[]", "a%2fb-1[]", "a%2Fb-01[]", "a%2Fb-1[y,x]", "a_b-1[]"]
+    )
+    def test_from_path_token_takes_only_tokens(self, token):
+        with pytest.raises(MalformedBuildKey):
+            BuildKey.from_path_token(token)

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -184,7 +186,6 @@ class TestArtifactStore:
         store = ArtifactStore()
         url = store.put(KEY, b"x")
         assert url == f"store://{KEY.canonical()}"
-        assert store.get_by_url(url) == b"x"
 
     def test_persistence_round_trip(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -193,24 +194,67 @@ class TestArtifactStore:
         assert reloaded.get(KEY) == b"bytes"
         assert (tmp_path / f"{KEY.path_token()}.tar").is_file()
 
-    def test_index_is_appended_once_per_new_artifact(self, tmp_path):
+    def test_a_second_put_writes_nothing(self, tmp_path):
         store = ArtifactStore(tmp_path)
         other = BuildKey.parse("cat_x/pkg-1.0[]")
         store.put(KEY, b"a")
+
+        def files():
+            return {
+                p.name: (p.stat().st_ino, p.stat().st_mtime_ns)
+                for p in tmp_path.iterdir()
+            }
+
+        before = files()
         store.put(KEY, b"again")
+        assert files() == before
         store.put(other, b"b")
-        lines = (tmp_path / "index.jsonl").read_text().splitlines()
-        assert len(lines) == 2
         reloaded = ArtifactStore(tmp_path)
         assert reloaded.get(KEY) == b"a"
         assert reloaded.get(other) == b"b"
-
-    def test_reads_an_index_json_from_earlier_versions(self, tmp_path):
-        (tmp_path / f"{KEY.path_token()}.tar").write_bytes(b"old")
-        (tmp_path / "index.json").write_text(
-            json.dumps({KEY.path_token(): KEY.canonical()})
+        assert reloaded.stored_keys() == sorted(
+            [KEY.canonical(), other.canonical()]
         )
-        assert ArtifactStore(tmp_path).get(KEY) == b"old"
+
+    def test_opening_reads_no_tar(self, tmp_path, monkeypatch):
+        ArtifactStore(tmp_path).put(KEY, b"bytes")
+        reads = []
+        read_bytes = Path.read_bytes
+
+        def counting(path):
+            reads.append(path.name)
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counting)
+        store = ArtifactStore(tmp_path)
+        assert store.stored_keys() == [KEY.canonical()]
+        assert reads == []
+        assert store.get(KEY) == b"bytes"
+        assert reads == [f"{KEY.path_token()}.tar"]
+
+    def test_a_torn_put_is_not_the_first_write(self, tmp_path, monkeypatch):
+        def torn(path, data):
+            with open(path, "wb") as fh:
+                fh.write(data[: len(data) // 2])
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "write_bytes", torn)
+            with pytest.raises(OSError):
+                ArtifactStore(tmp_path).put(KEY, b"full payload")
+        store = ArtifactStore(tmp_path)
+        assert store.get(KEY) is None
+        store.put(KEY, b"full payload")
+        reopened = ArtifactStore(tmp_path)
+        assert reopened.get(KEY) == b"full payload"
+        assert reopened.stored_keys() == [KEY.canonical()]
+
+    @pytest.mark.parametrize("index", ["index.jsonl", "index.json"])
+    def test_refuses_the_index_of_earlier_versions(self, tmp_path, index):
+        (tmp_path / "sys-libs_ncurses-6.1-r2[].tar").write_bytes(b"old")
+        (tmp_path / index).write_text("")
+        with pytest.raises(FarmStateError, match=index):
+            ArtifactStore(tmp_path)
 
 
 class TestRecordStore:
@@ -222,6 +266,17 @@ class TestRecordStore:
         second = records.finalize_failed(KEY.canonical(), "boom", 6.0)
         assert second.status == BUILT  # first write wins
         assert records.get(KEY.canonical()).artifact_url == "store://x"
+
+    def test_records_handed_out_are_frozen(self):
+        records = BuildRecordStore()
+        records.create_pending(KEY.canonical(), 0.0)
+        pending = records.get(KEY.canonical())
+        built = records.finalize_built(KEY.canonical(), "store://x", 5.0)
+        assert pending.status == PENDING
+        for record in [pending, built, *records.all_records()]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                record.status = FAILED
+        assert records.get(KEY.canonical()) is built
 
     def test_create_pending_is_idempotent(self):
         records = BuildRecordStore()

@@ -479,7 +479,7 @@ class TestArchiveCache:
             / "sys-libs"
             / "ncurses"
             / "archives"
-            / "sys-libs_ncurses-6.1-r2[].tar"
+            / "sys-libs%2Fncurses-6.1-r2[].tar"
         )
         assert expected.is_file()
 
@@ -493,3 +493,11 @@ class TestStoreLayout:
         assert doc["ncurses"]["name"] == "sys-libs/ncurses"
         assert set(doc["ncurses"]["versions"]) == set(NCURSES_VERSIONS)
         assert "installed" not in doc["ncurses"]
+
+    @pytest.mark.parametrize(
+        "url", ["http://x/a/b-1[]", "store://../x", "store://a/b-1[]/../../c"]
+    )
+    def test_artifact_url_must_name_a_key(self, store_dir, url):
+        (store_dir / "artifacts").mkdir()
+        with pytest.raises(StoreUnreachable):
+            DirectoryStore(store_dir).fetch_artifact(url)

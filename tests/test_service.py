@@ -16,6 +16,7 @@ from pacloud.farm import (
     JobProfile,
     VirtualClock,
     WorkerMode,
+    build_artifact_tar,
     generate_emerge_commands,
 )
 from pacloud.farm import service as service_module
@@ -282,6 +283,38 @@ class TestFarmPersistence:
         url = farm.records.get(KEY.canonical()).artifact_url
         assert store.fetch_artifact(url) == farm.artifacts.get(KEY)
 
+    def test_keys_with_colliding_file_names_keep_their_own_artifacts(
+        self, tmp_path
+    ):
+        # '/' -> '_' once mapped both keys to the file a_b_c-1.0[].tar
+        keys = [BuildKey.parse("a_b/c-1.0[]"), BuildKey.parse("a/b_c-1.0[]")]
+        root = tmp_path / "farm"
+        farm = BuildFarm(
+            clock=VirtualClock(),
+            root=root,
+            executor_table=ExecutorTable(default=JobProfile(duration=3.0)),
+            num_workers=2,
+        )
+        for key in keys:
+            farm.service.handle_request(key)
+        farm.run_until_settled(60.0)
+        expected = {key: build_artifact_tar(key) for key in keys}
+        assert expected[keys[0]] != expected[keys[1]]
+        store = DirectoryStore(root)
+
+        def served(records):
+            return {
+                key: store.fetch_artifact(records.get(key.canonical()).artifact_url)
+                for key in keys
+            }
+
+        assert served(farm.records) == expected
+        farm.close()
+        reborn = BuildFarm(clock=VirtualClock(), root=root)
+        reborn.close()
+        assert served(reborn.records) == expected
+        assert {key: reborn.artifacts.get(key) for key in keys} == expected
+
     def test_records_survive_restart(self, tmp_path):
         root = tmp_path / "farm"
         farm = BuildFarm(
@@ -308,7 +341,8 @@ class TestFarmPersistence:
                           "receive_count": 0}],
             "dead_letters": [],
         }, indent=2) + "\n")
-        (root / "records" / f"{KEY.path_token()}.json").write_text(json.dumps(
+        legacy_name = canonical.replace("/", "_")
+        (root / "records" / f"{legacy_name}.json").write_text(json.dumps(
             {"key": canonical, "status": "pending", "created_at": 0.0},
             indent=2, sort_keys=True,
         ) + "\n")
