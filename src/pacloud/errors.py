@@ -152,8 +152,8 @@ class UsageError(PacloudError):
 # --- farm ---
 
 class FarmStateError(PacloudError):
-    """A farm journal, or a state file of an earlier version, cannot be
-    loaded; the message names the file."""
+    """A farm journal cannot be loaded, or the farm root holds a file of an
+    earlier layout; the message names the file."""
 
 
 # --- benchmarks ---

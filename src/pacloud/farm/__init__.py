@@ -8,7 +8,8 @@ append-only journals (``queue.jsonl``, ``records/records.jsonl``), the
 artifacts as tars. ``close`` releases the journals' open handles. The
 same directory doubles as the package store surface the client syncs
 from and downloads artifacts out of. Without a root everything stays in
-memory and no journal code runs.
+memory and no journal code runs. Opening a root writes nothing, and a
+root holding a file of an earlier layout is refused before that.
 """
 from __future__ import annotations
 
@@ -16,6 +17,8 @@ import heapq
 import threading
 from pathlib import Path
 
+from ..errors import FarmStateError
+from ..wire import ARTIFACT_DIR
 from .clock import Clock, VirtualClock, WallClock
 from .commands import generate_emerge_commands
 from .queue import (
@@ -79,6 +82,15 @@ __all__ = [
 ]
 
 
+# Files only earlier versions of the farm wrote. Their ``queue.json`` is
+# not listed: it may be the document of a store category ``queue``.
+EARLIER_VERSION_PATHS = (
+    "records/*.json",
+    f"{ARTIFACT_DIR}/index.jsonl",
+    f"{ARTIFACT_DIR}/index.json",
+)
+
+
 class BuildFarm:
     def __init__(
         self,
@@ -90,13 +102,24 @@ class BuildFarm:
     ):
         self.clock = clock or VirtualClock()
         self.root = Path(root) if root else None
+        for pattern in EARLIER_VERSION_PATHS if self.root else ():
+            if found := sorted(self.root.glob(pattern)):
+                raise FarmStateError(
+                    f"{found[0]}: left by an earlier version; remove queue.jsonl,"
+                    f" records/ and {ARTIFACT_DIR}/, and the farm builds each"
+                    f" key again when it is next requested"
+                )
         queue_path = self.root / "queue.jsonl" if self.root else None
         records_dir = self.root / "records" if self.root else None
-        artifacts_dir = self.root / "artifacts" if self.root else None
+        artifacts_dir = self.root / ARTIFACT_DIR if self.root else None
         self.queue = CompileQueue(queue_path, on_dead_letter=self._dead_lettered)
-        self._dead_letters: set[str] = set()  # their records may be pending
         self.records = BuildRecordStore(records_dir)
         self.artifacts = ArtifactStore(artifacts_dir)
+        # keys whose records may still be pending, also those a crash left
+        self._dead_letters: set[str] = {
+            m.body for m in self.queue.dead_letters()
+            if (r := self.records.get(m.body)) and r.status == PENDING
+        }
         self.executor_factory = ExecutorFactory(executor_table)
         start = self.clock.now()
         self.workers = [

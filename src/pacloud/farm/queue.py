@@ -26,12 +26,11 @@ after some prefix of the calls.
 
 When the journal grows past ``COMPACTION_RATIO`` times the last snapshot,
 and past ``COMPACTION_MIN_BYTES``, it is replaced by a fresh snapshot.
-Handles do not survive a reopen. A ``queue.json`` snapshot that earlier
-versions kept beside the journal is imported once and then deleted.
+Handles do not survive a reopen. Opening the queue only reads the journal:
+a ``queue.json`` beside it may be the document of a store category.
 """
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -228,19 +227,7 @@ class CompileQueue:
     def _load(self) -> None:
         assert self._journal is not None
         path = self._journal.path
-        entries = self._journal.read()
-        legacy = path.with_suffix(".json")
-        if legacy != path and legacy.is_file():
-            if path.exists():
-                raise FarmStateError(
-                    f"{legacy}: left by an earlier version beside {path.name};"
-                    " remove whichever is stale"
-                )
-            self._restore(json.loads(legacy.read_text(encoding="utf-8")))
-            self._compact()
-            legacy.unlink()
-            return
-        for number, entry in enumerate(entries, 1):
+        for number, entry in enumerate(self._journal.read(), 1):
             try:
                 self._replay(entry)
             except (KeyError, IndexError, TypeError, ValueError) as exc:

@@ -56,8 +56,10 @@ class RequestService:
         with self._lock:
             record = self.records.get(canonical)
             if record is None:
-                self.records.create_pending(canonical, now)
+                # message first: one without a record is still built, but a
+                # record without one (after a crash) would stay pending
                 self.queue.send(canonical, now)
+                self.records.create_pending(canonical, now)
                 return Response(STATUS_PENDING)
             if record.status == BUILT:
                 return Response(STATUS_AVAILABLE, url=record.artifact_url)

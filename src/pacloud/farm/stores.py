@@ -9,15 +9,13 @@ When given a directory, both write through to files. Records go to one
 append-only journal, ``records.jsonl`` (a ``pacloud.files.Journal``):
 each ``create_pending`` and each first finalize appends the record's
 document, and a reload keeps the last line of each key. A key has at most
-two lines, so the journal needs no compaction. Per-key ``<token>.json``
-record files left by earlier versions are imported once and then
-deleted. Each artifact is the file ``<key.path_token()>.tar``; the token
-decodes back to its key, so the directory is the index. A directory that
-holds the ``index.jsonl`` or ``index.json`` of earlier versions is refused.
+two lines, so the journal needs no compaction. A line that is not a
+document the store writes raises ``FarmStateError``. Each artifact is the
+file ``<key.path_token()>.tar``; the token decodes back to its key, so the
+directory is the index. Opening either store writes nothing.
 """
 from __future__ import annotations
 
-import json
 import os
 import threading
 from dataclasses import dataclass, replace
@@ -66,7 +64,8 @@ class BuildRecord:
 
     @classmethod
     def from_document(cls, doc: dict) -> "BuildRecord":
-        return cls(
+        """The record in ``doc``; ValueError unless a store could write it."""
+        record = cls(
             key=doc["key"],
             status=doc["status"],
             artifact_url=doc.get("artifact_url"),
@@ -74,6 +73,11 @@ class BuildRecord:
             created_at=doc.get("created_at", 0.0),
             completed_at=doc.get("completed_at"),
         )
+        # the text each status carries; an unknown status has none
+        text = {PENDING: "", BUILT: record.artifact_url, FAILED: record.error_message}
+        if not all(isinstance(s, str) for s in (record.key, text.get(record.status))):
+            raise ValueError(f"not a build record: {doc!r}")
+        return record
 
 
 class BuildRecordStore:
@@ -158,25 +162,12 @@ class BuildRecordStore:
 
     def _load(self) -> None:
         assert self._journal is not None
-        path = self._journal.path
-        docs = self._journal.read()
-        legacy = sorted(path.parent.glob("*.json"))
-        if legacy:
-            if path.exists():
-                raise FarmStateError(
-                    f"{legacy[0]}: left by an earlier version beside"
-                    f" {path.name}; remove whichever is stale"
-                )
-            docs = [json.loads(p.read_text(encoding="utf-8")) for p in legacy]
-            self._journal.replace(docs)
-            for p in legacy:
-                p.unlink()
-        for number, doc in enumerate(docs, 1):
+        for number, doc in enumerate(self._journal.read(), 1):
             try:
                 record = BuildRecord.from_document(doc)
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise FarmStateError(
-                    f"{path}: line {number}: not a build record"
+                    f"{self._journal.path}: line {number}: not a build record"
                 ) from exc
             self._records[record.key] = record
         self._pending = sum(not r.terminal for r in self._records.values())
@@ -188,13 +179,6 @@ class ArtifactStore:
         self._blobs: dict[str, bytes] = {}  # used only without a directory
         self.put_attempts: dict[str, int] = {}
         self._persist_dir = Path(persist_dir) if persist_dir else None
-        for name in ("index.jsonl", "index.json"):
-            if self._persist_dir and (self._persist_dir / name).exists():
-                raise FarmStateError(
-                    f"{self._persist_dir / name}: left by an earlier version"
-                    f" whose file names could collide; remove the artifacts"
-                    f" and the build records to build them again"
-                )
 
     def put(self, key: BuildKey, data: bytes) -> str:
         """Store the artifact; a later write for the same key is a no-op.

@@ -50,7 +50,7 @@ from .errors import (
     UnknownVersion,
 )
 from .files import rewrite_text
-from .wire import artifact_key
+from .wire import ARTIFACT_DIR, artifact_key
 
 METADATA_FILE = "metadata.json"
 MANIFEST_FILE = "manifest.txt"
@@ -237,7 +237,7 @@ class DirectoryStore:
     def fetch_artifact(self, url: str) -> bytes:
         try:
             token = artifact_key(url).path_token()
-            return (self.root / "artifacts" / f"{token}.tar").read_bytes()
+            return (self.root / ARTIFACT_DIR / f"{token}.tar").read_bytes()
         except (ProtocolError, OSError) as exc:
             raise StoreUnreachable(f"cannot fetch artifact {url}: {exc}") from exc
 

@@ -28,6 +28,8 @@ STATUS_PENDING = "pending"
 STATUS_FAILED = "failed"
 
 ARTIFACT_URL_PREFIX = "store://"
+# The store directory that holds each artifact as <key.path_token()>.tar.
+ARTIFACT_DIR = "artifacts"
 
 
 def artifact_url(key: BuildKey) -> str:

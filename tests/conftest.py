@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from pacloud.client import Client, InProcessTransport
@@ -6,6 +8,20 @@ from pacloud.core import PackageId, parse_version
 from pacloud.depparse import metadata_from_ebuilds, parse_ebuild
 from pacloud.farm import BuildFarm, ExecutorTable, JobProfile, VirtualClock
 from pacloud.localdb import DirectoryStore, LocalDb, write_store
+
+
+def pytest_collection_modifyitems(items):
+    """Fail every test here that leaks a file or socket: an unclosed
+    handle's ResourceWarning is raised where it is collected, which pytest
+    then reports as an unraisable exception."""
+    here = Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error::ResourceWarning"))
+            item.add_marker(pytest.mark.filterwarnings(
+                "error::pytest.PytestUnraisableExceptionWarning"
+            ))
+
 
 NCURSES_VERSIONS = ["5.9-r101", "6.0-r1", "6.0-r2", "6.1-r2"]
 

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 from pathlib import Path
 
 import pytest
@@ -20,6 +19,7 @@ from pacloud.farm import (
     build_artifact_tar,
 )
 from pacloud.farm.stores import BUILT, FAILED, PENDING
+from pacloud.files import json_line
 
 KEY = BuildKey.parse("sys-libs/ncurses-6.1-r2[]")
 
@@ -251,10 +251,22 @@ class TestArtifactStore:
 
     @pytest.mark.parametrize("index", ["index.jsonl", "index.json"])
     def test_refuses_the_index_of_earlier_versions(self, tmp_path, index):
-        (tmp_path / "sys-libs_ncurses-6.1-r2[].tar").write_bytes(b"old")
-        (tmp_path / index).write_text("")
+        # a root with journals whose artifact directory still has an index:
+        # the farm refuses it, though the store alone holds no such check
+        farm = BuildFarm(clock=VirtualClock(), root=tmp_path)
+        farm.service.handle_request(KEY)
+        farm.run_until_settled(60.0)
+        farm.close()
+        (tmp_path / "artifacts" / index).write_text("")
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
         with pytest.raises(FarmStateError, match=index):
-            ArtifactStore(tmp_path)
+            BuildFarm(clock=VirtualClock(), root=tmp_path)
+        assert {
+            p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()
+        } == before
+        assert ArtifactStore(tmp_path / "artifacts").stored_keys() == [
+            KEY.canonical()
+        ]
 
 
 class TestRecordStore:
@@ -345,35 +357,20 @@ class TestRecordStore:
             assert documents(BuildRecordStore(cut)) == documents(reopened)
         assert last == len(prefixes) - 1
 
-    def test_record_files_of_earlier_versions_are_imported_once(self, tmp_path):
-        docs = [
-            {"key": "cat_x/p-1[]", "status": PENDING, "created_at": 1.0},
-            {"key": "cat/q-1[]", "status": BUILT, "created_at": 0.0,
-             "artifact_url": "store://cat/q-1[]", "completed_at": 5.0},
-        ]
-        for doc in docs:
-            name = doc["key"].replace("/", "_")
-            (tmp_path / f"{name}.json").write_text(
-                json.dumps(doc, indent=2, sort_keys=True) + "\n"
-            )
-        records = BuildRecordStore(tmp_path)
-        assert {r.key: r.to_document() for r in records.all_records()} == {
-            doc["key"]: doc for doc in docs
-        }
-        assert records.pending_keys() == ["cat_x/p-1[]"]
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl"]
-        records.finalize_failed("cat_x/p-1[]", "boom", 6.0)
-        records.close()
-        reopened = BuildRecordStore(tmp_path)
-        assert reopened.get("cat_x/p-1[]").status == FAILED
-        assert reopened.get("cat/q-1[]").completed_at == 5.0
-
-    def test_record_file_beside_a_journal_is_refused(self, tmp_path):
-        records = BuildRecordStore(tmp_path)
-        records.create_pending(KEY.canonical(), 0.0)
-        records.close()
-        (tmp_path / "cat_p-1[].json").write_text("{}")
-        with pytest.raises(FarmStateError, match=r"cat_p-1\[\]\.json"):
+    @pytest.mark.parametrize("doc", [
+        {"key": "cat/p-1[]", "status": "bogus"},
+        {"key": "cat/p-1[]", "status": ["pending"]},
+        {"key": ["cat/p-1[]"], "status": PENDING},
+        {"key": "cat/p-1[]", "status": BUILT},
+        {"key": "cat/p-1[]", "status": BUILT, "artifact_url": 5},
+        {"key": "cat/p-1[]", "status": FAILED},
+        {"key": "cat/p-1[]", "status": FAILED, "error_message": None},
+    ], ids=["unknown-status", "list-status", "list-key", "built-without-url",
+            "built-with-int-url", "failed-without-error", "failed-null-error"])
+    def test_refuses_a_document_no_store_writes(self, tmp_path, doc):
+        good = {"key": "cat/q-1[]", "status": PENDING, "created_at": 0.0}
+        (tmp_path / "records.jsonl").write_bytes(json_line(good) + json_line(doc))
+        with pytest.raises(FarmStateError, match="line 2: not a build record"):
             BuildRecordStore(tmp_path)
 
 

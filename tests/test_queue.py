@@ -339,34 +339,3 @@ class TestJournal:
         path.write_bytes(lines[0] + b'["renew","m9",3.0]\n')
         with pytest.raises(FarmStateError, match="line 2"):
             CompileQueue(path)
-
-
-class TestEarlierVersions:
-    SNAPSHOT = {
-        "seq": 4,
-        "messages": [{"id": "m3", "body": BODY, "visible_at": 20.0,
-                      "receive_count": 1}],
-        "dead_letters": [{"id": "m1", "body": "a/b-1[]", "visible_at": 61.0,
-                          "receive_count": 3}],
-    }
-
-    def test_queue_json_is_imported_once(self, tmp_path):
-        legacy = tmp_path / "queue.json"
-        legacy.write_text(json.dumps(self.SNAPSHOT, indent=2) + "\n")
-        q = CompileQueue(tmp_path / "queue.jsonl")
-        assert state(q) == self.SNAPSHOT
-        assert not legacy.exists()
-        q.send(BODY, now=21.0)
-        q.close()
-        reopened = CompileQueue(tmp_path / "queue.jsonl")
-        assert state(reopened) == state(q)
-        assert reopened.receive(now=21.0)[0].id == "m3"
-        reopened.close()
-
-    def test_queue_json_beside_a_journal_is_refused(self, tmp_path):
-        q = CompileQueue(tmp_path / "queue.jsonl")
-        q.send(BODY, now=0.0)
-        q.close()
-        (tmp_path / "queue.json").write_text(json.dumps(self.SNAPSHOT))
-        with pytest.raises(FarmStateError, match="queue.json"):
-            CompileQueue(tmp_path / "queue.jsonl")

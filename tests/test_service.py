@@ -3,10 +3,12 @@ import os
 import socket
 
 import pytest
+from conftest import build_sample_metadata
 
 from pacloud.client import InProcessTransport, await_package
 from pacloud.core import BuildKey, PackageId, UseFlagSet, parse_version
-from pacloud.errors import BuildFailed, ProtocolError
+from pacloud.depparse import metadata_from_ebuilds, parse_atom, parse_ebuild
+from pacloud.errors import BuildFailed, FarmStateError, ProtocolError
 from pacloud.farm import (
     DEAD_LETTER_ERROR,
     MAX_DELIVERIES,
@@ -33,6 +35,18 @@ from pacloud.wire import (
 )
 
 KEY = BuildKey.parse("sys-libs/ncurses-6.1-r2[mousewheel,unicode]")
+
+
+class Crash(Exception):
+    """Stands for the process dying at the point where it is raised."""
+
+
+def files_under(root):
+    """Every path under ``root``, with each file's bytes."""
+    return {
+        path.relative_to(root): path.read_bytes() if path.is_file() else None
+        for path in root.rglob("*")
+    }
 
 
 class TestHandleRequest:
@@ -168,6 +182,33 @@ class TestDeadLetters:
         assert record.status == "failed"
         assert record.error_message == DEAD_LETTER_ERROR
         assert record.completed_at == 100.0
+
+    def test_a_dead_letter_journaled_before_a_crash_fails_on_reopen(
+        self, tmp_path
+    ):
+        table = ExecutorTable(default=JobProfile(duration=1000.0))
+        farm = BuildFarm(clock=VirtualClock(), root=tmp_path, executor_table=table)
+        farm.service.handle_request(KEY)
+        for t in (0.0, 15.0, 30.0):
+            assert farm.queue.receive(t) is not None
+
+        def crash(body, now):
+            raise Crash
+
+        farm.queue.on_dead_letter = crash
+        with pytest.raises(Crash):
+            farm.queue.receive(45.0)
+        farm.close()
+        reborn = BuildFarm(
+            clock=VirtualClock(start=50.0), root=tmp_path, executor_table=table
+        )
+        assert len(reborn.queue.dead_letters()) == 1
+        assert reborn.records.get(KEY.canonical()).status == "pending"
+        reborn.run_until_settled(100.0)
+        response = reborn.service.handle_request(KEY)
+        reborn.close()
+        assert (response.status, response.error) == (STATUS_FAILED, DEAD_LETTER_ERROR)
+        assert reborn.records.get(KEY.canonical()).completed_at == 50.0
 
 
 class TestWireDocuments:
@@ -331,31 +372,111 @@ class TestFarmPersistence:
         assert response.status == STATUS_AVAILABLE
         assert reborn.artifacts.get(KEY) == farm.artifacts.get(KEY)
 
-    def test_state_of_earlier_versions_is_imported(self, tmp_path):
-        root = tmp_path / "farm"
-        (root / "records").mkdir(parents=True)
-        canonical = KEY.canonical()
-        (root / "queue.json").write_text(json.dumps({
+    def test_a_crash_between_the_writes_of_a_request_still_settles(
+        self, tmp_path
+    ):
+        table = ExecutorTable(default=JobProfile(duration=3.0))
+        farm = BuildFarm(clock=VirtualClock(), root=tmp_path, executor_table=table)
+        written = []
+
+        def crash_after_the_first_write(write):
+            def wrapped(*args):
+                if written:
+                    raise Crash
+                written.append(write.__name__)
+                return write(*args)
+            return wrapped
+
+        farm.queue.send = crash_after_the_first_write(farm.queue.send)
+        farm.records.create_pending = crash_after_the_first_write(
+            farm.records.create_pending
+        )
+        with pytest.raises(Crash):
+            farm.service.handle_request(KEY)
+        farm.close()
+        reborn = BuildFarm(clock=VirtualClock(), root=tmp_path, executor_table=table)
+        assert reborn.service.handle_request(KEY).status == STATUS_PENDING
+        reborn.run_until_settled(60.0)
+        response = reborn.service.handle_request(KEY)
+        reborn.close()
+        assert response.status == STATUS_AVAILABLE
+
+    @pytest.mark.parametrize(
+        "earlier",
+        ["records/sys-libs_ncurses-6.1-r2[].json", "artifacts/index.jsonl",
+         "artifacts/index.json"],
+        ids=["records", "index.jsonl", "index.json"],
+    )
+    def test_a_root_of_earlier_versions_is_refused_unchanged(
+        self, tmp_path, earlier
+    ):
+        canonical = "sys-libs/ncurses-6.1-r2[]"
+        (tmp_path / "queue.json").write_text(json.dumps({
             "seq": 1,
             "messages": [{"id": "m1", "body": canonical, "visible_at": 0.0,
                           "receive_count": 0}],
             "dead_letters": [],
-        }, indent=2) + "\n")
-        legacy_name = canonical.replace("/", "_")
-        (root / "records" / f"{legacy_name}.json").write_text(json.dumps(
-            {"key": canonical, "status": "pending", "created_at": 0.0},
-            indent=2, sort_keys=True,
-        ) + "\n")
-        farm = BuildFarm(
-            clock=VirtualClock(),
-            root=root,
-            executor_table=ExecutorTable(default=JobProfile(duration=3.0)),
+        }))
+        (tmp_path / "artifacts").mkdir()
+        (tmp_path / "artifacts" / "sys-libs_ncurses-6.1-r2[].tar").write_bytes(b"old")
+        (tmp_path / "records").mkdir()
+        (tmp_path / earlier).write_text(json.dumps(
+            {"key": canonical, "status": "built", "created_at": 0.0,
+             "artifact_url": f"store://{canonical}", "completed_at": 3.0}
+        ))
+        before = files_under(tmp_path)
+        with pytest.raises(FarmStateError) as exc_info:
+            BuildFarm(clock=VirtualClock(), root=tmp_path)
+        assert str(exc_info.value).startswith(str(tmp_path / earlier))
+        assert "remove queue.jsonl, records/ and artifacts/" in str(exc_info.value)
+        assert files_under(tmp_path) == before
+
+    def test_a_category_named_queue_is_served(self, make_env):
+        package = PackageId.parse("queue/q")
+        ebuild = parse_ebuild('EAPI=6\nDESCRIPTION="q"\nRDEPEND=""\n', "q", "1.0")
+        env = make_env(metas=build_sample_metadata() + [
+            metadata_from_ebuilds(package, [(parse_version("1.0"), ebuild)])
+        ])
+        document = (env.farm_root / "queue.json").read_bytes()
+        env.client.update()
+        env.client.install([parse_atom("queue/q")])
+        [record] = env.farm.records.all_records()
+        assert record.status == "built"
+        response = env.farm.service.handle_request(BuildKey.parse(record.key))
+        assert response.status == STATUS_AVAILABLE
+        assert env.client.db.get_metadata(package).installed_version() == (
+            parse_version("1.0")
         )
+        assert (env.farm_root / "queue.json").read_bytes() == document
+
+    def test_opening_a_root_writes_nothing(self, tmp_path):
+        table = ExecutorTable(
+            {"cat/broken-1": JobProfile(duration=3.0, error="boom")},
+            default=JobProfile(duration=3.0),
+        )
+        farm = BuildFarm(clock=VirtualClock(), root=tmp_path, executor_table=table)
+        for key in ("cat/built-1[]", "cat/broken-1[]"):
+            farm.service.handle_request(BuildKey.parse(key))
         farm.run_until_settled(60.0)
+        farm.service.handle_request(BuildKey.parse("cat/dead-1[]"))
+        for t in (100.0, 115.0, 130.0):
+            assert farm.queue.receive(t) is not None
+        farm.queue.on_dead_letter = None  # its record stays pending
+        assert farm.queue.receive(145.0) is None
+        farm.service.handle_request(BuildKey.parse("cat/live-1[]"))
         farm.close()
-        assert farm.records.get(canonical).status == "built"
-        assert not (root / "queue.json").exists()
-        assert os.listdir(root / "records") == ["records.jsonl"]
+        before = files_under(tmp_path)
+        reborn = BuildFarm(clock=VirtualClock(), root=tmp_path, executor_table=table)
+        statuses = {r.key: r.status for r in reborn.records.all_records()}
+        depth = reborn.queue.depth()
+        dead = [m.body for m in reborn.queue.dead_letters()]
+        reborn.close()
+        assert statuses == {
+            "cat/built-1[]": "built", "cat/broken-1[]": "failed",
+            "cat/dead-1[]": "pending", "cat/live-1[]": "pending",
+        }
+        assert (depth, dead) == (1, ["cat/dead-1[]"])
+        assert files_under(tmp_path) == before
 
 
 class TestServiceMode:
