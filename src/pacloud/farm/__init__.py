@@ -2,10 +2,12 @@
 
 ``BuildFarm`` wires the pieces together over one clock and drives the
 workers event by event, which keeps every run bit-reproducible under a
-virtual clock. Given a root directory the queue, record store and
-artifact store persist as files beneath it: the queue and the records as
-append-only journals (``queue.jsonl``, ``records/records.jsonl``), the
-artifacts as tars. ``close`` releases the journals' open handles. The
+virtual clock. Given a root directory the record store and artifact
+store persist as files beneath it: the records as an append-only journal
+(``records/records.jsonl``), the artifacts as tars. ``close`` releases
+the journal's open handle. The queue stays in memory: a farm that opens
+a root sends one message for each pending record, in journal order, so
+delivery counts and the dead-letter list belong to one farm process. The
 same directory doubles as the package store surface the client syncs
 from and downloads artifacts out of. Without a root everything stays in
 memory and no journal code runs. Opening a root writes nothing, and a
@@ -105,23 +107,22 @@ class BuildFarm:
         for pattern in EARLIER_VERSION_PATHS if self.root else ():
             if found := sorted(self.root.glob(pattern)):
                 raise FarmStateError(
-                    f"{found[0]}: left by an earlier version; remove queue.jsonl,"
-                    f" records/ and {ARTIFACT_DIR}/, and the farm builds each"
-                    f" key again when it is next requested"
+                    f"{found[0]}: left by an earlier version; remove records/"
+                    f" and {ARTIFACT_DIR}/, and the farm builds each key again"
+                    f" when it is next requested"
                 )
-        queue_path = self.root / "queue.jsonl" if self.root else None
         records_dir = self.root / "records" if self.root else None
         artifacts_dir = self.root / ARTIFACT_DIR if self.root else None
-        self.queue = CompileQueue(queue_path, on_dead_letter=self._dead_lettered)
+        self.queue = CompileQueue(on_dead_letter=self._dead_lettered)
         self.records = BuildRecordStore(records_dir)
         self.artifacts = ArtifactStore(artifacts_dir)
-        # keys whose records may still be pending, also those a crash left
-        self._dead_letters: set[str] = {
-            m.body for m in self.queue.dead_letters()
-            if (r := self.records.get(m.body)) and r.status == PENDING
-        }
+        # dead-lettered keys whose records may still be pending
+        self._dead_letters: set[str] = set()
         self.executor_factory = ExecutorFactory(executor_table)
         start = self.clock.now()
+        for record in self.records.all_records():
+            if not record.terminal:
+                self.queue.send(record.key, start)
         self.workers = [
             Worker(
                 f"worker{i}",
@@ -174,9 +175,8 @@ class BuildFarm:
             self._server = None
 
     def close(self) -> None:
-        """Stop serving, if serving, and close the journals."""
+        """Stop serving, if serving, and close the record journal."""
         self.stop_service()
-        self.queue.close()
         self.records.close()
 
     # --- event-driven simulation ---

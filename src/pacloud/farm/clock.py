@@ -48,9 +48,6 @@ class VirtualClock:
             raise ValueError(f"clock cannot go backwards: {t} < {self._now}")
         self._now = t
 
-    def advance(self, seconds: float) -> None:
-        self.set_time(self._now + seconds)
-
     def sleep(self, seconds: float) -> None:
         target = self._now + seconds
         if self.on_sleep is not None:

@@ -4,8 +4,10 @@ A request for a key whose record is terminal is answered from the record
 store: available with the artifact URL, or failed with the stored error
 text (served to the original requester and to anyone asking for the same
 key later). The first request for an unknown key creates a pending record
-and enqueues exactly one compile message; while the record stays pending,
-further requests return pending without enqueuing again.
+and then enqueues exactly one compile message; while the record stays
+pending, further requests return pending without enqueuing again. A crash
+between the two writes leaves a pending record without a message, and the
+farm that reopens the root sends it one.
 
 The socket server speaks the wire protocol: one newline-terminated JSON
 request per connection, answered with one JSON response. Connections are
@@ -56,10 +58,8 @@ class RequestService:
         with self._lock:
             record = self.records.get(canonical)
             if record is None:
-                # message first: one without a record is still built, but a
-                # record without one (after a crash) would stay pending
-                self.queue.send(canonical, now)
                 self.records.create_pending(canonical, now)
+                self.queue.send(canonical, now)
                 return Response(STATUS_PENDING)
             if record.status == BUILT:
                 return Response(STATUS_AVAILABLE, url=record.artifact_url)

@@ -11,11 +11,11 @@ same small JSON documents many times per operation.
 to the new length, which leaves writeback to the page cache. Neither form
 is atomic: a crash mid-write can leave a damaged document either way.
 
-The farm's queue and record store change a little state many times per
-build, so they keep a ``Journal`` instead: one JSON line per change,
-appended through a handle kept open and flushed after each line. A
-process crash loses at most the line being written. That torn last line
-is dropped when the journal is read, and cut off before the next append.
+The farm's record store changes a little state many times per run, so
+it keeps a ``Journal`` instead: one JSON line per change, appended
+through a handle kept open and flushed after each line. A process crash
+loses at most the line being written. That torn last line is dropped
+when the journal is read, and cut off before the next append.
 """
 from __future__ import annotations
 
@@ -92,20 +92,6 @@ class Journal:
         self._fh.write(data)
         self._fh.flush()
         self.size += len(data)
-
-    def replace(self, docs: list[Any]) -> None:
-        """Make the journal hold exactly ``docs``, atomically.
-
-        The documents go to a temporary file that ``os.replace`` then
-        moves over the journal, so a crash leaves the old or the new one.
-        """
-        self.close()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        data = b"".join(json_line(doc) for doc in docs)
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        tmp.write_bytes(data)
-        os.replace(tmp, self.path)
-        self.size = len(data)
 
     def close(self) -> None:
         if self._fh is not None:

@@ -251,7 +251,7 @@ class TestArtifactStore:
 
     @pytest.mark.parametrize("index", ["index.jsonl", "index.json"])
     def test_refuses_the_index_of_earlier_versions(self, tmp_path, index):
-        # a root with journals whose artifact directory still has an index:
+        # a root with a record journal whose artifact directory has an index:
         # the farm refuses it, though the store alone holds no such check
         farm = BuildFarm(clock=VirtualClock(), root=tmp_path)
         farm.service.handle_request(KEY)
@@ -371,6 +371,12 @@ class TestRecordStore:
         good = {"key": "cat/q-1[]", "status": PENDING, "created_at": 0.0}
         (tmp_path / "records.jsonl").write_bytes(json_line(good) + json_line(doc))
         with pytest.raises(FarmStateError, match="line 2: not a build record"):
+            BuildRecordStore(tmp_path)
+
+    def test_damage_before_the_last_line_is_refused(self, tmp_path):
+        good = {"key": "cat/q-1[]", "status": PENDING, "created_at": 0.0}
+        (tmp_path / "records.jsonl").write_bytes(b"garbage\n" + json_line(good))
+        with pytest.raises(FarmStateError, match="records.jsonl: line 1"):
             BuildRecordStore(tmp_path)
 
 

@@ -13,6 +13,7 @@ from pacloud.farm import (
     DEAD_LETTER_ERROR,
     MAX_DELIVERIES,
     BuildFarm,
+    BuildRecordStore,
     ExecutorTable,
     FarmServer,
     JobProfile,
@@ -183,7 +184,7 @@ class TestDeadLetters:
         assert record.error_message == DEAD_LETTER_ERROR
         assert record.completed_at == 100.0
 
-    def test_a_dead_letter_journaled_before_a_crash_fails_on_reopen(
+    def test_a_dead_letter_before_a_crash_is_built_again_on_reopen(
         self, tmp_path
     ):
         table = ExecutorTable(default=JobProfile(duration=1000.0))
@@ -202,13 +203,14 @@ class TestDeadLetters:
         reborn = BuildFarm(
             clock=VirtualClock(start=50.0), root=tmp_path, executor_table=table
         )
-        assert len(reborn.queue.dead_letters()) == 1
+        # delivery counts belong to one process: the key starts afresh
+        assert (reborn.queue.depth(), reborn.queue.dead_letters()) == (1, [])
         assert reborn.records.get(KEY.canonical()).status == "pending"
-        reborn.run_until_settled(100.0)
+        reborn.run_until_settled(2000.0)
         response = reborn.service.handle_request(KEY)
         reborn.close()
-        assert (response.status, response.error) == (STATUS_FAILED, DEAD_LETTER_ERROR)
-        assert reborn.records.get(KEY.canonical()).completed_at == 50.0
+        assert response.status == STATUS_AVAILABLE
+        assert reborn.records.get(KEY.canonical()).completed_at == 1050.0
 
 
 class TestWireDocuments:
@@ -312,7 +314,7 @@ class TestFarmPersistence:
         farm.service.handle_request(KEY)
         farm.run_until_settled(60.0)
         farm.close()
-        assert (root / "queue.jsonl").is_file()
+        assert sorted(os.listdir(root)) == ["artifacts", "records"]
         records = (root / "records" / "records.jsonl").read_text().splitlines()
         assert [json.loads(line)["key"] for line in records] == [
             KEY.canonical(), KEY.canonical()
@@ -401,6 +403,39 @@ class TestFarmPersistence:
         reborn.close()
         assert response.status == STATUS_AVAILABLE
 
+    def test_a_pending_record_without_a_message_is_built_on_reopen(
+        self, tmp_path
+    ):
+        records = BuildRecordStore(tmp_path / "records")
+        records.create_pending(KEY.canonical(), 0.0)
+        records.close()
+        farm = BuildFarm(
+            clock=VirtualClock(),
+            root=tmp_path,
+            executor_table=ExecutorTable(default=JobProfile(duration=3.0)),
+        )
+        farm.run_until_settled(60.0)
+        response = farm.service.handle_request(KEY)
+        farm.close()
+        assert response.status == STATUS_AVAILABLE
+        assert farm.records.get(KEY.canonical()).completed_at == 3.0
+
+    def test_a_queue_journal_of_earlier_versions_is_left_alone(self, tmp_path):
+        queue_file = tmp_path / "queue.jsonl"
+        queue_file.write_bytes(b'garbage\n["send",1,"cat/p-1[]",0.0]\n{')
+        before = queue_file.read_bytes()
+        farm = BuildFarm(
+            clock=VirtualClock(),
+            root=tmp_path,
+            executor_table=ExecutorTable(default=JobProfile(duration=3.0)),
+        )
+        farm.service.handle_request(KEY)
+        farm.run_until_settled(60.0)
+        farm.close()
+        assert farm.records.get(KEY.canonical()).status == "built"
+        assert farm.records.get("cat/p-1[]") is None
+        assert queue_file.read_bytes() == before
+
     @pytest.mark.parametrize(
         "earlier",
         ["records/sys-libs_ncurses-6.1-r2[].json", "artifacts/index.jsonl",
@@ -428,7 +463,7 @@ class TestFarmPersistence:
         with pytest.raises(FarmStateError) as exc_info:
             BuildFarm(clock=VirtualClock(), root=tmp_path)
         assert str(exc_info.value).startswith(str(tmp_path / earlier))
-        assert "remove queue.jsonl, records/ and artifacts/" in str(exc_info.value)
+        assert "remove records/ and artifacts/" in str(exc_info.value)
         assert files_under(tmp_path) == before
 
     def test_a_category_named_queue_is_served(self, make_env):
@@ -475,7 +510,7 @@ class TestFarmPersistence:
             "cat/built-1[]": "built", "cat/broken-1[]": "failed",
             "cat/dead-1[]": "pending", "cat/live-1[]": "pending",
         }
-        assert (depth, dead) == (1, ["cat/dead-1[]"])
+        assert (depth, dead) == (2, [])
         assert files_under(tmp_path) == before
 
 
