@@ -194,21 +194,32 @@ class BuildFarm:
         self._run(target, settle=False)
         if target > self.clock.now():
             self.clock.set_time(target)
+        self._spend_ticks()
 
     def run_until_settled(self, max_time: float) -> None:
-        """Run until no record is pending, or progress becomes impossible."""
+        """Run until no record is pending, or progress becomes impossible.
+
+        The clock lands on the last instant whose events ran, or stays
+        where it was if none ran; it never moves on to ``max_time``.
+        """
         self._run(max_time, settle=True)
+        self._spend_ticks()
 
     def _run(self, limit: float, settle: bool) -> None:
         """Drive the workers' events in time order, up to ``limit``.
 
         A min-heap holds each driven worker's next event as ``(time,
-        index)``, so events at one instant run in worker order. Only a
-        worker changes its own event times, and external calls
-        (``interrupt``, ``resume``, ``crash``) come between runs, so the
-        heap is built once per call and never goes stale. With
-        ``settle``, the run stops once every event of an instant has run
-        and no record is pending, or nothing left can settle one.
+        index)``, so events at one instant run in worker order. External
+        calls (``interrupt``, ``resume``, ``crash``) and queue sends come
+        between runs, so within one run the queue's earliest visible time
+        can only grow: a receive, a renewal, a delete or a dead letter
+        never brings it nearer. A waiting worker's entry can therefore
+        only be early, never late, and an early wake does nothing but
+        spend ticks and queue the worker again; every other worker
+        changes only its own event times. So the heap is built once per
+        call. With ``settle``, the run stops once every event of an
+        instant has run and no record is pending, or nothing left can
+        settle one.
         """
         assert isinstance(self.clock, VirtualClock)
         self._fail_unheld_dead_letters(self.clock.now())
@@ -234,6 +245,18 @@ class BuildFarm:
                 heapq.heappop(heap)
             else:
                 heapq.heapreplace(heap, (after, i))
+
+    def _spend_ticks(self) -> None:
+        """Spend the waiting workers' poll ticks up to now, as the empty
+        polls at them would have, so a message sent at this instant is
+        first polled at the next tick. A worker with an event still due
+        (a run that settled before reaching it) keeps it for the next run.
+        """
+        now = self.clock.now()
+        for worker in self.workers:
+            t = worker.next_event_time()
+            if t is None or t > now:
+                worker.step(now)
 
     def _settled(self) -> bool:
         if self.records.pending_count() == 0:

@@ -118,6 +118,14 @@ class CompileQueue:
         with self._lock:
             return len(self._messages)
 
+    def next_visible_at(self) -> float | None:
+        """The earliest time a receive can find or dead-letter a message;
+        None while the queue is empty."""
+        with self._lock:
+            return min(
+                (m.visible_at for m in self._messages.values()), default=None
+            )
+
     def dead_letters(self) -> list[ReceivedMessage]:
         with self._lock:
             return [

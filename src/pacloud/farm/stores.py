@@ -12,7 +12,9 @@ document, and a reload keeps the last line of each key. A key has at most
 two lines, so the journal needs no compaction. A line that is not a
 document the store writes raises ``FarmStateError``. Each artifact is the
 file ``<key.path_token()>.tar``; the token decodes back to its key, so the
-directory is the index. Opening either store writes nothing.
+directory is the index. Opening either store writes nothing. An artifact
+may be handed over as a function that builds its bytes: on disk it is
+called when the tar is written, in memory on the first read.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ import os
 import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 from ..core import BuildKey
 from ..errors import FarmStateError
@@ -176,14 +179,19 @@ class BuildRecordStore:
 class ArtifactStore:
     def __init__(self, persist_dir: str | Path | None = None):
         self._lock = threading.Lock()
-        self._blobs: dict[str, bytes] = {}  # used only without a directory
+        # used only without a directory; a callable is built on first get
+        self._blobs: dict[str, bytes | Callable[[], bytes]] = {}
         self.put_attempts: dict[str, int] = {}
         self._persist_dir = Path(persist_dir) if persist_dir else None
 
-    def put(self, key: BuildKey, data: bytes) -> str:
+    def put(self, key: BuildKey, data: bytes | Callable[[], bytes]) -> str:
         """Store the artifact; a later write for the same key is a no-op.
-        On disk the tar is renamed into place from a temporary file, so a
-        write cut short is never taken for the first write."""
+
+        ``data`` is the tar's bytes or a function that builds them. On
+        disk the first write calls it and the tar is renamed into place
+        from a temporary file, so a write cut short is never taken for
+        the first write. In memory the function is kept and called by the
+        first ``get``."""
         canonical = key.canonical()
         with self._lock:
             self.put_attempts[canonical] = self.put_attempts.get(canonical, 0) + 1
@@ -192,14 +200,20 @@ class ArtifactStore:
             elif not (path := self._persist_dir / f"{key.path_token()}.tar").exists():
                 self._persist_dir.mkdir(parents=True, exist_ok=True)
                 tmp = path.with_name(path.name + ".tmp")
-                tmp.write_bytes(data)
+                tmp.write_bytes(data() if callable(data) else data)
                 os.rename(tmp, path)
         return artifact_url(key)
 
     def get(self, key: BuildKey) -> bytes | None:
+        """The stored tar's bytes, or None; in memory the first ``get``
+        builds them and keeps them."""
         if self._persist_dir is None:
+            canonical = key.canonical()
             with self._lock:
-                return self._blobs.get(key.canonical())
+                data = self._blobs.get(canonical)
+                if callable(data):
+                    data = self._blobs[canonical] = data()
+                return data
         try:
             return (self._persist_dir / f"{key.path_token()}.tar").read_bytes()
         except FileNotFoundError:

@@ -1,11 +1,15 @@
 """Simulated spot workers: polling, building, interruption and hibernation.
 
-A worker polls the queue; on a message it constructs a fresh executor
-(never reused across messages), builds for the executor's duration, and
-renews the message's visibility every ten seconds. On completion it stores
-the artifact, finalizes the build record (preserving an executor's error
-text verbatim on failure), and deletes the message. Failures delete the
-message too and store nothing.
+An idle worker polls the queue on its own chain of ticks, ``poll_interval``
+apart. On a message it constructs a fresh executor (never reused across
+messages), builds for the executor's duration, and renews the message's
+visibility every ten seconds. On completion it stores the artifact,
+finalizes the build record (preserving an executor's error text verbatim
+on failure), deletes the message and polls again at once. Failures delete
+the message too and store nothing. A poll that finds nothing makes the
+worker wait: its next event is the first tick of its chain at or after the
+queue's earliest visible time, and it has none while the queue is empty.
+The ticks it skips are the polls that would have found nothing.
 
 An interruption gives the worker a notice window: a build that fits inside
 it finishes normally, otherwise the worker keeps working until the window
@@ -16,8 +20,11 @@ first-write-wins on the record and artifact stores makes that race
 harmless either way.
 
 Workers are event-driven: a driver advances them with ``step(now)`` and
-can ask for the next instant anything is due. A crashed worker simply
-stops being driven; its message resurfaces via the visibility timeout.
+can ask for the next instant anything is due. ``step(now)`` also spends a
+waiting worker's ticks up to ``now``, as the empty polls at those ticks
+would have, so a message sent at ``now`` is first polled at the next tick.
+A crashed worker simply stops being driven; its message resurfaces via the
+visibility timeout.
 """
 from __future__ import annotations
 
@@ -25,6 +32,8 @@ import io
 import tarfile
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from typing import Callable
 
 from ..core import BuildKey
 from .queue import RENEWAL_INTERVAL, CompileQueue
@@ -89,8 +98,13 @@ class ExecutorTable:
 
 @dataclass(frozen=True)
 class ExecutionResult:
+    """What one build produced: its duration, and either an artifact or an
+    error. The artifact is the tar's bytes or a function that builds them,
+    which ``ArtifactStore.put`` calls only when something needs the bytes.
+    """
+
     duration: float
-    artifact: bytes | None = None
+    artifact: bytes | Callable[[], bytes] | None = None
     error: str | None = None
 
     @property
@@ -113,7 +127,10 @@ class SimulatedExecutor:
         profile = self.table.profile_for(key)
         if profile.error is not None:
             return ExecutionResult(profile.duration, error=profile.error)
-        return ExecutionResult(profile.duration, artifact=build_artifact_tar(key))
+        # The tar depends only on the key: build it when it is read.
+        return ExecutionResult(
+            profile.duration, artifact=partial(build_artifact_tar, key)
+        )
 
 
 class ExecutorFactory:
@@ -162,6 +179,7 @@ class Worker:
         self.poll_interval = poll_interval
         self.mode = WorkerMode.IDLE
         self.next_poll_at = start_time
+        self._waiting = False  # the last poll found nothing
         self.busy_seconds = 0.0
         self.history: list[BuildEvent] = []
         # in-flight build state
@@ -181,7 +199,17 @@ class Worker:
 
     def next_event_time(self) -> float | None:
         if self.mode is WorkerMode.IDLE:
-            return self.next_poll_at
+            if not self._waiting:
+                return self.next_poll_at
+            visible_at = self.queue.next_visible_at()
+            if visible_at is None:
+                return None
+            # Step along the chain as the polls would, so the tick is the
+            # same float the empty polls would have reached.
+            t = self.next_poll_at
+            while t < visible_at:
+                t += self.poll_interval
+            return t
         if self.mode is WorkerMode.BUILDING:
             t = min(self._completion_at, self._next_renewal_at)
             if self._hibernate_at is not None:
@@ -190,12 +218,16 @@ class Worker:
         return None
 
     def step(self, now: float) -> None:
-        """Process every event due up to and including ``now``."""
+        """Process every event due up to and including ``now``, then
+        spend a waiting worker's ticks up to ``now``."""
         while True:
             t = self.next_event_time()
             if t is None or t > now:
-                return
+                break
             self._fire(t)
+        if self._waiting and self.mode is WorkerMode.IDLE:
+            while self.next_poll_at <= now:
+                self.next_poll_at += self.poll_interval
 
     def _fire(self, t: float) -> None:
         if self.mode is WorkerMode.IDLE:
@@ -212,7 +244,9 @@ class Worker:
     # --- lifecycle events ---
 
     def _poll(self, t: float) -> None:
+        self.next_poll_at = t  # a waiting worker skipped the ticks before t
         received = self.queue.receive(t)
+        self._waiting = received is None
         if received is None:
             self.next_poll_at = t + self.poll_interval
             return

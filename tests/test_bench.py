@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -100,6 +102,39 @@ class TestRunMakespan:
         report = run_makespan(2, [job("a", 10.0), job("b", 10.0), job("c", 10.0)])
         for value in report.worker_utilization.values():
             assert 0.0 <= value <= 1.0
+
+
+def lognormal_jobs():
+    """200 jobs on 32 workers; log-normal durations around 120 s, to the ms."""
+    rng = random.Random(20261018)
+    return 32, [
+        job(f"p{i}", round(rng.lognormvariate(math.log(120.0), 0.6), 3))
+        for i in range(200)
+    ]
+
+
+# Every report must stay bit-identical as the farm's loop gets faster.
+# Putting the build profile into the key (ROADMAP item 3) changes every
+# canonical key, and so these digests, once.
+@pytest.mark.parametrize(
+    "make,digest",
+    [
+        (
+            lambda: scenario_jobs("fig13"),
+            "6a5e8217ff30fb61e0ce7b801a6aeaf12437dfc65465c31d512c3418e907f594",
+        ),
+        (
+            lognormal_jobs,
+            "5f3d9e38f33f99db4c8ea935f8fce8f121b57fe787ed106446f7e2beaaa85954",
+        ),
+    ],
+    ids=["fig13", "lognormal-200x32"],
+)
+def test_report_digest_is_pinned(make, digest):
+    workers, jobs = make()
+    document = run_makespan(workers, jobs).to_document()
+    text = json.dumps(document, sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest() == digest
 
 
 class TestStorageCost:

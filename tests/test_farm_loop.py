@@ -4,6 +4,10 @@ The scan loop the heap replaced is kept here as a reference: it found the
 next event by asking every worker, stepped every worker due at that
 instant in index order, and sorted the pending keys on every turn. Both
 loops must produce the same simulation, event for event.
+
+So is the worker that polls at every tick of its chain, found or not,
+which waiting workers replaced: skipping the polls that find nothing must
+not change the simulation either.
 """
 import random
 
@@ -14,11 +18,15 @@ from pacloud.core import BuildKey
 from pacloud.farm import (
     BuildFarm,
     BuildRecordStore,
+    CompileQueue,
     ExecutorTable,
     JobProfile,
     VirtualClock,
+    Worker,
     WorkerMode,
+    build_artifact_tar,
 )
+from pacloud.farm import worker as worker_module
 
 
 def scan_next_event_time(farm):
@@ -155,6 +163,163 @@ def test_advance_to_matches_the_scan_loop(seed):
     assert fault_trace(seed, BuildFarm.advance_to) == fault_trace(
         seed, scan_advance_to
     )
+
+
+def polling_next_event_time(worker):
+    """An idle worker's next event is always its next tick."""
+    if worker.mode is WorkerMode.IDLE:
+        return worker.next_poll_at
+    if worker.mode is WorkerMode.BUILDING:
+        t = min(worker._completion_at, worker._next_renewal_at)
+        if worker._hibernate_at is not None:
+            t = min(t, worker._hibernate_at)
+        return t
+    return None
+
+
+def polling_step(worker, now):
+    while True:
+        t = worker.next_event_time()
+        if t is None or t > now:
+            return
+        worker._fire(t)
+
+
+@pytest.fixture
+def polling_workers(monkeypatch):
+    """Call to make every worker poll at every tick from then on."""
+
+    def install():
+        monkeypatch.setattr(Worker, "next_event_time", polling_next_event_time)
+        monkeypatch.setattr(Worker, "step", polling_step)
+
+    return install
+
+
+def test_makespan_matches_the_polling_workers(polling_workers):
+    rng = random.Random(20261019)
+    cases = [random_jobs(rng) for _ in range(200)]
+    waiting_docs = [run_makespan(w, jobs).to_document() for w, jobs in cases]
+    polling_workers()
+    polling_docs = [run_makespan(w, jobs).to_document() for w, jobs in cases]
+    assert waiting_docs == polling_docs
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_faults_match_the_polling_workers(seed, polling_workers):
+    waiting = fault_trace(seed, BuildFarm.advance_to)
+    polling_workers()
+    assert waiting == fault_trace(seed, BuildFarm.advance_to)
+
+
+def late_request_trace(seed):
+    """Request keys one by one between runs, at seeded times; about one
+    request in three lands exactly on a tick an idle worker has already
+    spent. Crashes leave messages to lapse, so waiting workers also wake
+    for redeliveries. Return everything the farm recorded."""
+    rng = random.Random(seed)
+    farm = BuildFarm(
+        clock=VirtualClock(),
+        executor_table=ExecutorTable(
+            default=JobProfile(rng.choice((3.0, 7.5, 25.25)))
+        ),
+        num_workers=rng.randint(1, 4),
+        worker_poll_interval=rng.choice((1.0, 0.3, 0.7)),
+    )
+    for i in range(12):
+        idle = [w for w in farm.workers if w.mode is WorkerMode.IDLE]
+        if idle and rng.random() < 0.35:
+            # the first tick the idle worker has not polled at or spent
+            target = rng.choice(idle).next_poll_at
+        else:
+            step = rng.choice((rng.randint(0, 20), rng.uniform(0, 20)))
+            target = farm.clock.now() + step
+        farm.advance_to(target)
+        building = [
+            w for w in farm.workers[1:] if w.mode is WorkerMode.BUILDING
+        ]
+        if building and rng.random() < 0.3:
+            rng.choice(building).crash()
+        farm.service.handle_request(BuildKey.parse(f"cat/p{i}-1.0[]"))
+        if rng.random() < 0.2:
+            farm.run_until_settled(farm.clock.now() + 100.0)
+    farm.run_until_settled(farm.clock.now() + 1000.0)
+    return (
+        farm.clock.now(),
+        sorted((r.key, r.status, r.completed_at) for r in farm.records.all_records()),
+        [(w.mode, w.history, w.busy_seconds, w.next_poll_at) for w in farm.workers],
+        farm.queue.dead_letters(),
+    )
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_late_requests_match_the_polling_workers(seed, polling_workers):
+    waiting = late_request_trace(seed)
+    polling_workers()
+    assert waiting == late_request_trace(seed)
+
+
+def test_late_requests_need_the_spent_ticks(monkeypatch):
+    # Without spending the idle workers' ticks at the end of a run, a
+    # request on a spent tick is picked up one tick early.
+    spent = [late_request_trace(seed) for seed in range(40)]
+    monkeypatch.setattr(BuildFarm, "_spend_ticks", lambda farm: None)
+    assert spent != [late_request_trace(seed) for seed in range(40)]
+
+
+def test_a_run_that_settles_at_once_spends_no_tick(polling_workers):
+    # A fresh worker's first poll is due at once; a run with nothing to
+    # settle leaves it due, so a request made next is taken at that tick.
+    def history():
+        farm = BuildFarm(clock=VirtualClock(5.0))
+        farm.run_until_settled(100.0)
+        farm.service.handle_request(BuildKey.parse("cat/p-1.0[]"))
+        farm.run_until_settled(100.0)
+        return farm.workers[0].history
+
+    waiting = history()
+    assert waiting[0].started_at == 5.0
+    polling_workers()
+    assert history() == waiting
+
+
+class TestWaitingWorkers:
+    JOBS = [JobSpec(BuildKey.parse(f"cat/p{i}-1.0[]"), 30.0) for i in range(10)]
+
+    def test_idle_workers_do_not_poll_an_empty_queue(self, monkeypatch):
+        calls = []
+        receive = CompileQueue.receive
+        monkeypatch.setattr(
+            CompileQueue,
+            "receive",
+            lambda self, now: calls.append(now) or receive(self, now),
+        )
+        assert run_makespan(3, self.JOBS).total == 120.0
+        assert len(calls) <= len(self.JOBS) + 3
+
+    def test_a_replay_builds_no_tar(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            worker_module, "build_artifact_tar", lambda key: calls.append(key)
+        )
+        assert run_makespan(3, self.JOBS).total == 120.0
+        assert calls == []
+
+    def test_an_artifact_in_memory_is_built_once_when_read(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            worker_module,
+            "build_artifact_tar",
+            lambda key: calls.append(key) or build_artifact_tar(key),
+        )
+        farm = BuildFarm(clock=VirtualClock())
+        key = self.JOBS[0].key
+        farm.service.handle_request(key)
+        farm.run_until_settled(100.0)
+        assert calls == []
+        assert farm.artifacts.get(key) == build_artifact_tar(key)
+        assert farm.artifacts.get(key) == build_artifact_tar(key)
+        assert calls == [key]
 
 
 class TestPendingCount:
