@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import total_ordering
+from functools import cached_property, total_ordering
 from typing import Iterable, Iterator
 from urllib.parse import quote, unquote
 
@@ -275,7 +275,8 @@ class BuildKey:
 
     The canonical string ``category/name-version[f1,f2]`` (flags sorted)
     identifies the binary everywhere: equal keys have equal canonical
-    strings.
+    strings. Each key object renders it once and keeps it, outside the
+    fields that equality, hashing and ``repr`` read.
     """
 
     package: PackageId
@@ -283,6 +284,10 @@ class BuildKey:
     useflags: UseFlagSet = UseFlagSet()
 
     def canonical(self) -> str:
+        return self._canonical
+
+    @cached_property
+    def _canonical(self) -> str:
         return f"{self.package}-{self.version}[{self.useflags.render()}]"
 
     def __str__(self) -> str:

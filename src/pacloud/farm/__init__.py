@@ -197,60 +197,79 @@ class BuildFarm:
         self._spend_ticks()
 
     def run_until_settled(self, max_time: float) -> None:
-        """Run until no record is pending, or progress becomes impossible.
+        """``advance_to(max_time)``, stopping at the first instant by which
+        no record is pending or progress has become impossible.
 
-        The clock lands on the last instant whose events ran, or stays
-        where it was if none ran; it never moves on to ``max_time``.
+        A run that settles leaves the clock on the last instant whose
+        events ran, or where it was if the farm had settled already. A
+        run that does not settle lands on ``max_time``, as ``advance_to``
+        does, so a later call continues from there.
         """
-        self._run(max_time, settle=True)
+        if not self._run(max_time, settle=True) and max_time > self.clock.now():
+            self.clock.set_time(max_time)
         self._spend_ticks()
 
-    def _run(self, limit: float, settle: bool) -> None:
-        """Drive the workers' events in time order, up to ``limit``.
+    def _run(self, limit: float, settle: bool) -> bool:
+        """Drive the workers' events in time order, up to ``limit``; return
+        whether the run settled.
 
         A min-heap holds each driven worker's next event as ``(time,
         index)``, so events at one instant run in worker order. External
         calls (``interrupt``, ``resume``, ``crash``) and queue sends come
         between runs, so within one run the queue's earliest visible time
-        can only grow: a receive, a renewal, a delete or a dead letter
-        never brings it nearer. A waiting worker's entry can therefore
-        only be early, never late, and an early wake does nothing but
-        spend ticks and queue the worker again; every other worker
-        changes only its own event times. So the heap is built once per
-        call. With ``settle``, the run stops once every event of an
-        instant has run and no record is pending, or nothing left can
-        settle one.
+        can only grow: a receive, a hold, a delete or a dead letter never
+        brings it nearer. A waiting worker's entry can therefore only be
+        early, never late, and an early wake does nothing but spend ticks
+        and queue the worker again; every other worker changes only its
+        own event times. The one exception is a hibernation: it lapses
+        its worker's hold, and the message that resurfaces can wake a
+        waiting worker sooner than its entry, or one that has none. So
+        the heap is built at the start of a call and again after a step
+        that leaves its worker hibernated. With ``settle``, the run stops
+        once every event of an instant has run and no record is pending,
+        or nothing left can settle one.
         """
         assert isinstance(self.clock, VirtualClock)
         self._fail_unheld_dead_letters(self.clock.now())
+        heap = self._event_heap()
+        instant = None
+        while heap:
+            t, i = heap[0]
+            if t != instant:
+                if settle and self._settled():
+                    return True
+                if t > limit:
+                    return False
+                if t > self.clock.now():
+                    self.clock.set_time(t)
+                instant = t
+            worker = self.workers[i]
+            worker.step(t)
+            if worker.mode is WorkerMode.HIBERNATED:
+                heap = self._event_heap()
+                continue
+            after = worker.next_event_time()
+            if after is None:
+                heapq.heappop(heap)
+            else:
+                heapq.heapreplace(heap, (after, i))
+        return settle and self._settled()
+
+    def _event_heap(self) -> list[tuple[float, int]]:
         heap = [
             (t, i)
             for i, t in enumerate(w.next_event_time() for w in self.workers)
             if t is not None
         ]
         heapq.heapify(heap)
-        instant = None
-        while heap:
-            t, i = heap[0]
-            if t != instant:
-                if t > limit or (settle and self._settled()):
-                    return
-                if t > self.clock.now():
-                    self.clock.set_time(t)
-                instant = t
-            worker = self.workers[i]
-            worker.step(t)
-            after = worker.next_event_time()
-            if after is None:
-                heapq.heappop(heap)
-            else:
-                heapq.heapreplace(heap, (after, i))
+        return heap
 
     def _spend_ticks(self) -> None:
         """Spend the waiting workers' poll ticks up to now, as the empty
         polls at them would have, so a message sent at this instant is
-        first polled at the next tick. A worker with an event still due
-        (a run that settled before reaching it) keeps it for the next run.
+        first polled at the next tick, and make each builder's renewal due
+        by now. A worker with an event still due (a run that settled
+        before reaching it) keeps it for the next run.
         """
         now = self.clock.now()
         for worker in self.workers:

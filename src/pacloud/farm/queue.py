@@ -1,16 +1,22 @@
 """The compile-request queue: at-least-once delivery with visibility timeouts.
 
-A received message turns invisible for fifteen seconds; a builder renews
-that window every ten seconds while it works. Undeleted messages resurface
-once their window lapses. A message is delivered at most three times: on
-its fourth eligibility it moves to the dead-letter queue instead, where a
-maintenance listing can inspect it, and the queue's ``on_dead_letter``
-hook hears of it (the farm fails the key's record there).
+A received message turns invisible for fifteen seconds, and ``renew``
+restarts that window. Undeleted messages resurface once their window
+lapses. A builder may also hold its message: a held message is neither
+delivered nor dead-lettered, and ``next_visible_at`` skips it, however
+long ago its window ended. ``lapse`` ends the hold, so the message is
+visible from the end of its window, fifteen seconds after its last
+delivery or renewal. A plain ``receive`` holds nothing.
+
+A message is delivered at most three times: on its fourth eligibility it
+moves to the dead-letter queue instead, where a maintenance listing can
+inspect it, and the queue's ``on_dead_letter`` hook hears of it (the farm
+fails the key's record there).
 
 A receive handle names its delivery, ``<message id>#<receive count>``, so
 it goes stale as soon as the message is redelivered elsewhere, deleted or
-dead-lettered; renewing or deleting through a stale handle is a no-op
-that reports the staleness.
+dead-lettered; renewing, holding, lapsing or deleting through a stale
+handle is a no-op that reports the staleness.
 
 The queue lives in memory only. Which keys still need a build is stored
 once, as the pending records of the record store; a farm that opens a
@@ -35,6 +41,7 @@ class _Message:
     visible_at: float
     receive_count: int = 0
     handle: str = ""  # names the current delivery: "<id>#<receive_count>"
+    held: bool = False
 
 
 @dataclass(frozen=True)
@@ -73,7 +80,7 @@ class CompileQueue:
             dead: list[_Message] = []
             result = None
             for message in self._messages.values():
-                if now < message.visible_at:
+                if message.held or now < message.visible_at:
                     continue
                 if message.receive_count >= MAX_DELIVERIES:
                     dead.append(message)
@@ -105,6 +112,26 @@ class CompileQueue:
             message.visible_at = now + VISIBILITY_TIMEOUT
             return True
 
+    def hold(self, handle: str) -> bool:
+        """Keep the message from delivery until ``lapse``; False if the
+        handle went stale."""
+        with self._lock:
+            message = self._message_for(handle)
+            if message is None:
+                return False
+            message.held = True
+            return True
+
+    def lapse(self, handle: str) -> bool:
+        """End a hold: the message is visible again from the end of its
+        current window; False if the handle went stale."""
+        with self._lock:
+            message = self._message_for(handle)
+            if message is None:
+                return False
+            message.held = False
+            return True
+
     def delete(self, handle: str) -> bool:
         """Remove the message permanently; False if the handle went stale."""
         with self._lock:
@@ -120,10 +147,11 @@ class CompileQueue:
 
     def next_visible_at(self) -> float | None:
         """The earliest time a receive can find or dead-letter a message;
-        None while the queue is empty."""
+        None while every queued message is held, or none is queued."""
         with self._lock:
             return min(
-                (m.visible_at for m in self._messages.values()), default=None
+                (m.visible_at for m in self._messages.values() if not m.held),
+                default=None,
             )
 
     def dead_letters(self) -> list[ReceivedMessage]:

@@ -2,14 +2,15 @@
 
 An idle worker polls the queue on its own chain of ticks, ``poll_interval``
 apart. On a message it constructs a fresh executor (never reused across
-messages), builds for the executor's duration, and renews the message's
-visibility every ten seconds. On completion it stores the artifact,
-finalizes the build record (preserving an executor's error text verbatim
-on failure), deletes the message and polls again at once. Failures delete
-the message too and store nothing. A poll that finds nothing makes the
-worker wait: its next event is the first tick of its chain at or after the
-queue's earliest visible time, and it has none while the queue is empty.
-The ticks it skips are the polls that would have found nothing.
+messages), builds for the executor's duration, and holds the message in
+the queue meanwhile, so no other worker receives it. On completion it
+stores the artifact, finalizes the build record (preserving an
+executor's error text verbatim on failure), deletes the message and
+polls again at once. Failures delete the message too and store nothing.
+A poll that finds nothing makes the worker wait: its next event is the
+first tick of its chain at or after the queue's earliest visible time,
+and it has none while the queue holds nothing it can deliver. The ticks
+it skips are the polls that would have found nothing.
 
 An interruption gives the worker a notice window: a build that fits inside
 it finishes normally, otherwise the worker keeps working until the window
@@ -20,11 +21,19 @@ first-write-wins on the record and artifact stores makes that race
 harmless either way.
 
 Workers are event-driven: a driver advances them with ``step(now)`` and
-can ask for the next instant anything is due. ``step(now)`` also spends a
-waiting worker's ticks up to ``now``, as the empty polls at those ticks
-would have, so a message sent at ``now`` is first polled at the next tick.
-A crashed worker simply stops being driven; its message resurfaces via the
-visibility timeout.
+can ask for the next instant anything is due: a poll, a completion or a
+hibernation. ``step(now)`` also spends a waiting worker's ticks up to
+``now``, as the empty polls at those ticks would have, so a message sent
+at ``now`` is first polled at the next tick.
+
+A builder's visibility renewals are due every ten seconds, on a chain of
+ticks from the receive (or the resume), but only the last one before its
+hold ends decides when the message resurfaces. So none is an event: a
+worker renews once, at the last tick up to ``now``, when ``step(now)``
+leaves it building, and at the last tick before the hibernation, which
+then lapses the hold. A completion deletes the message and renews
+nothing. A crashed worker lapses its hold and stops being driven; its
+message resurfaces 15 s after the last renewal it made, at its last step.
 """
 from __future__ import annotations
 
@@ -189,7 +198,8 @@ class Worker:
         self._started_at = 0.0
         self._segment_started = 0.0
         self._completion_at = 0.0
-        self._next_renewal_at = 0.0
+        self._next_renewal_at = 0.0  # the first tick not yet renewed
+        self._leased = False  # the queue holds the message for this worker
         self._hibernate_at: float | None = None
         self._remaining = 0.0
         self._resumed = False
@@ -211,35 +221,33 @@ class Worker:
                 t += self.poll_interval
             return t
         if self.mode is WorkerMode.BUILDING:
-            t = min(self._completion_at, self._next_renewal_at)
             if self._hibernate_at is not None:
-                t = min(t, self._hibernate_at)
-            return t
+                return min(self._completion_at, self._hibernate_at)
+            return self._completion_at
         return None
 
     def step(self, now: float) -> None:
         """Process every event due up to and including ``now``, then
-        spend a waiting worker's ticks up to ``now``."""
+        renew a building worker's message at the last tick up to ``now``
+        or spend a waiting worker's ticks up to ``now``."""
         while True:
             t = self.next_event_time()
             if t is None or t > now:
                 break
             self._fire(t)
-        if self._waiting and self.mode is WorkerMode.IDLE:
+        if self.mode is WorkerMode.BUILDING:
+            self._renew_until(now, at_limit=True)
+        elif self._waiting and self.mode is WorkerMode.IDLE:
             while self.next_poll_at <= now:
                 self.next_poll_at += self.poll_interval
 
     def _fire(self, t: float) -> None:
         if self.mode is WorkerMode.IDLE:
             self._poll(t)
-            return
-        # Building: completion wins ties, then hibernation, then renewal.
-        if self._completion_at == t:
+        elif self._completion_at == t:  # completion wins a tie
             self._complete(t)
-        elif self._hibernate_at is not None and self._hibernate_at == t:
-            self._hibernate(t)
         else:
-            self._renew(t)
+            self._hibernate(t)
 
     # --- lifecycle events ---
 
@@ -262,17 +270,39 @@ class Worker:
         self._segment_started = t
         self._completion_at = t + result.duration
         self._next_renewal_at = t + RENEWAL_INTERVAL
+        self._leased = self.queue.hold(handle)
         self._hibernate_at = None
         self._remaining = result.duration
         self._resumed = False
         self._stop_after_build = False
 
-    def _renew(self, t: float) -> None:
-        assert self._handle is not None
-        self.queue.renew(self._handle, t)
-        self._next_renewal_at = t + RENEWAL_INTERVAL
+    def _renew_until(self, limit: float, at_limit: bool) -> None:
+        """Make the renewal due at the last tick before ``limit`` (or at
+        it, with ``at_limit``) that is not yet made. The ticks are reached
+        by the same chained additions renewing at every tick would make,
+        and that last renewal sets the same visibility window."""
+        if not self._leased:
+            return
+        last = None
+        t = self._next_renewal_at
+        while t < limit or (at_limit and t == limit):
+            last = t
+            t += RENEWAL_INTERVAL
+        if last is not None:
+            assert self._handle is not None
+            self.queue.renew(self._handle, last)
+            self._next_renewal_at = t
+
+    def _lapse(self) -> None:
+        if self._leased:
+            assert self._handle is not None
+            self.queue.lapse(self._handle)
+            self._leased = False
 
     def _hibernate(self, t: float) -> None:
+        # Hibernation wins a tie with a renewal tick.
+        self._renew_until(t, at_limit=False)
+        self._lapse()
         self.busy_seconds += t - self._segment_started
         self._remaining = self._completion_at - t
         self._hibernate_at = None
@@ -309,6 +339,7 @@ class Worker:
 
     def _clear_build(self) -> None:
         self._handle = None
+        self._leased = False
         self._key = None
         self._result = None
         self._hibernate_at = None
@@ -318,7 +349,11 @@ class Worker:
 
     @property
     def holding(self) -> str | None:
-        """Canonical key of the build this worker may still publish."""
+        """Canonical key of the build this worker may still publish.
+
+        A hibernated worker, or one whose handle went stale, still holds
+        its key in this sense while the queue holds its message no longer.
+        """
         if self.mode in (WorkerMode.BUILDING, WorkerMode.HIBERNATED):
             assert self._key is not None
             return self._key.canonical()
@@ -356,9 +391,12 @@ class Worker:
         self._next_renewal_at = now + RENEWAL_INTERVAL
         self._resumed = True
         assert self._handle is not None
-        # Best effort: the handle is usually stale after a long hibernation.
-        self.queue.renew(self._handle, now)
+        # Best effort: the handle is usually stale after a long hibernation,
+        # and a worker whose handle went stale holds and renews nothing.
+        if self.queue.renew(self._handle, now):
+            self._leased = self.queue.hold(self._handle)
 
     def crash(self) -> None:
         """Vanish without cleanup; the in-flight message will resurface."""
+        self._lapse()
         self.mode = WorkerMode.STOPPED

@@ -114,7 +114,7 @@ def lognormal_jobs():
 
 
 # Every report must stay bit-identical as the farm's loop gets faster.
-# Putting the build profile into the key (ROADMAP item 3) changes every
+# Putting the build profile into the key (ROADMAP item 1) changes every
 # canonical key, and so these digests, once.
 @pytest.mark.parametrize(
     "make,digest",

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import string
 
@@ -285,6 +286,35 @@ class TestBuildKey:
         for key in keys:
             assert "/" not in key.path_token()
             assert BuildKey.from_path_token(key.path_token()) == key
+
+    def test_canonical_is_rendered_once_per_key(self, monkeypatch):
+        renders = []
+        render = UseFlagSet.render
+        monkeypatch.setattr(
+            UseFlagSet, "render", lambda flags: renders.append(1) or render(flags)
+        )
+        text = "sys-libs/ncurses-6.1-r2[mousewheel,unicode]"
+        key = BuildKey.parse(text)
+        assert [key.canonical(), str(key), key.canonical()] == [text] * 3
+        token = key.path_token()
+        assert len(renders) == 1
+        same = BuildKey.from_path_token(token)  # renders its own, once
+        assert same.canonical() == text
+        assert same.path_token() == token
+        assert len(renders) == 2
+
+    def test_the_kept_canonical_is_not_a_field(self):
+        text = "sys-libs/ncurses-6.1-r2[unicode]"
+        rendered, fresh = BuildKey.parse(text), BuildKey.parse(text)
+        rendered.canonical()
+        assert rendered == fresh
+        assert hash(rendered) == hash(fresh)
+        assert repr(rendered) == repr(fresh)
+        assert {rendered: 1}[fresh] == 1
+        assert BuildKey.from_path_token(rendered.path_token()) == fresh
+        assert dataclasses.replace(rendered).canonical() == text
+        other = dataclasses.replace(rendered, useflags=UseFlagSet())
+        assert other.canonical() == "sys-libs/ncurses-6.1-r2[]"
 
     @pytest.mark.parametrize(
         "token", ["a/b-1[]", "a%2fb-1[]", "a%2Fb-01[]", "a%2Fb-1[y,x]", "a_b-1[]"]

@@ -2,12 +2,14 @@
 
 The scan loop the heap replaced is kept here as a reference: it found the
 next event by asking every worker, stepped every worker due at that
-instant in index order, and sorted the pending keys on every turn. Both
-loops must produce the same simulation, event for event.
+instant in index order, and sorted the pending keys on every turn. It
+drives ``reference_worker.ReferenceWorker``, whose renewals are events of
+their own. Both loops must produce the same simulation, event for event.
 
 So is the worker that polls at every tick of its chain, found or not,
-which waiting workers replaced: skipping the polls that find nothing must
-not change the simulation either.
+which waiting workers replaced (``reference_worker.PollingWorker``):
+skipping the polls that find nothing, and the renewals a hold makes
+unnecessary, must not change the simulation either.
 """
 import random
 
@@ -27,6 +29,7 @@ from pacloud.farm import (
     build_artifact_tar,
 )
 from pacloud.farm import worker as worker_module
+from reference_worker import PollingWorker, reference_workers
 
 
 def scan_next_event_time(farm):
@@ -91,6 +94,7 @@ def test_makespan_matches_the_scan_loop(monkeypatch):
     assert sum(workers >= len(jobs) for workers, jobs in cases) > 50
     heap_docs = [run_makespan(w, jobs).to_document() for w, jobs in cases]
     monkeypatch.setattr(BuildFarm, "run_until_settled", scan_run_until_settled)
+    reference_workers(monkeypatch)
     scan_docs = [run_makespan(w, jobs).to_document() for w, jobs in cases]
     assert heap_docs == scan_docs
 
@@ -116,13 +120,18 @@ def settled_state(workers, jobs, run_until_settled):
     )
 
 
-def test_settled_state_matches_the_scan_loop():
+def test_settled_state_matches_the_scan_loop(monkeypatch):
     rng = random.Random(7)
-    for _ in range(100):
-        workers, jobs = random_jobs(rng)
-        assert settled_state(
-            workers, jobs, BuildFarm.run_until_settled
-        ) == settled_state(workers, jobs, scan_run_until_settled)
+    cases = [random_jobs(rng) for _ in range(100)]
+    heap_states = [
+        settled_state(workers, jobs, BuildFarm.run_until_settled)
+        for workers, jobs in cases
+    ]
+    reference_workers(monkeypatch)
+    assert heap_states == [
+        settled_state(workers, jobs, scan_run_until_settled)
+        for workers, jobs in cases
+    ]
 
 
 def fault_trace(seed, advance_to):
@@ -158,42 +167,23 @@ def fault_trace(seed, advance_to):
     )
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_advance_to_matches_the_scan_loop(seed):
-    assert fault_trace(seed, BuildFarm.advance_to) == fault_trace(
-        seed, scan_advance_to
-    )
+# Fault seeds past the first 40 whose traces change if the loop does not
+# rebuild its heap after a hibernation (seed 18 is another).
+REBUILD_SEEDS = (66, 81, 107, 138, 151, 174, 184, 230, 233, 259, 261)
 
 
-def polling_next_event_time(worker):
-    """An idle worker's next event is always its next tick."""
-    if worker.mode is WorkerMode.IDLE:
-        return worker.next_poll_at
-    if worker.mode is WorkerMode.BUILDING:
-        t = min(worker._completion_at, worker._next_renewal_at)
-        if worker._hibernate_at is not None:
-            t = min(t, worker._hibernate_at)
-        return t
-    return None
-
-
-def polling_step(worker, now):
-    while True:
-        t = worker.next_event_time()
-        if t is None or t > now:
-            return
-        worker._fire(t)
+@pytest.mark.parametrize("seed", [*range(40), *REBUILD_SEEDS])
+def test_advance_to_matches_the_scan_loop(seed, monkeypatch):
+    heap = fault_trace(seed, BuildFarm.advance_to)
+    reference_workers(monkeypatch)
+    assert heap == fault_trace(seed, scan_advance_to)
 
 
 @pytest.fixture
 def polling_workers(monkeypatch):
-    """Call to make every worker poll at every tick from then on."""
-
-    def install():
-        monkeypatch.setattr(Worker, "next_event_time", polling_next_event_time)
-        monkeypatch.setattr(Worker, "step", polling_step)
-
-    return install
+    """Call to make every farm built from then on drive workers that poll
+    at every tick and renew at every renewal tick."""
+    return lambda: reference_workers(monkeypatch, PollingWorker)
 
 
 def test_makespan_matches_the_polling_workers(polling_workers):
@@ -205,7 +195,7 @@ def test_makespan_matches_the_polling_workers(polling_workers):
     assert waiting_docs == polling_docs
 
 
-@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("seed", [*range(40), *REBUILD_SEEDS])
 def test_faults_match_the_polling_workers(seed, polling_workers):
     waiting = fault_trace(seed, BuildFarm.advance_to)
     polling_workers()
@@ -320,6 +310,67 @@ class TestWaitingWorkers:
         assert farm.artifacts.get(key) == build_artifact_tar(key)
         assert farm.artifacts.get(key) == build_artifact_tar(key)
         assert calls == [key]
+
+
+class TestLeases:
+    JOBS = TestWaitingWorkers.JOBS
+    KEY = JOBS[0].key
+
+    def test_a_replay_renews_nothing(self, monkeypatch):
+        renewals, steps = [], []
+        renew, step = CompileQueue.renew, Worker.step
+        monkeypatch.setattr(
+            CompileQueue,
+            "renew",
+            lambda self, handle, now: renewals.append(now)
+            or renew(self, handle, now),
+        )
+        monkeypatch.setattr(
+            Worker, "step", lambda self, now: steps.append(now) or step(self, now)
+        )
+        assert run_makespan(3, self.JOBS).total == 120.0
+        assert renewals == []
+        assert len(steps) <= 2 * len(self.JOBS) + 3
+
+    def test_a_hibernation_wakes_a_waiting_worker_in_the_same_run(self):
+        farm = BuildFarm(
+            clock=VirtualClock(),
+            executor_table=ExecutorTable(default=JobProfile(500.0)),
+            num_workers=2,
+            worker_poll_interval=0.7,
+        )
+        builder, waiter = farm.workers
+        farm.service.handle_request(self.KEY)
+        farm.advance_to(0.0)
+        assert builder.mode is WorkerMode.BUILDING
+        assert waiter.next_event_time() is None  # only a held message
+        builder.interrupt(0.0, notice=25.0)
+        farm.advance_to(100.0)
+        # renewed at 10 and 20, so visible 15 s after 20
+        wake = 0.0
+        while wake < 20.0 + 15.0:
+            wake += 0.7
+        assert builder.mode is WorkerMode.HIBERNATED
+        assert waiter.mode is WorkerMode.BUILDING
+        farm.advance_to(wake + 500.0)
+        assert waiter.history[0].started_at == wake
+        assert farm.records.get(self.KEY.canonical()).completed_at == wake + 500.0
+
+    def test_an_unsettled_run_lands_on_its_max_time(self):
+        farm = BuildFarm(
+            clock=VirtualClock(),
+            executor_table=ExecutorTable(default=JobProfile(100.0)),
+            num_workers=2,
+        )
+        farm.service.handle_request(self.KEY)
+        farm.run_until_settled(58.0)  # renewal ticks 10-50, completion 100
+        assert farm.clock.now() == 58.0
+        assert farm.workers[1].next_poll_at == 59.0  # ticks spent up to 58
+        farm.run_until_settled(80.0)
+        assert farm.clock.now() == 80.0
+        farm.run_until_settled(1000.0)
+        assert farm.clock.now() == 100.0
+        assert farm.records.get(self.KEY.canonical()).completed_at == 100.0
 
 
 class TestPendingCount:

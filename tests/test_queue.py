@@ -148,3 +148,104 @@ class TestOrderingAndDepth:
         assert q.depth() == 1
         q.receive(now=0.0)
         assert q.depth() == 1
+
+
+class TestHolds:
+    def test_a_held_message_is_neither_delivered_nor_visible(self):
+        q = CompileQueue()
+        q.send("a/a-1[]", now=0.0)
+        q.send("b/b-1[]", now=0.0)
+        _, handle = q.receive(now=0.0)  # takes a
+        assert q.hold(handle) is True
+        assert q.next_visible_at() == 0.0  # b
+        message, _ = q.receive(now=1.0)
+        assert message.body == "b/b-1[]"
+        assert q.next_visible_at() == 1.0 + VISIBILITY_TIMEOUT
+        far = 1000 * VISIBILITY_TIMEOUT
+        redelivered, _ = q.receive(now=far)
+        assert redelivered.body == "b/b-1[]"  # never a
+        assert q.next_visible_at() == far + VISIBILITY_TIMEOUT
+        assert q.depth() == 2
+
+    def test_a_held_message_only_is_never_visible(self):
+        q = CompileQueue()
+        q.send(BODY, now=0.0)
+        _, handle = q.receive(now=0.0)
+        q.hold(handle)
+        assert q.next_visible_at() is None
+        assert q.receive(now=1e9) is None
+
+    def test_lapse_resurfaces_at_the_last_renewal_plus_the_window(self):
+        q = CompileQueue()
+        q.send(BODY, now=0.0)
+        _, handle = q.receive(now=0.0)
+        q.hold(handle)
+        assert q.renew(handle, now=20.0) is True
+        assert q.lapse(handle) is True
+        assert q.next_visible_at() == 20.0 + VISIBILITY_TIMEOUT
+        assert q.receive(now=34.999) is None
+        message, new_handle = q.receive(now=35.0)
+        assert message.receive_count == 2
+        assert q.renew(handle, now=36.0) is False
+        assert q.renew(new_handle, now=36.0) is True
+
+    def test_a_lapse_long_after_the_window_resurfaces_at_once(self):
+        q = CompileQueue()
+        q.send(BODY, now=0.0)
+        _, handle = q.receive(now=0.0)
+        q.hold(handle)
+        q.lapse(handle)
+        assert q.next_visible_at() == VISIBILITY_TIMEOUT
+        message, _ = q.receive(now=500.0)
+        assert message.receive_count == 2
+
+    def test_hold_and_lapse_on_a_stale_handle(self):
+        q = CompileQueue()
+        q.send(BODY, now=0.0)
+        _, old_handle = q.receive(now=0.0)
+        _, new_handle = q.receive(now=20.0)
+        assert q.hold(old_handle) is False
+        assert q.receive(now=40.0) is not None  # the stale hold held nothing
+        assert q.hold(new_handle) is False
+        q.send("b/b-1[]", now=40.0)
+        _, handle = q.receive(now=40.0)
+        q.hold(handle)
+        assert q.lapse(old_handle) is False
+        assert q.receive(now=1000.0) is None  # a stale lapse ends no hold
+        assert q.delete(handle) is True
+        assert q.hold(handle) is False
+        assert q.lapse(handle) is False
+
+    def test_a_held_message_is_never_dead_lettered(self):
+        q = CompileQueue()
+        q.send(BODY, now=0.0)
+        handle = None
+        for t in (0.0, 20.0, 40.0):
+            _, handle = q.receive(now=t)
+        q.hold(handle)
+        assert q.receive(now=1000.0) is None
+        assert q.dead_letters() == []
+        assert q.depth() == 1
+        assert q.delete(handle) is True  # still its own delivery
+        assert q.dead_letters() == []
+
+    def test_a_lapsed_message_past_its_deliveries_is_dead_lettered(self):
+        q = CompileQueue()
+        q.send(BODY, now=0.0)
+        handle = None
+        for t in (0.0, 20.0, 40.0):
+            _, handle = q.receive(now=t)
+        q.hold(handle)
+        q.lapse(handle)
+        assert q.receive(now=1000.0) is None
+        assert [d.body for d in q.dead_letters()] == [BODY]
+        assert q.depth() == 0
+
+    def test_a_plain_receive_holds_nothing(self):
+        q = CompileQueue()
+        q.send(BODY, now=0.0)
+        _, handle = q.receive(now=0.0)
+        assert q.next_visible_at() == VISIBILITY_TIMEOUT
+        message, _ = q.receive(now=VISIBILITY_TIMEOUT)
+        assert message.receive_count == 2
+        assert q.hold(handle) is False
