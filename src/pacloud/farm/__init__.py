@@ -19,6 +19,7 @@ import heapq
 import threading
 from pathlib import Path
 
+from ..core import BuildKey
 from ..errors import FarmStateError
 from ..wire import ARTIFACT_DIR
 from .clock import Clock, VirtualClock, WallClock
@@ -122,7 +123,7 @@ class BuildFarm:
         start = self.clock.now()
         for record in self.records.all_records():
             if not record.terminal:
-                self.queue.send(record.key, start)
+                self.queue.send(BuildKey.parse(record.key), start)
         self.workers = [
             Worker(
                 f"worker{i}",
@@ -287,8 +288,8 @@ class BuildFarm:
 
     # --- dead letters ---
 
-    def _dead_lettered(self, canonical: str, now: float) -> None:
-        self._dead_letters.add(canonical)
+    def _dead_lettered(self, key: BuildKey, now: float) -> None:
+        self._dead_letters.add(key.canonical())
         self._fail_unheld_dead_letters(now)
 
     def _fail_unheld_dead_letters(self, now: float) -> None:

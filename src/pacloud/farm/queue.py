@@ -1,5 +1,9 @@
 """The compile-request queue: at-least-once delivery with visibility timeouts.
 
+A message's body is the ``BuildKey`` to build, the very object that was
+sent: a worker builds it as delivered, and nothing renders or parses its
+canonical string on the way.
+
 A received message turns invisible for fifteen seconds, and ``renew``
 restarts that window. Undeleted messages resurface once their window
 lapses. A builder may also hold its message: a held message is neither
@@ -10,8 +14,8 @@ delivery or renewal. A plain ``receive`` holds nothing.
 
 A message is delivered at most three times: on its fourth eligibility it
 moves to the dead-letter queue instead, where a maintenance listing can
-inspect it, and the queue's ``on_dead_letter`` hook hears of it (the farm
-fails the key's record there).
+inspect it, and the queue's ``on_dead_letter`` hook hears of its key (the
+farm fails the key's record there).
 
 A receive handle names its delivery, ``<message id>#<receive count>``, so
 it goes stale as soon as the message is redelivered elsewhere, deleted or
@@ -20,13 +24,15 @@ handle is a no-op that reports the staleness.
 
 The queue lives in memory only. Which keys still need a build is stored
 once, as the pending records of the record store; a farm that opens a
-root sends one message for each of them.
+root parses each of their keys and sends one message for it.
 """
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
 from typing import Callable
+
+from ..core import BuildKey
 
 VISIBILITY_TIMEOUT = 15.0
 RENEWAL_INTERVAL = 10.0
@@ -37,7 +43,7 @@ DEAD_LETTER_ERROR = f"dead-lettered after {MAX_DELIVERIES} deliveries"
 @dataclass
 class _Message:
     id: str
-    body: str
+    body: BuildKey
     visible_at: float
     receive_count: int = 0
     handle: str = ""  # names the current delivery: "<id>#<receive_count>"
@@ -47,14 +53,16 @@ class _Message:
 @dataclass(frozen=True)
 class ReceivedMessage:
     id: str
-    body: str
+    body: BuildKey
     receive_count: int
 
 
 class CompileQueue:
-    """FIFO queue of build-key bodies, held in memory."""
+    """FIFO queue of ``BuildKey`` bodies, held in memory."""
 
-    def __init__(self, on_dead_letter: Callable[[str, float], None] | None = None):
+    def __init__(
+        self, on_dead_letter: Callable[[BuildKey, float], None] | None = None
+    ):
         self._lock = threading.Lock()
         # id -> message, in send order; delivery scans it front to back
         self._messages: dict[str, _Message] = {}
@@ -62,7 +70,7 @@ class CompileQueue:
         self._seq = 0
         self.on_dead_letter = on_dead_letter
 
-    def send(self, body: str, now: float) -> str:
+    def send(self, body: BuildKey, now: float) -> str:
         with self._lock:
             self._seq += 1
             message = _Message(id=f"m{self._seq}", body=body, visible_at=now)

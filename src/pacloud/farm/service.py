@@ -59,7 +59,7 @@ class RequestService:
             record = self.records.get(canonical)
             if record is None:
                 self.records.create_pending(canonical, now)
-                self.queue.send(canonical, now)
+                self.queue.send(key, now)
                 return Response(STATUS_PENDING)
             if record.status == BUILT:
                 return Response(STATUS_AVAILABLE, url=record.artifact_url)

@@ -10,7 +10,8 @@ append-only journal, ``records.jsonl`` (a ``pacloud.files.Journal``):
 each ``create_pending`` and each first finalize appends the record's
 document, and a reload keeps the last line of each key. A key has at most
 two lines, so the journal needs no compaction. A line that is not a
-document the store writes raises ``FarmStateError``. Each artifact is the
+document the store writes raises ``FarmStateError``, and so does a key
+that is not the canonical string of a ``BuildKey``. Each artifact is the
 file ``<key.path_token()>.tar``; the token decodes back to its key, so the
 directory is the index. Opening either store writes nothing. An artifact
 may be handed over as a function that builds its bytes: on disk it is
@@ -20,12 +21,12 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 from ..core import BuildKey
-from ..errors import FarmStateError
+from ..errors import FarmStateError, MalformedBuildKey
 from ..files import Journal
 from ..wire import artifact_url
 
@@ -127,13 +128,13 @@ class BuildRecordStore:
         with self._lock:
             record = self._records.get(canonical)
             if record is None:
-                record = BuildRecord(canonical, PENDING, created_at=now)
+                created_at = now
             elif record.terminal:
                 return record
             else:
+                created_at = record.created_at
                 self._pending -= 1
-            record = replace(record, status=status, artifact_url=url,
-                             error_message=error, completed_at=now)
+            record = BuildRecord(canonical, status, url, error, created_at, now)
             self._records[canonical] = record
             self._save(record)
             return record
@@ -172,6 +173,15 @@ class BuildRecordStore:
                 raise FarmStateError(
                     f"{self._journal.path}: line {number}: not a build record"
                 ) from exc
+            try:
+                canonical = BuildKey.parse(record.key).canonical()
+            except MalformedBuildKey:
+                canonical = None
+            if canonical != record.key:
+                raise FarmStateError(
+                    f"{self._journal.path}: line {number}: {record.key!r} is"
+                    f" not a canonical build key"
+                )
             self._records[record.key] = record
         self._pending = sum(not r.terminal for r in self._records.values())
 

@@ -259,7 +259,7 @@ class Worker:
             self.next_poll_at = t + self.poll_interval
             return
         message, handle = received
-        key = BuildKey.parse(message.body)
+        key = message.body
         executor = self.executor_factory()
         result = executor.execute(key)
         self.mode = WorkerMode.BUILDING

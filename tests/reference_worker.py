@@ -119,7 +119,7 @@ class ReferenceWorker:
             self.next_poll_at = t + self.poll_interval
             return
         message, handle = received
-        key = BuildKey.parse(message.body)
+        key = message.body
         executor = self.executor_factory()
         result = executor.execute(key)
         self.mode = WorkerMode.BUILDING

@@ -53,6 +53,19 @@ class TestRunMakespan:
         report = run_makespan(1, [job("a", 10.0), job("b", 20.0), job("c", 30.0)])
         assert report.total == pytest.approx(60.0)
 
+    def test_a_replay_parses_no_key(self, monkeypatch):
+        jobs = [job(f"p{i}", 10.0 + i) for i in range(10)]
+        parsed = []
+        real = BuildKey.parse.__func__
+
+        def counting(cls, text):
+            parsed.append(text)
+            return real(cls, text)
+
+        monkeypatch.setattr(BuildKey, "parse", classmethod(counting))
+        run_makespan(3, jobs)
+        assert parsed == []
+
     def test_lower_bounds_hold_on_random_inputs(self):
         rng = random.Random(40)
         for _ in range(10):

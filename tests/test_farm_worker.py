@@ -49,7 +49,7 @@ class TestWorkerLifecycle:
         factory = ExecutorFactory(ExecutorTable(default=JobProfile(duration=25.0)))
         worker = Worker("w0", queue, records, artifacts, factory)
         rival = Worker("w1", queue, records, artifacts, factory)
-        queue.send(KEY.canonical(), now=0.0)
+        queue.send(KEY, now=0.0)
         worker.step(0.0)
         assert worker.mode is WorkerMode.BUILDING
         for t in range(1, 25):
@@ -371,6 +371,19 @@ class TestRecordStore:
         good = {"key": "cat/q-1[]", "status": PENDING, "created_at": 0.0}
         (tmp_path / "records.jsonl").write_bytes(json_line(good) + json_line(doc))
         with pytest.raises(FarmStateError, match="line 2: not a build record"):
+            BuildRecordStore(tmp_path)
+
+    @pytest.mark.parametrize("status", [PENDING, BUILT])
+    @pytest.mark.parametrize("key", ["garbage", "cat/p-1[b,a]"])
+    def test_refuses_a_key_that_is_not_canonical(self, tmp_path, key, status):
+        good = {"key": "cat/q-1[]", "status": PENDING, "created_at": 0.0}
+        doc = {"key": key, "status": status, "created_at": 0.0}
+        if status == BUILT:
+            doc.update(artifact_url="store://p", completed_at=1.0)
+        (tmp_path / "records.jsonl").write_bytes(json_line(good) + json_line(doc))
+        with pytest.raises(
+            FarmStateError, match="line 2: .* is not a canonical build key"
+        ):
             BuildRecordStore(tmp_path)
 
     def test_damage_before_the_last_line_is_refused(self, tmp_path):

@@ -1,5 +1,6 @@
 import random
 
+from pacloud.core import BuildKey
 from pacloud.farm.queue import (
     MAX_DELIVERIES,
     RENEWAL_INTERVAL,
@@ -94,6 +95,19 @@ class TestDeadLettering:
         message, _ = q.receive(now=60.0)
         assert message.body == "b/b-1[]"
         assert [d.body for d in q.dead_letters()] == ["a/a-1[]"]
+
+    def test_the_sent_key_is_the_body_delivered_and_dead_lettered(self):
+        key = BuildKey.parse(BODY)
+        heard = []
+        q = CompileQueue(on_dead_letter=lambda body, now: heard.append(body))
+        q.send(key, now=0.0)
+        for t in (0.0, 20.0, 40.0):
+            message, _ = q.receive(now=t)
+            assert message.body is key
+        assert q.receive(now=60.0) is None
+        [dead] = q.dead_letters()
+        assert dead.body is key
+        assert len(heard) == 1 and heard[0] is key
 
 
 class TestHandles:

@@ -484,6 +484,23 @@ class TestFarmPersistence:
         )
         assert (env.farm_root / "queue.json").read_bytes() == document
 
+    @pytest.mark.parametrize("key", ["garbage", "cat/p-1[b,a]"])
+    def test_a_pending_key_that_is_not_canonical_is_refused(self, tmp_path, key):
+        # A farm that opened this root would fail its first poll on
+        # "garbage", or build "cat/p-1[b,a]" as cat/p-1[a,b] and leave the
+        # record pending for good.
+        (tmp_path / "records").mkdir()
+        (tmp_path / "records" / "records.jsonl").write_text(
+            json.dumps({"key": key, "status": "pending", "created_at": 0.0})
+            + "\n"
+        )
+        before = files_under(tmp_path)
+        with pytest.raises(
+            FarmStateError, match="line 1: .* is not a canonical build key"
+        ):
+            BuildFarm(clock=VirtualClock(), root=tmp_path)
+        assert files_under(tmp_path) == before
+
     def test_opening_a_root_writes_nothing(self, tmp_path):
         table = ExecutorTable(
             {"cat/broken-1": JobProfile(duration=3.0, error="boom")},
