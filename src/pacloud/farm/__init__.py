@@ -12,6 +12,15 @@ same directory doubles as the package store surface the client syncs
 from and downloads artifacts out of. Without a root everything stays in
 memory and no journal code runs. Opening a root writes nothing, and a
 root holding a file of an earlier layout is refused before that.
+
+The farm has one lock, ``BuildFarm.lock``, the same object as its
+service's ``RequestService.lock``. It is taken once at each place another
+thread can reach the farm's state: per wire request, per worker step and
+per dead-letter sweep of the service-mode pump, and per call of
+``advance_to``, ``run_until_settled`` and ``next_event_time``. The queue
+and the stores take no lock of their own, so what runs under it runs as
+one step. Another thread reads the stores, or calls a worker's
+``interrupt``, ``resume`` or ``crash``, only while it holds the lock.
 """
 from __future__ import annotations
 
@@ -121,9 +130,8 @@ class BuildFarm:
         self._dead_letters: set[str] = set()
         self.executor_factory = ExecutorFactory(executor_table)
         start = self.clock.now()
-        for record in self.records.all_records():
-            if not record.terminal:
-                self.queue.send(BuildKey.parse(record.key), start)
+        for key in self.records.pending_at_open:
+            self.queue.send(key, start)
         self.workers = [
             Worker(
                 f"worker{i}",
@@ -137,6 +145,7 @@ class BuildFarm:
             for i in range(num_workers)
         ]
         self.service = RequestService(self.records, self.queue, self.clock)
+        self.lock = self.service.lock
         self._server: FarmServer | None = None
         self._pump_stop: threading.Event | None = None
         self._pump_thread: threading.Thread | None = None
@@ -149,16 +158,20 @@ class BuildFarm:
         """Serve the wire protocol and keep the workers polling.
 
         Service mode is meant for a wall clock: workers are stepped from a
-        background thread at the pump interval until stop_service().
+        background thread at the pump interval until stop_service(). The
+        pump takes the farm's lock for each worker step and for each
+        dead-letter sweep, so a request waits for at most one of them.
         """
         self._server = FarmServer(self.service, host, port).start()
         self._pump_stop = threading.Event()
 
         def pump() -> None:
             while not self._pump_stop.is_set():
-                self._fail_unheld_dead_letters(self.clock.now())
+                with self.lock:
+                    self._fail_unheld_dead_letters(self.clock.now())
                 for worker in self.workers:
-                    worker.step(self.clock.now())
+                    with self.lock:
+                        worker.step(self.clock.now())
                 self._pump_stop.wait(pump_interval)
 
         self._pump_thread = threading.Thread(target=pump, daemon=True)
@@ -183,19 +196,21 @@ class BuildFarm:
     # --- event-driven simulation ---
 
     def next_event_time(self) -> float | None:
-        times = [
-            t
-            for t in (w.next_event_time() for w in self.workers)
-            if t is not None
-        ]
+        with self.lock:
+            times = [
+                t
+                for t in (w.next_event_time() for w in self.workers)
+                if t is not None
+            ]
         return min(times) if times else None
 
     def advance_to(self, target: float) -> None:
         """Run all worker events up to the target time, then land on it."""
-        self._run(target, settle=False)
-        if target > self.clock.now():
-            self.clock.set_time(target)
-        self._spend_ticks()
+        with self.lock:
+            self._run(target, settle=False)
+            if target > self.clock.now():
+                self.clock.set_time(target)
+            self._spend_ticks()
 
     def run_until_settled(self, max_time: float) -> None:
         """``advance_to(max_time)``, stopping at the first instant by which
@@ -206,9 +221,11 @@ class BuildFarm:
         run that does not settle lands on ``max_time``, as ``advance_to``
         does, so a later call continues from there.
         """
-        if not self._run(max_time, settle=True) and max_time > self.clock.now():
-            self.clock.set_time(max_time)
-        self._spend_ticks()
+        with self.lock:
+            settled = self._run(max_time, settle=True)
+            if not settled and max_time > self.clock.now():
+                self.clock.set_time(max_time)
+            self._spend_ticks()
 
     def _run(self, limit: float, settle: bool) -> bool:
         """Drive the workers' events in time order, up to ``limit``; return
@@ -217,7 +234,8 @@ class BuildFarm:
         A min-heap holds each driven worker's next event as ``(time,
         index)``, so events at one instant run in worker order. External
         calls (``interrupt``, ``resume``, ``crash``) and queue sends come
-        between runs, so within one run the queue's earliest visible time
+        between runs (a run holds the farm's lock, and a request takes
+        it), so within one run the queue's earliest visible time
         can only grow: a receive, a hold, a delete or a dead letter never
         brings it nearer. A waiting worker's entry can therefore only be
         early, never late, and an early wake does nothing but spend ticks
@@ -245,11 +263,10 @@ class BuildFarm:
                     self.clock.set_time(t)
                 instant = t
             worker = self.workers[i]
-            worker.step(t)
+            after = worker.step(t)
             if worker.mode is WorkerMode.HIBERNATED:
                 heap = self._event_heap()
                 continue
-            after = worker.next_event_time()
             if after is None:
                 heapq.heappop(heap)
             else:

@@ -24,11 +24,13 @@ handle is a no-op that reports the staleness.
 
 The queue lives in memory only. Which keys still need a build is stored
 once, as the pending records of the record store; a farm that opens a
-root parses each of their keys and sends one message for it.
+root sends one message for each of their keys.
+
+The queue takes no lock of its own: it is a single-owner object, and the
+farm that owns it serialises every call under ``BuildFarm.lock``.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -58,12 +60,12 @@ class ReceivedMessage:
 
 
 class CompileQueue:
-    """FIFO queue of ``BuildKey`` bodies, held in memory."""
+    """FIFO queue of ``BuildKey`` bodies, held in memory; not thread-safe
+    on its own (the farm serialises its callers)."""
 
     def __init__(
         self, on_dead_letter: Callable[[BuildKey, float], None] | None = None
     ):
-        self._lock = threading.Lock()
         # id -> message, in send order; delivery scans it front to back
         self._messages: dict[str, _Message] = {}
         self._dead: list[_Message] = []
@@ -71,41 +73,40 @@ class CompileQueue:
         self.on_dead_letter = on_dead_letter
 
     def send(self, body: BuildKey, now: float) -> str:
-        with self._lock:
-            self._seq += 1
-            message = _Message(id=f"m{self._seq}", body=body, visible_at=now)
-            self._messages[message.id] = message
-            return message.id
+        self._seq += 1
+        message = _Message(id=f"m{self._seq}", body=body, visible_at=now)
+        self._messages[message.id] = message
+        return message.id
 
     def receive(self, now: float) -> tuple[ReceivedMessage, str] | None:
-        """Deliver the oldest eligible message, claiming it atomically.
+        """Deliver the oldest eligible message, claiming it for this
+        receive: it is invisible until its new window ends.
 
         Messages that already used up their deliveries are dead-lettered
         as they are encountered instead of being returned; each one is
         then reported to ``on_dead_letter`` with its body and ``now``.
         """
-        with self._lock:
-            dead: list[_Message] = []
-            result = None
-            for message in self._messages.values():
-                if message.held or now < message.visible_at:
-                    continue
-                if message.receive_count >= MAX_DELIVERIES:
-                    dead.append(message)
-                    continue
-                message.receive_count += 1
-                message.visible_at = now + VISIBILITY_TIMEOUT
-                message.handle = f"{message.id}#{message.receive_count}"
-                result = (
-                    ReceivedMessage(
-                        message.id, message.body, message.receive_count
-                    ),
-                    message.handle,
-                )
-                break
-            for message in dead:
-                del self._messages[message.id]
-                self._dead.append(message)
+        dead: list[_Message] = []
+        result = None
+        for message in self._messages.values():
+            if message.held or now < message.visible_at:
+                continue
+            if message.receive_count >= MAX_DELIVERIES:
+                dead.append(message)
+                continue
+            message.receive_count += 1
+            message.visible_at = now + VISIBILITY_TIMEOUT
+            message.handle = f"{message.id}#{message.receive_count}"
+            result = (
+                ReceivedMessage(
+                    message.id, message.body, message.receive_count
+                ),
+                message.handle,
+            )
+            break
+        for message in dead:
+            del self._messages[message.id]
+            self._dead.append(message)
         if self.on_dead_letter is not None:
             for message in dead:
                 self.on_dead_letter(message.body, now)
@@ -113,61 +114,54 @@ class CompileQueue:
 
     def renew(self, handle: str, now: float) -> bool:
         """Extend the visibility window; False if the handle went stale."""
-        with self._lock:
-            message = self._message_for(handle)
-            if message is None:
-                return False
-            message.visible_at = now + VISIBILITY_TIMEOUT
-            return True
+        message = self._message_for(handle)
+        if message is None:
+            return False
+        message.visible_at = now + VISIBILITY_TIMEOUT
+        return True
 
     def hold(self, handle: str) -> bool:
         """Keep the message from delivery until ``lapse``; False if the
         handle went stale."""
-        with self._lock:
-            message = self._message_for(handle)
-            if message is None:
-                return False
-            message.held = True
-            return True
+        message = self._message_for(handle)
+        if message is None:
+            return False
+        message.held = True
+        return True
 
     def lapse(self, handle: str) -> bool:
         """End a hold: the message is visible again from the end of its
         current window; False if the handle went stale."""
-        with self._lock:
-            message = self._message_for(handle)
-            if message is None:
-                return False
-            message.held = False
-            return True
+        message = self._message_for(handle)
+        if message is None:
+            return False
+        message.held = False
+        return True
 
     def delete(self, handle: str) -> bool:
         """Remove the message permanently; False if the handle went stale."""
-        with self._lock:
-            message = self._message_for(handle)
-            if message is None:
-                return False
-            del self._messages[message.id]
-            return True
+        message = self._message_for(handle)
+        if message is None:
+            return False
+        del self._messages[message.id]
+        return True
 
     def depth(self) -> int:
-        with self._lock:
-            return len(self._messages)
+        return len(self._messages)
 
     def next_visible_at(self) -> float | None:
         """The earliest time a receive can find or dead-letter a message;
         None while every queued message is held, or none is queued."""
-        with self._lock:
-            return min(
-                (m.visible_at for m in self._messages.values() if not m.held),
-                default=None,
-            )
+        return min(
+            (m.visible_at for m in self._messages.values() if not m.held),
+            default=None,
+        )
 
     def dead_letters(self) -> list[ReceivedMessage]:
-        with self._lock:
-            return [
-                ReceivedMessage(m.id, m.body, m.receive_count)
-                for m in self._dead
-            ]
+        return [
+            ReceivedMessage(m.id, m.body, m.receive_count)
+            for m in self._dead
+        ]
 
     def _message_for(self, handle: str) -> _Message | None:
         message = self._messages.get(handle.partition("#")[0])

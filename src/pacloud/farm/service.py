@@ -11,10 +11,12 @@ farm that reopens the root sends it one.
 
 The socket server speaks the wire protocol: one newline-terminated JSON
 request per connection, answered with one JSON response. Connections are
-served one at a time on the server's thread: the service handles requests
-under one lock anyway, and starting a thread per connection costs more
-than the exchange itself. A client that sends no full request line within
-``REQUEST_TIMEOUT`` seconds is disconnected so it cannot hold up others.
+served one at a time on the server's thread: each request holds the
+farm's one lock, ``RequestService.lock``, for the whole of its handling,
+so requests could not overlap anyway, and starting a thread per
+connection costs more than the exchange itself. A client that sends no
+full request line within ``REQUEST_TIMEOUT`` seconds is disconnected so
+it cannot hold up others.
 """
 from __future__ import annotations
 
@@ -42,30 +44,40 @@ logger = logging.getLogger("pacloud.farm")
 MAX_REQUEST_BYTES = 65536
 REQUEST_TIMEOUT = 5.0
 
+# Responses are frozen, so every pending answer can be this one.
+_PENDING = Response(STATUS_PENDING)
+
 
 class RequestService:
+    """Answers build requests from the record store and the queue.
+
+    ``lock`` serialises the whole farm: a ``BuildFarm`` shares it as
+    ``BuildFarm.lock``, and each request holds it once, from reading the
+    record to sending the message.
+    """
+
     def __init__(
         self, records: BuildRecordStore, queue: CompileQueue, clock: Clock
     ):
         self.records = records
         self.queue = queue
         self.clock = clock
-        self._lock = threading.Lock()
+        self.lock = threading.Lock()
 
     def handle_request(self, key: BuildKey) -> Response:
         canonical = key.canonical()
-        now = self.clock.now()
-        with self._lock:
+        with self.lock:
             record = self.records.get(canonical)
             if record is None:
+                now = self.clock.now()
                 self.records.create_pending(canonical, now)
                 self.queue.send(key, now)
-                return Response(STATUS_PENDING)
+                return _PENDING
             if record.status == BUILT:
                 return Response(STATUS_AVAILABLE, url=record.artifact_url)
             if record.status == FAILED:
                 return Response(STATUS_FAILED, error=record.error_message)
-            return Response(STATUS_PENDING)
+            return _PENDING
 
 
 class _ExchangeHandler(socketserver.StreamRequestHandler):

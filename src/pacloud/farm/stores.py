@@ -16,11 +16,14 @@ file ``<key.path_token()>.tar``; the token decodes back to its key, so the
 directory is the index. Opening either store writes nothing. An artifact
 may be handed over as a function that builds its bytes: on disk it is
 called when the tar is written, in memory on the first read.
+
+Neither store takes a lock: each is a single-owner object, and the farm
+that owns it serialises every call under ``BuildFarm.lock``. Another
+thread reads a farm's stores only while it holds that lock.
 """
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -86,28 +89,27 @@ class BuildRecord:
 
 class BuildRecordStore:
     def __init__(self, persist_dir: str | Path | None = None):
-        self._lock = threading.Lock()
         self._records: dict[str, BuildRecord] = {}
         self._pending = 0  # records not yet terminal, kept live for pending_count
+        # the keys of the records the journal held pending, in journal order
+        self.pending_at_open: list[BuildKey] = []
         self._journal = None
         if persist_dir:
             self._journal = Journal(Path(persist_dir) / RECORDS_FILE)
             self._load()
 
     def get(self, canonical: str) -> BuildRecord | None:
-        with self._lock:
-            return self._records.get(canonical)
+        return self._records.get(canonical)
 
     def create_pending(self, canonical: str, now: float) -> bool:
         """Create a pending record; False if any record already exists."""
-        with self._lock:
-            if canonical in self._records:
-                return False
-            record = BuildRecord(canonical, PENDING, created_at=now)
-            self._records[canonical] = record
-            self._pending += 1
-            self._save(record)
-            return True
+        if canonical in self._records:
+            return False
+        record = BuildRecord(canonical, PENDING, created_at=now)
+        self._records[canonical] = record
+        self._pending += 1
+        self._save(record)
+        return True
 
     def finalize_built(self, canonical: str, url: str, now: float) -> BuildRecord:
         return self._finalize(canonical, BUILT, url, None, now)
@@ -125,40 +127,35 @@ class BuildRecordStore:
         error: str | None,
         now: float,
     ) -> BuildRecord:
-        with self._lock:
-            record = self._records.get(canonical)
-            if record is None:
-                created_at = now
-            elif record.terminal:
-                return record
-            else:
-                created_at = record.created_at
-                self._pending -= 1
-            record = BuildRecord(canonical, status, url, error, created_at, now)
-            self._records[canonical] = record
-            self._save(record)
+        record = self._records.get(canonical)
+        if record is None:
+            created_at = now
+        elif record.terminal:
             return record
+        else:
+            created_at = record.created_at
+            self._pending -= 1
+        record = BuildRecord(canonical, status, url, error, created_at, now)
+        self._records[canonical] = record
+        self._save(record)
+        return record
 
     def pending_count(self) -> int:
         """How many records are pending; O(1), unlike ``pending_keys``."""
-        with self._lock:
-            return self._pending
+        return self._pending
 
     def pending_keys(self) -> list[str]:
-        with self._lock:
-            return sorted(
-                k for k, r in self._records.items() if r.status == PENDING
-            )
+        return sorted(
+            k for k, r in self._records.items() if r.status == PENDING
+        )
 
     def all_records(self) -> list[BuildRecord]:
-        with self._lock:
-            return list(self._records.values())
+        return list(self._records.values())
 
     def close(self) -> None:
         """Close the journal; a later write opens it again."""
-        with self._lock:
-            if self._journal is not None:
-                self._journal.close()
+        if self._journal is not None:
+            self._journal.close()
 
     def _save(self, record: BuildRecord) -> None:
         if self._journal is not None:
@@ -166,6 +163,7 @@ class BuildRecordStore:
 
     def _load(self) -> None:
         assert self._journal is not None
+        keys: dict[str, BuildKey] = {}
         for number, doc in enumerate(self._journal.read(), 1):
             try:
                 record = BuildRecord.from_document(doc)
@@ -174,21 +172,24 @@ class BuildRecordStore:
                     f"{self._journal.path}: line {number}: not a build record"
                 ) from exc
             try:
-                canonical = BuildKey.parse(record.key).canonical()
+                key = BuildKey.parse(record.key)
             except MalformedBuildKey:
-                canonical = None
-            if canonical != record.key:
+                key = None
+            if key is None or key.canonical() != record.key:
                 raise FarmStateError(
                     f"{self._journal.path}: line {number}: {record.key!r} is"
                     f" not a canonical build key"
                 )
             self._records[record.key] = record
-        self._pending = sum(not r.terminal for r in self._records.values())
+            keys[record.key] = key
+        self.pending_at_open = [
+            keys[k] for k, r in self._records.items() if not r.terminal
+        ]
+        self._pending = len(self.pending_at_open)
 
 
 class ArtifactStore:
     def __init__(self, persist_dir: str | Path | None = None):
-        self._lock = threading.Lock()
         # used only without a directory; a callable is built on first get
         self._blobs: dict[str, bytes | Callable[[], bytes]] = {}
         self.put_attempts: dict[str, int] = {}
@@ -203,15 +204,14 @@ class ArtifactStore:
         the first write. In memory the function is kept and called by the
         first ``get``."""
         canonical = key.canonical()
-        with self._lock:
-            self.put_attempts[canonical] = self.put_attempts.get(canonical, 0) + 1
-            if self._persist_dir is None:
-                self._blobs.setdefault(canonical, data)
-            elif not (path := self._persist_dir / f"{key.path_token()}.tar").exists():
-                self._persist_dir.mkdir(parents=True, exist_ok=True)
-                tmp = path.with_name(path.name + ".tmp")
-                tmp.write_bytes(data() if callable(data) else data)
-                os.rename(tmp, path)
+        self.put_attempts[canonical] = self.put_attempts.get(canonical, 0) + 1
+        if self._persist_dir is None:
+            self._blobs.setdefault(canonical, data)
+        elif not (path := self._persist_dir / f"{key.path_token()}.tar").exists():
+            self._persist_dir.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_name(path.name + ".tmp")
+            tmp.write_bytes(data() if callable(data) else data)
+            os.rename(tmp, path)
         return artifact_url(key)
 
     def get(self, key: BuildKey) -> bytes | None:
@@ -219,11 +219,10 @@ class ArtifactStore:
         builds them and keeps them."""
         if self._persist_dir is None:
             canonical = key.canonical()
-            with self._lock:
-                data = self._blobs.get(canonical)
-                if callable(data):
-                    data = self._blobs[canonical] = data()
-                return data
+            data = self._blobs.get(canonical)
+            if callable(data):
+                data = self._blobs[canonical] = data()
+            return data
         try:
             return (self._persist_dir / f"{key.path_token()}.tar").read_bytes()
         except FileNotFoundError:
@@ -231,8 +230,7 @@ class ArtifactStore:
 
     def stored_keys(self) -> list[str]:
         if self._persist_dir is None:
-            with self._lock:
-                return sorted(self._blobs)
+            return sorted(self._blobs)
         names = os.listdir(self._persist_dir) if self._persist_dir.is_dir() else []
         return sorted(
             BuildKey.from_path_token(name.removesuffix(".tar")).canonical()

@@ -24,7 +24,8 @@ Workers are event-driven: a driver advances them with ``step(now)`` and
 can ask for the next instant anything is due: a poll, a completion or a
 hibernation. ``step(now)`` also spends a waiting worker's ticks up to
 ``now``, as the empty polls at those ticks would have, so a message sent
-at ``now`` is first polled at the next tick.
+at ``now`` is first polled at the next tick. It returns the worker's next
+event time, so a driver need not ask for it again.
 
 A builder's visibility renewals are due every ten seconds, on a chain of
 ticks from the receive (or the resume), but only the last one before its
@@ -226,10 +227,15 @@ class Worker:
             return self._completion_at
         return None
 
-    def step(self, now: float) -> None:
+    def step(self, now: float) -> float | None:
         """Process every event due up to and including ``now``, then
         renew a building worker's message at the last tick up to ``now``
-        or spend a waiting worker's ticks up to ``now``."""
+        or spend a waiting worker's ticks up to ``now``; return
+        ``next_event_time()`` as it stands afterwards.
+
+        Neither of the last two moves the next event: a renewal changes
+        no event time, and a waiting worker's next event is reached
+        along the very ticks it spends."""
         while True:
             t = self.next_event_time()
             if t is None or t > now:
@@ -240,6 +246,7 @@ class Worker:
         elif self._waiting and self.mode is WorkerMode.IDLE:
             while self.next_poll_at <= now:
                 self.next_poll_at += self.poll_interval
+        return t
 
     def _fire(self, t: float) -> None:
         if self.mode is WorkerMode.IDLE:

@@ -85,9 +85,10 @@ class ReferenceWorker:
             return t
         return None
 
-    def step(self, now: float) -> None:
+    def step(self, now: float) -> float | None:
         """Process every event due up to and including ``now``, then
-        spend a waiting worker's ticks up to ``now``."""
+        spend a waiting worker's ticks up to ``now``; return the next
+        event time."""
         while True:
             t = self.next_event_time()
             if t is None or t > now:
@@ -96,6 +97,7 @@ class ReferenceWorker:
         if self._waiting and self.mode is WorkerMode.IDLE:
             while self.next_poll_at <= now:
                 self.next_poll_at += self.poll_interval
+        return t
 
     def _fire(self, t: float) -> None:
         if self.mode is WorkerMode.IDLE:
@@ -244,11 +246,11 @@ class PollingWorker(ReferenceWorker):
             return t
         return None
 
-    def step(self, now: float) -> None:
+    def step(self, now: float) -> float | None:
         while True:
             t = self.next_event_time()
             if t is None or t > now:
-                return
+                return t
             self._fire(t)
 
 

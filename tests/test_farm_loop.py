@@ -12,6 +12,7 @@ skipping the polls that find nothing, and the renewals a hold makes
 unnecessary, must not change the simulation either.
 """
 import random
+import threading
 
 import pytest
 
@@ -202,6 +203,22 @@ def test_faults_match_the_polling_workers(seed, polling_workers):
     assert waiting == fault_trace(seed, BuildFarm.advance_to)
 
 
+@pytest.mark.parametrize("seed", [*range(40), *REBUILD_SEEDS])
+def test_step_returns_the_next_event_time(seed, monkeypatch):
+    mismatches = []
+    step = Worker.step
+
+    def checked(self, now):
+        returned = step(self, now)
+        if returned != self.next_event_time():
+            mismatches.append((self.name, now, returned))
+        return returned
+
+    monkeypatch.setattr(Worker, "step", checked)
+    fault_trace(seed, BuildFarm.advance_to)
+    assert mismatches == []
+
+
 def late_request_trace(seed):
     """Request keys one by one between runs, at seeded times; about one
     request in three lands exactly on a tick an idle worker has already
@@ -371,6 +388,37 @@ class TestLeases:
         farm.run_until_settled(1000.0)
         assert farm.clock.now() == 100.0
         assert farm.records.get(self.KEY.canonical()).completed_at == 100.0
+
+
+class TestOneLock:
+    """A replay takes the farm's one lock once per request and once for
+    the run; the queue and the stores take none of their own."""
+
+    def test_a_replay_takes_a_lock_once_per_request(self, monkeypatch):
+        acquired = []
+        real = threading.Lock
+
+        class CountingLock:
+            def __init__(self):
+                self._lock = real()
+
+            def acquire(self, *args, **kwargs):
+                acquired.append(self)
+                return self._lock.acquire(*args, **kwargs)
+
+            def release(self):
+                self._lock.release()
+
+            def __enter__(self):
+                return self.acquire()
+
+            def __exit__(self, *exc):
+                self.release()
+
+        monkeypatch.setattr(threading, "Lock", CountingLock)
+        jobs = TestWaitingWorkers.JOBS
+        assert run_makespan(3, jobs).total == 120.0
+        assert 0 < len(acquired) <= len(jobs) + 2
 
 
 class TestPendingCount:

@@ -1,6 +1,9 @@
 import json
 import os
 import socket
+import sys
+import threading
+import time
 
 import pytest
 from conftest import build_sample_metadata
@@ -18,6 +21,7 @@ from pacloud.farm import (
     FarmServer,
     JobProfile,
     VirtualClock,
+    WallClock,
     WorkerMode,
     build_artifact_tar,
     generate_emerge_commands,
@@ -501,6 +505,28 @@ class TestFarmPersistence:
             BuildFarm(clock=VirtualClock(), root=tmp_path)
         assert files_under(tmp_path) == before
 
+    def test_reopening_a_root_parses_each_pending_key_once(
+        self, tmp_path, monkeypatch
+    ):
+        keys = [BuildKey.parse(f"cat/p{i}-1.0[a,b]") for i in range(100)]
+        records = BuildRecordStore(tmp_path / "records")
+        for key in keys:
+            records.create_pending(key.canonical(), 0.0)
+        records.close()
+        parsed = []
+        real = BuildKey.parse.__func__
+
+        def counting(cls, text):
+            parsed.append(text)
+            return real(cls, text)
+
+        monkeypatch.setattr(BuildKey, "parse", classmethod(counting))
+        farm = BuildFarm(clock=VirtualClock(), root=tmp_path)
+        sent = [farm.queue.receive(0.0)[0].body for _ in keys]
+        farm.close()
+        assert parsed == [key.canonical() for key in keys]
+        assert sent == keys
+
     def test_opening_a_root_writes_nothing(self, tmp_path):
         table = ExecutorTable(
             {"cat/broken-1": JobProfile(duration=3.0, error="boom")},
@@ -532,6 +558,120 @@ class TestFarmPersistence:
 
 
 class TestServiceMode:
+    @pytest.fixture
+    def wall_farm(self, tmp_path):
+        """A disk-backed farm in service mode on the wall clock."""
+        farm = BuildFarm(
+            clock=WallClock(),
+            root=tmp_path,
+            executor_table=ExecutorTable(default=JobProfile(duration=0.01)),
+            num_workers=4,
+            worker_poll_interval=0.02,
+        )
+        server = farm.start_service(pump_interval=0.005)
+        yield farm, server
+        farm.close()
+
+    def test_a_request_waits_while_the_lock_is_held(self, wall_farm):
+        farm, server = wall_farm
+        request = (json.dumps(encode_request(KEY)) + "\n").encode("utf-8")
+        lines = []
+        client = threading.Thread(
+            target=lambda: lines.append(tcp_exchange(server.address, request))
+        )
+        with farm.lock:
+            client.start()
+            client.join(0.3)
+            assert client.is_alive() and lines == []
+        client.join(5.0)
+        assert not client.is_alive()
+        assert json.loads(lines[0])["status"] == STATUS_PENDING
+
+    @staticmethod
+    def wait_under_lock(farm, done, seconds=5.0):
+        """Whether ``done()``, read while holding the farm's lock, comes
+        true within ``seconds``."""
+        deadline = time.monotonic() + seconds
+        while time.monotonic() < deadline:
+            with farm.lock:
+                if done():
+                    return True
+            time.sleep(0.001)
+        return False
+
+    def test_the_pump_finalizes_nothing_while_the_lock_is_held(self, wall_farm):
+        farm, _ = wall_farm
+        farm.service.handle_request(KEY)
+        assert self.wait_under_lock(
+            farm, lambda: any(w.mode is WorkerMode.BUILDING for w in farm.workers)
+        )
+
+        def status():
+            return farm.records.get(KEY.canonical()).status
+
+        with farm.lock:
+            assert status() == "pending"
+            time.sleep(0.3)  # the 0.01 s build is long due
+            assert status() == "pending"
+        assert self.wait_under_lock(farm, lambda: status() == "built")
+
+    def test_concurrent_clients_get_one_build_per_key(
+        self, wall_farm, tmp_path, monkeypatch
+    ):
+        farm, server = wall_farm
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        keys = [BuildKey.parse(f"cat/p{i}-1.0[x]") for i in range(100)]
+        failures = []
+
+        def client(mine):
+            """Request every key, then ask again until each is built."""
+            try:
+                waiting = list(mine)
+                deadline = time.monotonic() + 30.0
+                while waiting and time.monotonic() < deadline:
+                    for key in list(waiting):
+                        request = json.dumps(encode_request(key)) + "\n"
+                        line = tcp_exchange(server.address, request.encode())
+                        if json.loads(line)["status"] == STATUS_AVAILABLE:
+                            waiting.remove(key)
+                failures.extend(key.canonical() for key in waiting)
+            except Exception as exc:  # reported below, not lost in the thread
+                failures.append(repr(exc))
+
+        clients = [
+            threading.Thread(target=client, args=(keys[i::4],)) for i in range(4)
+        ]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in clients)
+        farm.close()
+        assert hooked == []  # the pump and the server thread raised nothing
+        assert failures == []
+        built = [
+            event.key
+            for worker in farm.workers
+            for event in worker.history
+            if event.status == "built"
+        ]
+        assert sorted(built) == sorted(key.canonical() for key in keys)
+        journal = (tmp_path / "records" / "records.jsonl").read_text()
+        lines = [json.loads(line) for line in journal.splitlines()]
+        assert sorted((doc["key"], doc["status"]) for doc in lines) == sorted(
+            (key.canonical(), status)
+            for key in keys
+            for status in ("built", "pending")
+        )
+        for key in keys:
+            assert farm.artifacts.get(key) == build_artifact_tar(key)
+
     def test_wall_clock_service_builds_on_demand(self):
         import time
 
