@@ -16,7 +16,6 @@ from .core import (
     UseFlagSet,
     Version,
     atom_matches,
-    canonical_build_key,
     compare_versions,
     parse_version,
     select_best_version,
@@ -32,7 +31,6 @@ __all__ = [
     "UseFlagSet",
     "Version",
     "atom_matches",
-    "canonical_build_key",
     "compare_versions",
     "parse_version",
     "select_best_version",

@@ -6,10 +6,13 @@ archive is reused without touching the wire, anything else is awaited
 with a poll-sleep loop, downloaded, cached and unpacked. The first error
 stops the walk, leaving the already-completed installs recorded.
 
-Removal computes the orphan closure, deletes each package's recorded
-files (pruning emptied directories) and clears its database state along
-with its cached archives, so removing what was just installed restores
-the tree exactly.
+Removal unlinks the files of every package in the orphan closure
+(pruning emptied directories), then records the whole set in one
+``record_removal`` and drops the cached archives, so removing what was
+just installed restores the tree exactly. Each document is read once
+outside the database's write lock and once under it, and written once.
+A crash before the recording leaves the packages recorded as installed;
+running ``pacloud -r`` again finishes the job.
 """
 from __future__ import annotations
 
@@ -268,21 +271,17 @@ class Client:
         return plan
 
     def remove(self, targets: list[PackageId]) -> list[PackageId]:
-        order = compute_orphans(self.db, targets)
-        for pkg in order:
-            meta = self.db.get_metadata(pkg)
-            assert meta is not None
-            for rel in meta.files or []:
-                path = self.config.install_root.joinpath(rel)
-                path.unlink(missing_ok=True)
-                self._prune_upwards(path.parent)
-            self.db.record_removal(pkg)
+        removal = compute_orphans(self.db, targets)
+        for meta in removal.values():
+            self._unlink(meta.files or [])
+        self.db.record_removal(*removal)
+        for pkg in removal:
             self.db.remove_cached_archives(pkg)
         log_operation(
             self.config,
-            "remove: " + " ".join(p.render() for p in order),
+            "remove: " + " ".join(p.render() for p in removal),
         )
-        return order
+        return list(removal)
 
     def upgrade(
         self, targets: list[PackageId] | None = None
@@ -318,10 +317,7 @@ class Client:
             self._install_plan(plan, {pkg: meta.explicit})
             new_meta = self.db.get_metadata(pkg)
             assert new_meta is not None
-            for rel in sorted(old_files - set(new_meta.files or [])):
-                path = self.config.install_root.joinpath(rel)
-                path.unlink(missing_ok=True)
-                self._prune_upwards(path.parent)
+            self._unlink(sorted(old_files - set(new_meta.files or [])))
             performed.append((pkg, installed, best))
         log_operation(
             self.config,
@@ -369,12 +365,16 @@ class Client:
                 files,
             )
 
-    def _prune_upwards(self, directory: Path) -> None:
+    def _unlink(self, files: list[str]) -> None:
+        """Delete installed files, pruning the directories they empty."""
         root = self.config.install_root.resolve()
-        current = directory.resolve()
-        while root != current and root in current.parents:
-            try:
-                current.rmdir()
-            except OSError:
-                return
-            current = current.parent
+        for rel in files:
+            path = self.config.install_root.joinpath(rel)
+            path.unlink(missing_ok=True)
+            current = path.parent.resolve()
+            while root != current and root in current.parents:
+                try:
+                    current.rmdir()
+                except OSError:
+                    break
+                current = current.parent

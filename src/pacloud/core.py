@@ -329,12 +329,3 @@ class BuildKey:
             raise MalformedBuildKey(f"cannot parse {text!r}: {exc}") from exc
         return cls(package, version, flags)
 
-
-def canonical_build_key(
-    package: PackageId, version: Version, flags: UseFlagSet
-) -> BuildKey:
-    """Build the key for a (package, version, flags) combination.
-
-    The result is insensitive to the iteration order of the input flags.
-    """
-    return BuildKey(package, version, flags)

@@ -15,9 +15,9 @@ root holding a file of an earlier layout is refused before that.
 
 The farm has one lock, ``BuildFarm.lock``, the same object as its
 service's ``RequestService.lock``. It is taken once at each place another
-thread can reach the farm's state: per wire request, per worker step and
-per dead-letter sweep of the service-mode pump, and per call of
-``advance_to``, ``run_until_settled`` and ``next_event_time``. The queue
+thread can reach the farm's state: per wire request, and per call of
+``advance_to`` (which is also each round of the service-mode pump),
+``run_until_settled`` and ``next_event_time``. The queue
 and the stores take no lock of their own, so what runs under it runs as
 one step. Another thread reads the stores, or calls a worker's
 ``interrupt``, ``resume`` or ``crash``, only while it holds the lock.
@@ -41,7 +41,7 @@ from .queue import (
     CompileQueue,
     ReceivedMessage,
 )
-from .service import FarmServer, RequestService
+from .service import FarmServer, RequestService, logger
 from .stores import (
     BUILT,
     FAILED,
@@ -157,22 +157,22 @@ class BuildFarm:
     ) -> FarmServer:
         """Serve the wire protocol and keep the workers polling.
 
-        Service mode is meant for a wall clock: workers are stepped from a
-        background thread at the pump interval until stop_service(). The
-        pump takes the farm's lock for each worker step and for each
-        dead-letter sweep, so a request waits for at most one of them.
+        Service mode is meant for a wall clock: until stop_service(), a
+        background thread calls ``advance_to(clock.now())`` every pump
+        interval, so a request waits for at most one round. A round that
+        raises is logged and stops the server, so clients fail at once.
         """
-        self._server = FarmServer(self.service, host, port).start()
+        server = self._server = FarmServer(self.service, host, port).start()
         self._pump_stop = threading.Event()
 
         def pump() -> None:
-            while not self._pump_stop.is_set():
-                with self.lock:
-                    self._fail_unheld_dead_letters(self.clock.now())
-                for worker in self.workers:
-                    with self.lock:
-                        worker.step(self.clock.now())
-                self._pump_stop.wait(pump_interval)
+            try:
+                while not self._pump_stop.is_set():
+                    self.advance_to(self.clock.now())
+                    self._pump_stop.wait(pump_interval)
+            except Exception:
+                logger.exception("farm pump failed; stopping the server")
+                server.stop()
 
         self._pump_thread = threading.Thread(target=pump, daemon=True)
         self._pump_thread.start()
@@ -246,9 +246,10 @@ class BuildFarm:
         the heap is built at the start of a call and again after a step
         that leaves its worker hibernated. With ``settle``, the run stops
         once every event of an instant has run and no record is pending,
-        or nothing left can settle one.
+        or nothing left can settle one. The clock is set only to event
+        times up to ``limit``, so a run up to a wall clock's reading (the
+        service-mode pump) never moves it.
         """
-        assert isinstance(self.clock, VirtualClock)
         self._fail_unheld_dead_letters(self.clock.now())
         heap = self._event_heap()
         instant = None

@@ -192,7 +192,6 @@ class ArtifactStore:
     def __init__(self, persist_dir: str | Path | None = None):
         # used only without a directory; a callable is built on first get
         self._blobs: dict[str, bytes | Callable[[], bytes]] = {}
-        self.put_attempts: dict[str, int] = {}
         self._persist_dir = Path(persist_dir) if persist_dir else None
 
     def put(self, key: BuildKey, data: bytes | Callable[[], bytes]) -> str:
@@ -203,10 +202,8 @@ class ArtifactStore:
         from a temporary file, so a write cut short is never taken for
         the first write. In memory the function is kept and called by the
         first ``get``."""
-        canonical = key.canonical()
-        self.put_attempts[canonical] = self.put_attempts.get(canonical, 0) + 1
         if self._persist_dir is None:
-            self._blobs.setdefault(canonical, data)
+            self._blobs.setdefault(key.canonical(), data)
         elif not (path := self._persist_dir / f"{key.path_token()}.tar").exists():
             self._persist_dir.mkdir(parents=True, exist_ok=True)
             tmp = path.with_name(path.name + ".tmp")

@@ -14,12 +14,17 @@ wins for description and versions.
 Install state is kept as edges in both directions. ``depends`` lists an
 installed package's resolved runtime dependencies and is present only
 while the package is installed, like ``files``; ``required_by`` is its
-inverse, naming the installed packages whose ``depends`` list this one.
-Installing or removing a package therefore reads and writes only the
-package and its old and new dependencies, whatever the database size,
-and ``resolver.compute_orphans`` walks ``depends`` from the packages
-being removed, reading only the documents it walks. ``search`` matches
-directory names and reads only the documents it returns.
+inverse, and ``LocalDb._set_depends`` changes both. Installing or removing
+a package therefore reads and writes only the package and its old and new
+dependencies, whatever the database size, and
+``resolver.compute_orphans`` walks ``depends`` from the packages being
+removed, reading only the documents it walks. ``record_removal`` takes
+the whole removal set, so a client removal reads each document once
+outside the write lock and once under it, and writes it once. The client
+unlinks every package's files first: a crash before the removals are
+recorded leaves the packages recorded as installed, and running
+``pacloud -r`` again finishes the job. ``search`` reads only the
+documents whose directory names match.
 
 The remote store is reached through the PackageStore interface: a
 ``manifest.txt`` of category names at the root, one ``<category>.json``
@@ -29,6 +34,7 @@ blobs addressed by ``store://`` URLs (``wire.artifact_url``).
 from __future__ import annotations
 
 import fcntl
+import functools
 import json
 import os
 import shutil
@@ -489,59 +495,63 @@ class LocalDb:
         """
         deps = list(dict.fromkeys(resolved_deps))
         with self.write_lock():
-            meta = self.get_metadata(package)
+            get = functools.cache(self.get_metadata)
+            meta = get(package)
             if meta is None:
                 raise UnknownPackage(f"no metadata for {package}")
             rendered = version.render()
             if rendered not in meta.versions:
                 raise UnknownVersion(f"{package} has no version {rendered}")
-            metas = {package: meta}
-            for dep in deps:
-                if dep not in metas:
-                    dep_meta = self.get_metadata(dep)
-                    if dep_meta is None:
-                        raise UnknownPackage(f"no metadata for dependency {dep}")
-                    metas[dep] = dep_meta
-            stale = [
-                p for p in self.installed_depends(meta) if p not in deps
-            ]
+            changed = self._set_depends(meta, deps, get)
             meta.installed = rendered
             meta.explicit = explicit
             meta.files = sorted(files)
-            meta.depends = deps
-            changed = {package: meta}
-            for dep in stale:
-                other = changed.get(dep) or self.get_metadata(dep)
-                if other is not None and package in other.required_by:
-                    other.required_by.remove(package)
-                    changed[dep] = other
-            for dep in deps:
-                if package not in metas[dep].required_by:
-                    metas[dep].required_by.append(package)
-                    changed[dep] = metas[dep]
             for other in changed.values():
                 self._write_metadata(other)
 
-    def record_removal(self, package: PackageId) -> None:
-        """Clear install state and drop the package from its dependencies'
-        required_by lists."""
+    def record_removal(self, *packages: PackageId) -> None:
+        """Clear the packages' install state and drop each from its
+        dependencies' required_by lists. Nothing is written unless every
+        package is installed."""
         with self.write_lock():
-            meta = self.get_metadata(package)
-            if meta is None or meta.installed is None:
-                raise NotInstalled(f"{package} is not installed")
-            deps = self.installed_depends(meta)
-            meta.installed = None
-            meta.explicit = False
-            meta.files = None
-            meta.depends = None
-            changed = {package: meta}
-            for dep in deps:
-                other = changed.get(dep) or self.get_metadata(dep)
-                if other is not None and package in other.required_by:
-                    other.required_by.remove(package)
-                    changed[dep] = other
+            get = functools.cache(self.get_metadata)
+            for package in packages:
+                meta = get(package)
+                if meta is None or meta.installed is None:
+                    raise NotInstalled(f"{package} is not installed")
+            changed = {}
+            for package in packages:
+                meta = get(package)
+                changed.update(self._set_depends(meta, None, get))
+                meta.installed = None
+                meta.explicit = False
+                meta.files = None
             for other in changed.values():
                 self._write_metadata(other)
+
+    def _set_depends(
+        self, meta: PackageMetadata, deps: list[PackageId] | None, get
+    ) -> dict[PackageId, PackageMetadata]:
+        """Set ``meta.depends`` and move its package from the required_by
+        lists of its old dependencies to those of the new ones; return the
+        documents to write, ``meta`` first. ``get`` is a cached
+        ``get_metadata``: each document is read once per cache, and the
+        changes of several calls accumulate in the same objects."""
+        package, new = meta.name, deps or []
+        changed = {package: meta}
+        for dep in self.installed_depends(meta):
+            other = get(dep)
+            if dep not in new and other and package in other.required_by:
+                other.required_by.remove(package)
+                changed[dep] = other
+        for dep in new:
+            if (other := get(dep)) is None:
+                raise UnknownPackage(f"no metadata for dependency {dep}")
+            if package not in other.required_by:
+                other.required_by.append(package)
+                changed[dep] = other
+        meta.depends = deps
+        return changed
 
     # --- archive cache ---
 

@@ -337,8 +337,9 @@ def _tarjan(
 
 def compute_orphans(
     db: "OrphanSource", roots: Iterable[PackageId]
-) -> list[PackageId]:
-    """Removal list for the roots plus their now-unneeded dependencies.
+) -> dict[PackageId, PackageMetadata]:
+    """The roots plus their now-unneeded dependencies, each mapped to the
+    metadata read for it.
 
     Only dependency-installed packages reachable from the removal set are
     swept in, and only once nothing outside the set requires them;
@@ -397,7 +398,7 @@ def compute_orphans(
         for pkg, meta in removal.items()
     }
     components = ordered_components(sorted(removal), edges)
-    return [pkg for component in components for pkg in component]
+    return {pkg: removal[pkg] for component in components for pkg in component}
 
 
 class OrphanSource(MetadataSource, Protocol):

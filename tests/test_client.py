@@ -27,7 +27,13 @@ from pacloud.errors import (
 )
 from pacloud.config import Config
 from pacloud.farm import JobProfile, VirtualClock, build_artifact_tar
-from pacloud.localdb import DirectoryStore, PackageMetadata, VersionInfo, write_store
+from pacloud.localdb import (
+    DirectoryStore,
+    LocalDb,
+    PackageMetadata,
+    VersionInfo,
+    write_store,
+)
 from pacloud.wire import STATUS_AVAILABLE, STATUS_PENDING
 
 
@@ -388,15 +394,22 @@ class TestReadsDoNotGrowWithDatabase:
         sized.db.record_install(c, v, False, [], [])
         sized.db.record_install(a, v, True, [b, c], [])
         reads = self.count_reads(monkeypatch)
+        writes = []
+        real_write = LocalDb._write_metadata
+
+        def counting_write(db, meta):
+            writes.append(meta.name.render())
+            real_write(db, meta)
+
+        monkeypatch.setattr(LocalDb, "_write_metadata", counting_write)
         assert sized.remove([a]) == [a, b, c]
         monkeypatch.undo()
         assert sized.db.validate() == []
-        # compute_orphans reads each once; then each package is read to
-        # unlink its files and again by record_removal, and a's removal
-        # reads its two dependencies. A scan would read every document.
-        assert sorted(reads) == sorted(
-            [a.render()] * 3 + [b.render()] * 4 + [c.render()] * 4
-        )
+        # compute_orphans reads each once and hands back what it read; the
+        # one record_removal reads each once more under the lock and
+        # writes each once. A scan would read every document.
+        assert sorted(reads) == sorted([a.render(), b.render(), c.render()] * 2)
+        assert sorted(writes) == [a.render(), b.render(), c.render()]
 
     def test_search(self, sized, monkeypatch):
         reads = self.count_reads(monkeypatch)

@@ -12,7 +12,6 @@ from pacloud.core import (
     UseFlagSet,
     Version,
     atom_matches,
-    canonical_build_key,
     compare_versions,
     parse_version,
     select_best_version,
@@ -216,7 +215,7 @@ class TestPackageId:
 
 class TestBuildKey:
     def test_canonical_sorts_flags(self):
-        key = canonical_build_key(
+        key = BuildKey(
             PackageId.parse("sys-libs/ncurses"),
             parse_version("6.1-r2"),
             UseFlagSet.of(["unicode", "mousewheel"]),
@@ -224,7 +223,7 @@ class TestBuildKey:
         assert key.canonical() == "sys-libs/ncurses-6.1-r2[mousewheel,unicode]"
 
     def test_empty_flags(self):
-        key = canonical_build_key(
+        key = BuildKey(
             PackageId.parse("sys-libs/ncurses"), parse_version("6.1-r2"), UseFlagSet()
         )
         assert key.canonical() == "sys-libs/ncurses-6.1-r2[]"
@@ -236,7 +235,7 @@ class TestBuildKey:
         for _ in range(10):
             shuffled = flags[:]
             rng.shuffle(shuffled)
-            key = canonical_build_key(
+            key = BuildKey(
                 PackageId.parse("a/b"), parse_version("1"), UseFlagSet.of(shuffled)
             )
             if reference is None:

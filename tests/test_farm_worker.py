@@ -138,8 +138,16 @@ class TestInterruption:
         assert record.status == BUILT
         assert record.completed_at == 1280.0
 
-    def test_resumed_worker_discards_when_other_finished(self):
+    def test_resumed_worker_discards_when_other_finished(self, monkeypatch):
         farm = make_farm(num_workers=2, default=JobProfile(duration=200.0))
+        puts = []
+        real_put = farm.artifacts.put
+
+        def spy_put(key, data):
+            puts.append(key.canonical())
+            return real_put(key, data)
+
+        monkeypatch.setattr(farm.artifacts, "put", spy_put)
         farm.service.handle_request(KEY)
         first, second = farm.workers
         first.step(0.0)
@@ -157,7 +165,7 @@ class TestInterruption:
         terminal = [r for r in farm.records.all_records() if r.terminal]
         assert len(terminal) == 1
         assert farm.artifacts.stored_keys() == [KEY.canonical()]
-        assert farm.artifacts.put_attempts[KEY.canonical()] == 1
+        assert puts == [KEY.canonical()]
 
     def test_interrupt_idle_worker_stops_polling(self):
         farm = make_farm()

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -7,6 +8,7 @@ from pacloud.core import BuildKey, PackageId, UseFlagSet, parse_version
 from pacloud.errors import (
     MalformedManifest,
     NotInstalled,
+    StillRequired,
     StoreUnreachable,
     UnknownPackage,
     UnknownVersion,
@@ -14,9 +16,13 @@ from pacloud.errors import (
 from pacloud.localdb import (
     DirectoryStore,
     LocalDb,
+    PackageMetadata,
+    VersionInfo,
     parse_manifest,
     write_store,
 )
+from pacloud.resolver import compute_orphans
+from test_resolver import random_install_db
 
 
 def pkg(text):
@@ -501,3 +507,82 @@ class TestStoreLayout:
         (store_dir / "artifacts").mkdir()
         with pytest.raises(StoreUnreachable):
             DirectoryStore(store_dir).fetch_artifact(url)
+
+
+class TestBatchRemoval:
+    """``record_removal(*packages)`` against one call per package."""
+
+    def test_batch_equals_single_calls_on_random_install_graphs(self, tmp_path):
+        removable = 0
+        for seed in range(300):
+            batch, roots = random_install_db(random.Random(seed), tmp_path / f"b{seed}")
+            single, _ = random_install_db(random.Random(seed), tmp_path / f"s{seed}")
+            try:
+                order = list(compute_orphans(batch, roots))
+            except (NotInstalled, StillRequired):
+                continue
+            removable += 1
+            batch.record_removal(*order)
+            for package in order:
+                single.record_removal(package)
+            assert tree_snapshot(batch.root) == tree_snapshot(single.root), seed
+            assert batch.validate() == []
+        assert removable >= 200
+
+    def test_a_package_not_installed_fails_the_batch_before_any_write(
+        self, db, store_dir
+    ):
+        db.sync(DirectoryStore(store_dir))
+        ncurses, vim = pkg("sys-libs/ncurses"), pkg("app-editors/vim")
+        db.record_install(ncurses, parse_version("6.1-r2"), False, [], ["lib/n"])
+        db.record_install(vim, parse_version("8.1"), True, [ncurses], ["bin/vim"])
+        before = tree_snapshot(db.root)
+        with pytest.raises(NotInstalled):
+            db.record_removal(vim, pkg("sys-apps/acl"))
+        assert tree_snapshot(db.root) == before
+
+
+def test_an_install_shaped_like_client_churn_reads_and_writes_each_document_once(
+    tmp_path, monkeypatch
+):
+    """An app over four private libraries, each library over two of the
+    installed core libraries, and the app over two more: recorded in plan
+    order, each library reads and writes itself and its two cores, and
+    the app itself and its six dependencies."""
+    cores = [pkg(f"core/c{i}") for i in range(4)]
+    libs = [pkg(f"app/lib{k}") for k in range(4)]
+    app = pkg("app/app")
+    store = tmp_path / "churn-store"
+    write_store(store, [
+        PackageMetadata(name=p, description="d", versions={"1.0": VersionInfo()})
+        for p in cores + libs + [app]
+    ])
+    db = LocalDb(tmp_path / "churn-db")
+    db.sync(DirectoryStore(store))
+    v = parse_version("1.0")
+    for core in cores:
+        db.record_install(core, v, True, [], [])
+    plan = [(lib, [cores[k], cores[(k + 1) % 4]]) for k, lib in enumerate(libs)]
+    plan.append((app, cores[:2] + libs))
+    reads, writes = [], []
+    real_read = PackageMetadata.from_document.__func__
+    real_write = LocalDb._write_metadata
+
+    def counting_read(cls, doc):
+        reads.append(doc["name"])
+        return real_read(cls, doc)
+
+    def counting_write(self, meta):
+        writes.append(meta.name.render())
+        real_write(self, meta)
+
+    monkeypatch.setattr(PackageMetadata, "from_document", classmethod(counting_read))
+    monkeypatch.setattr(LocalDb, "_write_metadata", counting_write)
+    for package, deps in plan:
+        db.record_install(package, v, False, deps, [])
+    monkeypatch.undo()
+    assert db.validate() == []
+    expected = sorted(p.render() for package, deps in plan for p in [package, *deps])
+    assert len(expected) == 19
+    assert sorted(reads) == expected
+    assert sorted(writes) == expected

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import socket
 import sys
@@ -8,10 +9,15 @@ import time
 import pytest
 from conftest import build_sample_metadata
 
-from pacloud.client import InProcessTransport, await_package
+from pacloud.client import InProcessTransport, TcpTransport, await_package
 from pacloud.core import BuildKey, PackageId, UseFlagSet, parse_version
 from pacloud.depparse import metadata_from_ebuilds, parse_atom, parse_ebuild
-from pacloud.errors import BuildFailed, FarmStateError, ProtocolError
+from pacloud.errors import (
+    BuildFailed,
+    FarmStateError,
+    ProtocolError,
+    TransportError,
+)
 from pacloud.farm import (
     DEAD_LETTER_ERROR,
     MAX_DELIVERIES,
@@ -671,6 +677,29 @@ class TestServiceMode:
         )
         for key in keys:
             assert farm.artifacts.get(key) == build_artifact_tar(key)
+
+    def test_a_failed_pump_round_stops_the_server(
+        self, wall_farm, caplog, monkeypatch
+    ):
+        farm, server = wall_farm
+        transport = TcpTransport(server.address, connect_timeout=1.0)
+        assert transport.exchange(encode_request(KEY))["status"] == STATUS_PENDING
+
+        def failing_step(now):
+            raise OSError("record journal append failed")
+
+        caplog.set_level(logging.ERROR, logger="pacloud.farm")
+        with farm.lock:
+            monkeypatch.setattr(farm.workers[0], "step", failing_step)
+        deadline = time.monotonic() + 2.0
+        with pytest.raises(TransportError):
+            while time.monotonic() < deadline:
+                transport.exchange(encode_request(KEY))
+                time.sleep(0.01)
+        failed = [r for r in caplog.records if r.name == "pacloud.farm"]
+        assert [r.exc_info[0] for r in failed] == [OSError]
+        assert "record journal append failed" in caplog.text
+        assert "Traceback" in caplog.text
 
     def test_wall_clock_service_builds_on_demand(self):
         import time
