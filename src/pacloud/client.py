@@ -8,11 +8,11 @@ stops the walk, leaving the already-completed installs recorded.
 
 Removal unlinks the files of every package in the orphan closure
 (pruning emptied directories), then records the whole set in one
-``record_removal`` and drops the cached archives, so removing what was
-just installed restores the tree exactly. Each document is read once
-outside the database's write lock and once under it, and written once.
-A crash before the recording leaves the packages recorded as installed;
-running ``pacloud -r`` again finishes the job.
+``record_removal``, which deletes the local documents it empties, and
+drops the cached archives: removing what was just installed restores
+both trees exactly. Each document is read once outside the write lock
+and once under it, and written once. A crash before the recording leaves
+the packages recorded as installed; ``pacloud -r`` again finishes the job.
 """
 from __future__ import annotations
 
@@ -46,6 +46,7 @@ from .errors import (
     UnpackError,
 )
 from .farm.clock import Clock, WallClock
+from .files import prune_empty_dirs
 from .localdb import DirectoryStore, LocalDb, PackageStore, SearchResult, SyncReport
 from .resolver import InstallPlan, compute_orphans, resolve_runtime_closure
 from .wire import (
@@ -371,10 +372,4 @@ class Client:
         for rel in files:
             path = self.config.install_root.joinpath(rel)
             path.unlink(missing_ok=True)
-            current = path.parent.resolve()
-            while root != current and root in current.parents:
-                try:
-                    current.rmdir()
-                except OSError:
-                    break
-                current = current.parent
+            prune_empty_dirs(path.parent.resolve(), root)

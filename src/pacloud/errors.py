@@ -92,7 +92,11 @@ class MalformedManifest(PacloudError):
 
 
 class MalformedCategoryDocument(PacloudError):
-    pass
+    """A store or database document is malformed; a file read is named."""
+
+
+class DatabaseLayoutError(PacloudError):
+    """The client database is of an earlier layout."""
 
 
 class UnknownPackage(PacloudError):

@@ -1,4 +1,4 @@
-"""Writing small files: in-place rewrites and append-only journals.
+"""Small files: in-place rewrites, append-only journals, pruned directories.
 
 ``Path.write_text`` opens with ``O_TRUNC``, cutting the file to zero bytes
 before writing it again. ext4 (and other file systems with delayed
@@ -33,6 +33,16 @@ def rewrite_text(path: str | Path, text: str) -> None:
     with open(fd, "wb") as fh:
         fh.write(text.encode("utf-8"))
         fh.truncate()
+
+
+def prune_empty_dirs(directory: Path, root: Path) -> None:
+    """Remove ``directory`` and its parents below ``root`` while empty."""
+    while root in directory.parents:
+        try:
+            directory.rmdir()
+        except OSError:
+            return
+        directory = directory.parent
 
 
 _COMPACT = json.JSONEncoder(separators=(",", ":"))

@@ -1,30 +1,25 @@
-"""Flat-file client database mirroring the category/package tree.
+"""Flat-file client database: the store's category documents beside each
+package's local state, as Portage keeps its repository metadata apart
+from its installed-package database.
 
-Layout under the database root:
+    <root>/.lock                                  the write lock
+    <root>/store/<category>.json                  category documents
+    <root>/local/<category>/<name>/metadata.json  a package's local state
+    <root>/local/<category>/<name>/<token>.tar    cached archives, each
+                                                  named by its key's path_token
 
-    <root>/<category>/<name>/metadata.json
-    <root>/<category>/<name>/archives/<key.path_token()>.tar
-
-Metadata documents are JSON, UTF-8, written in a canonical form (sorted
-keys, two-space indent, trailing newline) so that identical logical state
-is always byte-identical on disk. Local-only fields (installed, explicit,
-depends, required_by, files) are preserved across syncs; the remote store
-wins for description and versions.
-
-Install state is kept as edges in both directions. ``depends`` lists an
-installed package's resolved runtime dependencies and is present only
-while the package is installed, like ``files``; ``required_by`` is its
-inverse, and ``LocalDb._set_depends`` changes both. Installing or removing
-a package therefore reads and writes only the package and its old and new
-dependencies, whatever the database size, and
-``resolver.compute_orphans`` walks ``depends`` from the packages being
-removed, reading only the documents it walks. ``record_removal`` takes
-the whole removal set, so a client removal reads each document once
-outside the write lock and once under it, and writes it once. The client
-unlinks every package's files first: a crash before the removals are
-recorded leaves the packages recorded as installed, and running
-``pacloud -r`` again finishes the job. ``search`` reads only the
-documents whose directory names match.
+``sync`` keeps each valid category document whole: one file per category,
+whatever the package count. A package's own document holds only local
+state (``PackageMetadata.local_document``) and exists exactly while it
+holds some. It is canonical JSON (``dump_document``), so an install
+followed by the removal that undoes it restores the tree byte for byte. ``get_metadata`` joins
+the category entry, decoded once per file ``stat`` and validated per
+read, with that document. ``_set_depends`` keeps both directions of each
+edge, so an install or a removal reads and writes only the package and
+its old and new dependencies. A document that does not decode raises
+``MalformedCategoryDocument`` naming the file. A database of the earlier
+layout, a whole ``<root>/<category>/<name>/metadata.json`` per package,
+is refused when opened, before anything is read or written.
 
 The remote store is reached through the PackageStore interface: a
 ``manifest.txt`` of category names at the root, one ``<category>.json``
@@ -37,7 +32,6 @@ import fcntl
 import functools
 import json
 import os
-import shutil
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,6 +39,7 @@ from typing import Iterable, Iterator, Protocol
 
 from .core import BuildKey, PackageId, Version, is_category, parse_version
 from .errors import (
+    DatabaseLayoutError,
     MalformedCategoryDocument,
     MalformedManifest,
     MalformedPackageId,
@@ -55,13 +50,14 @@ from .errors import (
     UnknownPackage,
     UnknownVersion,
 )
-from .files import rewrite_text
+from .files import prune_empty_dirs, rewrite_text
 from .wire import ARTIFACT_DIR, artifact_key
 
 METADATA_FILE = "metadata.json"
 MANIFEST_FILE = "manifest.txt"
-ARCHIVE_DIR = "archives"
 LOCK_FILE = ".lock"
+STORE_DIR = "store"
+LOCAL_DIR = "local"
 
 
 @dataclass(frozen=True)
@@ -105,22 +101,31 @@ class PackageMetadata:
         )
 
     def to_document(self) -> dict:
-        doc = {
+        """The package's entry in a category document, as a store holds it."""
+        return {
             "name": self.name.render(),
             "description": self.description,
             "versions": {
                 v: {"dependencies": list(info.dependencies)}
                 for v, info in self.versions.items()
             },
-            "required_by": sorted(p.render() for p in self.required_by),
         }
+
+    def local_document(self) -> dict | None:
+        """The package's own document, None if it has no local state: the
+        install record, with the installed version's entry in case the
+        store drops it, and ``required_by``, the inverse of ``depends``."""
+        doc = {"required_by": sorted(p.render() for p in self.required_by)}
         if self.installed is not None:
-            doc["installed"] = self.installed
-            doc["explicit"] = self.explicit
-            doc["files"] = list(self.files or [])
-            if self.depends is not None:
-                doc["depends"] = sorted(p.render() for p in self.depends)
-        return doc
+            info = self.versions[self.installed]
+            doc.update(
+                installed=self.installed,
+                explicit=self.explicit,
+                files=list(self.files or []),
+                depends=sorted(p.render() for p in self.depends or []),
+                versions={self.installed: {"dependencies": list(info.dependencies)}},
+            )
+        return doc if self.installed is not None or self.required_by else None
 
     @classmethod
     def from_document(cls, doc: object) -> "PackageMetadata":
@@ -135,46 +140,51 @@ class PackageMetadata:
                 if not all(isinstance(d, str) for d in deps):
                     raise TypeError("dependencies must be strings")
                 versions[rendered] = VersionInfo(tuple(deps))
-            required_by = [
-                PackageId.parse(p) for p in doc.get("required_by", [])
-            ]
-            installed = doc.get("installed")
-            files = doc.get("files")
-            depends = doc.get("depends")
+            required_by = [*map(PackageId.parse, doc.get("required_by", []))]
+            files, depends = doc.get("files"), doc.get("depends")
             return cls(
                 name=name,
                 description=str(doc.get("description", "")),
                 versions=versions,
-                installed=installed,
+                installed=doc.get("installed"),
                 explicit=bool(doc.get("explicit", False)),
                 required_by=required_by,
                 files=list(files) if files is not None else None,
-                depends=(
-                    [PackageId.parse(p) for p in depends]
-                    if depends is not None else None
-                ),
+                depends=None if depends is None else [*map(PackageId.parse, depends)],
             )
         except (KeyError, TypeError, AttributeError, MalformedPackageId,
                 MalformedVersion) as exc:
             raise MalformedCategoryDocument(f"bad metadata document: {exc}") from exc
 
-    def stripped_remote(self) -> "PackageMetadata":
-        """A copy without local-only fields, as published by the store."""
-        return PackageMetadata(
-            name=self.name,
-            description=self.description,
-            versions=dict(self.versions),
-        )
-
 
 def dump_document(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``doc`` in canonical form: sorted keys, no whitespace, one line."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _read_metadata(path: Path) -> PackageMetadata:
-    return PackageMetadata.from_document(
-        json.loads(path.read_text(encoding="utf-8"))
-    )
+def _decode_object(text: str | bytes, source: str) -> dict:
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise MalformedCategoryDocument(f"{source}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise MalformedCategoryDocument(f"{source}: not a JSON object")
+    return doc
+
+
+def _read_document(path: Path) -> dict | None:
+    """The JSON object stored at ``path``; None when there is no file."""
+    try:
+        return _decode_object(path.read_bytes(), str(path))
+    except FileNotFoundError:
+        return None
+
+
+def _listdir(path: Path) -> list[str]:
+    try:
+        return os.listdir(path)
+    except FileNotFoundError:
+        return []
 
 
 @dataclass(frozen=True)
@@ -268,24 +278,18 @@ def parse_manifest(text: str) -> list[str]:
     return categories
 
 
-def parse_category_document(category: str, text: str) -> dict[str, PackageMetadata]:
-    """Decode one category document, validating names against the category."""
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise MalformedCategoryDocument(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise MalformedCategoryDocument("category document must be an object")
-    result: dict[str, PackageMetadata] = {}
-    for name, meta_doc in doc.items():
-        meta = PackageMetadata.from_document(meta_doc)
+def parse_category_document(category: str, text: str) -> dict[str, dict]:
+    """Decode one category document, validating every entry and its name
+    against the category."""
+    doc = _decode_object(text, f"category {category}")
+    for name, entry in doc.items():
+        meta = PackageMetadata.from_document(entry)
         if meta.name.category != category or meta.name.name != name:
             raise MalformedCategoryDocument(
                 f"entry {name!r} names package {meta.name}, expected "
                 f"{category}/{name}"
             )
-        result[name] = meta
-    return result
+    return doc
 
 
 def write_store(root: str | Path, packages: Iterable[PackageMetadata]) -> None:
@@ -294,9 +298,8 @@ def write_store(root: str | Path, packages: Iterable[PackageMetadata]) -> None:
     root.mkdir(parents=True, exist_ok=True)
     by_category: dict[str, dict[str, dict]] = {}
     for meta in packages:
-        doc = meta.stripped_remote().to_document()
-        doc.pop("required_by", None)
-        by_category.setdefault(meta.name.category, {})[meta.name.name] = doc
+        category = by_category.setdefault(meta.name.category, {})
+        category[meta.name.name] = meta.to_document()
     manifest = "".join(f"{c}\n" for c in sorted(by_category))
     (root / MANIFEST_FILE).write_text(manifest, encoding="utf-8")
     for category, doc in by_category.items():
@@ -314,21 +317,31 @@ class LocalDb:
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        self.store_dir = self.root / STORE_DIR
+        self.local_dir = self.root / LOCAL_DIR
+        # category -> (stat stamp of its file, decoded document)
+        self._categories: dict[str, tuple[tuple[int, int, int], dict]] = {}
+        for path in self.root.glob(f"*/*/{METADATA_FILE}"):
+            if path.is_file():
+                raise DatabaseLayoutError(
+                    f"{path}: a database of an earlier layout, left unread; move"
+                    f" {self.root} aside, run `pacloud -u` and install again the"
+                    f" packages its documents mark \"explicit\": true"
+                )
 
     # --- paths ---
 
     def package_dir(self, package: PackageId) -> Path:
-        return self.root / package.category / package.name
+        return self.local_dir / package.category / package.name
 
     def metadata_path(self, package: PackageId) -> Path:
         return self.package_dir(package) / METADATA_FILE
 
+    def category_path(self, category: str) -> Path:
+        return self.store_dir / f"{category}.json"
+
     def archive_path(self, key: BuildKey) -> Path:
-        return (
-            self.package_dir(key.package)
-            / ARCHIVE_DIR
-            / f"{key.path_token()}.tar"
-        )
+        return self.package_dir(key.package) / f"{key.path_token()}.tar"
 
     @contextmanager
     def write_lock(self) -> Iterator[None]:
@@ -342,140 +355,116 @@ class LocalDb:
 
     # --- reading ---
 
+    def _category(self, category: str) -> dict:
+        """The decoded category document, {} if none; shared, not to change."""
+        path = self.category_path(category)
+        try:
+            st = path.stat()
+        except FileNotFoundError:
+            return {}
+        stamp = (st.st_ino, st.st_size, st.st_mtime_ns)
+        if self._categories.get(category, (None,))[0] != stamp:
+            self._categories[category] = (stamp, _read_document(path) or {})
+        return self._categories[category][1]
+
     def get_metadata(self, package: PackageId) -> PackageMetadata | None:
-        path = self.metadata_path(package)
-        if not path.is_file():
+        entry = self._category(package.category).get(package.name)
+        local = _read_document(self.metadata_path(package))
+        if entry is None and local is None:
             return None
-        return _read_metadata(path)
+        entry, local = entry or {}, local or {}
+        return PackageMetadata.from_document({
+            **local,
+            "name": package.render(),
+            "description": entry.get("description", ""),
+            # the store's versions, and the installed one if it dropped it
+            "versions": {**local.get("versions", {}), **entry.get("versions", {})},
+        })
 
-    def _metadata_paths(self, needle: str = "") -> list[Path]:
-        """Document paths of the packages whose ``category/name`` contains
-        ``needle`` (case-insensitive), in canonical string order.
-
-        Only directory names are compared, so no document is opened.
-        """
-        if not self.root.is_dir():
-            return []
+    def _packages(self, needle: str = "") -> Iterator[PackageMetadata]:
+        """The packages whose ``category/name`` contains ``needle``
+        (case-insensitive), in canonical string order."""
+        names = {
+            f"{category}/{name}"
+            for category in _listdir(self.local_dir)
+            for name in _listdir(self.local_dir / category)
+        }
+        for file in _listdir(self.store_dir):
+            category = file.removesuffix(".json")
+            names.update(f"{category}/{name}" for name in self._category(category))
         needle = needle.lower()
-        found: list[tuple[str, str]] = []
-        with os.scandir(self.root) as categories:
-            for category in categories:
-                if not category.is_dir():
-                    continue
-                with os.scandir(category.path) as names:
-                    for entry in names:
-                        canonical = f"{category.name}/{entry.name}"
-                        if needle not in canonical.lower():
-                            continue
-                        path = os.path.join(entry.path, METADATA_FILE)
-                        if os.path.isfile(path):
-                            found.append((canonical, path))
-        # canonical order is over "category/name", which is not the same
-        # as directory order once '-' meets '/'
-        return [Path(path) for _, path in sorted(found)]
+        for name in sorted(name for name in names if needle in name.lower()):
+            meta = self.get_metadata(PackageId.parse(name))
+            if meta is not None:  # not a directory of archives alone
+                yield meta
 
     def iter_packages(self) -> Iterator[PackageMetadata]:
         """All packages, in canonical (category/name) string order."""
-        for path in self._metadata_paths():
-            yield _read_metadata(path)
+        return self._packages()
 
     def search(self, key: str) -> list[SearchResult]:
-        """Case-insensitive substring match against category/name.
-
-        Matching compares directory names; only the matching packages'
-        documents are read.
-        """
-        results = []
-        for path in self._metadata_paths(key):
-            meta = _read_metadata(path)
-            results.append(
-                SearchResult(
-                    package=meta.name,
-                    versions=tuple(meta.known_versions()),
-                    installed=meta.installed_version(),
-                    description=meta.description,
-                )
-            )
-        return results
+        """Case-insensitive substring match against category/name; only
+        the matching packages are read."""
+        return [
+            SearchResult(meta.name, tuple(meta.known_versions()),
+                         meta.installed_version(), meta.description)
+            for meta in self._packages(key)
+        ]
 
     # --- sync ---
 
     def sync(self, store: PackageStore) -> SyncReport:
-        """Fetch the manifest and every category document, then merge.
+        """Fetch the manifest and every category document, then keep each
+        valid one whole and drop the categories no longer listed.
 
         Everything is fetched before anything is written, so a store
         failure leaves the database untouched. A malformed category is
-        skipped and recorded in the report rather than aborting the sync.
+        skipped, keeping what the last sync stored, and reported.
         """
         report = SyncReport()
         categories = parse_manifest(store.fetch_manifest())
-        fetched: list[tuple[str, dict[str, PackageMetadata]]] = []
+        valid: list[tuple[str, str, dict]] = []
         for category in categories:
             text = store.fetch_category(category)
             try:
-                fetched.append((category, parse_category_document(category, text)))
+                valid.append((category, text, parse_category_document(category, text)))
             except MalformedCategoryDocument as exc:
                 report.skipped_categories.append((category, str(exc)))
         with self.write_lock():
-            for category, packages in fetched:
+            self.store_dir.mkdir(exist_ok=True)
+            for category, text, doc in valid:
                 report.categories_synced += 1
-                for meta in packages.values():
-                    self._merge_remote(meta, report)
+                try:
+                    old = self._category(category)
+                except MalformedCategoryDocument:
+                    old = None  # a damaged copy is replaced whole
+                for name, entry in doc.items():
+                    if name not in (old or {}):
+                        report.packages_added += 1
+                    elif old[name] == entry:
+                        report.packages_unchanged += 1
+                    else:
+                        report.packages_updated += 1
+                if doc != old:
+                    rewrite_text(self.category_path(category), text)
+                    self._categories.pop(category, None)
+            for file in _listdir(self.store_dir):
+                if file.removesuffix(".json") not in categories:
+                    (self.store_dir / file).unlink()
         return report
-
-    def _merge_remote(self, remote: PackageMetadata, report: SyncReport) -> None:
-        path = self.metadata_path(remote.name)
-        local = self.get_metadata(remote.name)
-        if local is None:
-            merged = remote
-        else:
-            versions = dict(remote.versions)
-            if local.installed is not None and local.installed not in versions:
-                # The installed version vanished upstream; keep its entry so
-                # the install state stays self-consistent.
-                versions[local.installed] = local.versions[local.installed]
-            merged = PackageMetadata(
-                name=remote.name,
-                description=remote.description,
-                versions=versions,
-                installed=local.installed,
-                explicit=local.explicit,
-                required_by=local.required_by,
-                files=local.files,
-                depends=local.depends,
-            )
-        text = dump_document(merged.to_document())
-        if local is None:
-            report.packages_added += 1
-        elif path.read_text(encoding="utf-8") == text:
-            report.packages_unchanged += 1
-            return
-        else:
-            report.packages_updated += 1
-        path.parent.mkdir(parents=True, exist_ok=True)
-        rewrite_text(path, text)
 
     # --- install state ---
 
     def _write_metadata(self, meta: PackageMetadata) -> None:
+        """Write the package's local state, or delete its emptied document."""
         path = self.metadata_path(meta.name)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        rewrite_text(path, dump_document(meta.to_document()))
-
-    def installed_depends(self, meta: PackageMetadata) -> list[PackageId]:
-        """An installed package's forward edges: the packages it depends
-        on. Empty when the package is not installed."""
-        if meta.installed is None:
-            return []
-        if meta.depends is not None:
-            return meta.depends
-        # Installed before documents carried ``depends``: rebuild the
-        # forward edges from the reverse ones with one scan.
-        return [
-            other.name
-            for other in self.iter_packages()
-            if meta.name in other.required_by
-        ]
+        doc = meta.local_document()
+        if doc is None:
+            path.unlink(missing_ok=True)
+            prune_empty_dirs(path.parent, self.root)
+        else:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            rewrite_text(path, dump_document(doc))
 
     def record_install(
         self,
@@ -539,7 +528,7 @@ class LocalDb:
         changes of several calls accumulate in the same objects."""
         package, new = meta.name, deps or []
         changed = {package: meta}
-        for dep in self.installed_depends(meta):
+        for dep in meta.depends or []:
             other = get(dep)
             if dep not in new and other and package in other.required_by:
                 other.required_by.remove(package)
@@ -565,14 +554,16 @@ class LocalDb:
         path.write_bytes(data)
 
     def remove_cached_archives(self, package: PackageId) -> None:
-        archive_dir = self.package_dir(package) / ARCHIVE_DIR
-        if archive_dir.is_dir():
-            shutil.rmtree(archive_dir)
+        directory = self.package_dir(package)
+        for archive in directory.glob("*.tar"):
+            archive.unlink()
+        prune_empty_dirs(directory, self.root)
 
     # --- integrity ---
 
     def validate(self) -> list[str]:
-        """Full-tree scan of document and referential invariants."""
+        """Full scan of every category entry and local document, and of
+        the edges between packages."""
         from . import depparse  # local import: depparse depends on this module
 
         problems: list[str] = []
@@ -586,6 +577,8 @@ class LocalDb:
                     problems.append(f"{meta.name}: files present but not installed")
                 if meta.depends is not None:
                     problems.append(f"{meta.name}: depends present but not installed")
+                if not meta.required_by and self.metadata_path(meta.name).is_file():
+                    problems.append(f"{meta.name}: local document holds no state")
             for rendered, info in meta.versions.items():
                 for dep in info.dependencies:
                     try:
@@ -610,10 +603,7 @@ class LocalDb:
                         f"{meta.name}: required_by {requirer} which is "
                         f"not installed"
                     )
-                # A requirer installed before documents carried ``depends``
-                # has no forward edges to compare against.
-                elif (requirer_meta.depends is not None
-                      and meta.name not in requirer_meta.depends):
+                elif meta.name not in (requirer_meta.depends or []):
                     problems.append(
                         f"{meta.name}: required_by {requirer} whose depends "
                         f"does not list it"

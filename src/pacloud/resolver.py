@@ -336,7 +336,7 @@ def _tarjan(
 
 
 def compute_orphans(
-    db: "OrphanSource", roots: Iterable[PackageId]
+    db: MetadataSource, roots: Iterable[PackageId]
 ) -> dict[PackageId, PackageMetadata]:
     """The roots plus their now-unneeded dependencies, each mapped to the
     metadata read for it.
@@ -371,7 +371,7 @@ def compute_orphans(
         removal[pkg] = meta
     work = list(root_list)
     while work:
-        for dep in db.installed_depends(removal[work.pop()]):
+        for dep in removal[work.pop()].depends or []:
             if dep in removal:
                 continue
             meta = installed(dep)
@@ -399,7 +399,3 @@ def compute_orphans(
     }
     components = ordered_components(sorted(removal), edges)
     return {pkg: removal[pkg] for component in components for pkg in component}
-
-
-class OrphanSource(MetadataSource, Protocol):
-    def installed_depends(self, meta: PackageMetadata) -> list[PackageId]: ...

@@ -1,11 +1,16 @@
 import json
 import random
+import re
 
 import pytest
 
 from conftest import NCURSES_VERSIONS, build_sample_metadata
+from pacloud.cli import main
 from pacloud.core import BuildKey, PackageId, UseFlagSet, parse_version
+from pacloud.depparse import parse_atom
 from pacloud.errors import (
+    DatabaseLayoutError,
+    MalformedCategoryDocument,
     MalformedManifest,
     NotInstalled,
     StillRequired,
@@ -18,6 +23,7 @@ from pacloud.localdb import (
     LocalDb,
     PackageMetadata,
     VersionInfo,
+    dump_document,
     parse_manifest,
     write_store,
 )
@@ -30,11 +36,11 @@ def pkg(text):
 
 
 def tree_snapshot(root):
-    """Relative path -> bytes for every file under root."""
+    """Relative path -> bytes for every file under root, None for every
+    directory."""
     return {
-        str(path.relative_to(root)): path.read_bytes()
+        str(path.relative_to(root)): path.read_bytes() if path.is_file() else None
         for path in sorted(root.rglob("*"))
-        if path.is_file()
     }
 
 
@@ -95,8 +101,9 @@ class TestSync:
         assert report.categories_synced == 3  # sys-libs, app-editors, sys-apps
         assert report.packages_added == 4
         assert report.packages_updated == 0
-        assert (db.root / "sys-libs" / "ncurses" / "metadata.json").is_file()
-        assert (db.root / "app-editors" / "vim" / "metadata.json").is_file()
+        assert db.category_path("sys-libs").is_file()
+        assert db.category_path("app-editors").is_file()
+        assert sorted(p.name for p in db.root.iterdir()) == [".lock", "store"]
 
     def test_sync_idempotent_and_byte_identical(self, db, store_dir):
         store = DirectoryStore(store_dir)
@@ -149,7 +156,7 @@ class TestSync:
         report = db.sync(DirectoryStore(store_dir))
         assert [c for c, _ in report.skipped_categories] == ["sys-libs"]
         assert report.categories_synced == 2
-        assert not (db.root / "sys-libs").exists()
+        assert not db.category_path("sys-libs").exists()
 
     def test_remote_wins_for_descriptions(self, db, store_dir, tmp_path):
         db.sync(DirectoryStore(store_dir))
@@ -262,38 +269,8 @@ class TestInstallState:
         doc = json.loads(self.db.metadata_path(self.vim).read_text())
         assert doc["depends"] == ["sys-libs/ncurses"]
         self.db.record_removal(self.vim)
-        doc = json.loads(self.db.metadata_path(self.vim).read_text())
-        assert "depends" not in doc
-
-    def _install_vim_without_depends(self):
-        """Install vim over ncurses, then drop ``depends`` from vim's
-        document, as a database written before the field existed has it."""
-        self.db.record_install(self.ncurses, parse_version("6.1-r2"), False, [], [])
-        self.db.record_install(
-            self.vim, parse_version("8.1"), True, [self.ncurses], []
-        )
-        path = self.db.metadata_path(self.vim)
-        doc = json.loads(path.read_text())
-        del doc["depends"]
-        path.write_text(json.dumps(doc), encoding="utf-8")
-
-    def test_removal_without_depends_field(self):
-        self._install_vim_without_depends()
-        self.db.record_removal(self.vim)
-        assert all(
-            self.vim not in meta.required_by for meta in self.db.iter_packages()
-        )
-        assert self.db.validate() == []
-
-    def test_reinstall_without_depends_field(self):
-        acl = pkg("sys-apps/acl")
-        self._install_vim_without_depends()
-        self.db.record_install(acl, parse_version("2.2.53"), False, [], [])
-        self.db.record_install(self.vim, parse_version("8.1"), True, [acl], [])
-        assert self.db.get_metadata(self.ncurses).required_by == []
-        assert self.db.get_metadata(acl).required_by == [self.vim]
-        assert self.db.get_metadata(self.vim).depends == [acl]
-        assert self.db.validate() == []
+        assert not self.db.package_dir(self.vim).exists()
+        assert self.db.get_metadata(self.vim).depends is None
 
     def test_unknown_version(self):
         with pytest.raises(UnknownVersion):
@@ -335,14 +312,23 @@ class TestInstallState:
         assert self.db.validate() == []
 
     def test_validate_reports_corruption(self):
-        path = self.db.metadata_path(self.vim)
+        path = self.db.category_path("app-editors")
         doc = json.loads(path.read_text())
-        doc["versions"]["8.1"]["dependencies"] = ["gtk? ( broken"]
-        doc["required_by"] = ["sys-libs/ncurses"]  # not installed
+        doc["vim"]["versions"]["8.1"]["dependencies"] = ["gtk? ( broken"]
         path.write_text(json.dumps(doc), encoding="utf-8")
+        local = self.db.metadata_path(self.vim)
+        local.parent.mkdir(parents=True)
+        local.write_text(
+            json.dumps({"required_by": ["sys-libs/ncurses"]}),  # not installed
+            encoding="utf-8",
+        )
+        empty = self.db.metadata_path(pkg("sys-apps/acl"))
+        empty.parent.mkdir(parents=True)
+        empty.write_text("{}", encoding="utf-8")
         problems = self.db.validate()
         assert any("bad dependency" in p for p in problems)
         assert any("not installed" in p for p in problems)
+        assert "sys-apps/acl: local document holds no state" in problems
 
     @pytest.mark.parametrize("side", ["depends", "required_by"])
     def test_validate_reports_one_sided_edge(self, side):
@@ -482,9 +468,9 @@ class TestArchiveCache:
         db.archive_put(key, b"x")
         expected = (
             db.root
+            / "local"
             / "sys-libs"
             / "ncurses"
-            / "archives"
             / "sys-libs%2Fncurses-6.1-r2[].tar"
         )
         assert expected.is_file()
@@ -586,3 +572,152 @@ def test_an_install_shaped_like_client_churn_reads_and_writes_each_document_once
     assert len(expected) == 19
     assert sorted(reads) == expected
     assert sorted(writes) == expected
+
+
+def meta(name, versions, description="d"):
+    """Store metadata: ``versions`` maps a version to its dependency strings."""
+    return PackageMetadata(
+        name=pkg(name),
+        description=description,
+        versions={v: VersionInfo(tuple(deps)) for v, deps in versions.items()},
+    )
+
+
+def cli_config(tmp_path, db_root, store=None):
+    path = tmp_path / "pacloud.conf"
+    path.write_text(
+        f"[local]\ndb_path = {db_root}\nlog_path = {tmp_path}/pacloud.log\n"
+        f"install_root = {tmp_path}/image\n"
+        + (f"[server]\nstore_url = {store}\n" if store else ""),
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+def test_a_sync_writes_one_file_per_category_and_none_per_package(db, tmp_path):
+    store = tmp_path / "store"
+    write_store(store, [meta(f"c{i % 3}/p{i:03d}", {"1.0": []}) for i in range(60)])
+    report = db.sync(DirectoryStore(store))
+    assert report.packages_added == 60
+    assert [k for k, v in tree_snapshot(db.root).items() if v is not None] == [
+        ".lock", "store/c0.json", "store/c1.json", "store/c2.json"
+    ]
+    assert len(db.search("p0")) == 60
+    # A category the manifest no longer lists is dropped with its packages.
+    write_store(tmp_path / "smaller", [meta("c0/p000", {"1.0": []})])
+    db.sync(DirectoryStore(tmp_path / "smaller"))
+    assert sorted(p.name for p in db.store_dir.iterdir()) == ["c0.json"]
+    assert [m.name.render() for m in db.iter_packages()] == ["c0/p000"]
+
+
+@pytest.mark.parametrize(
+    "target", [".lock/tool", "store/tool", "local/tool", "app-misc/sys-libs.json"]
+)
+def test_names_like_the_fixed_entries_sync_install_and_remove(target, make_env):
+    """A category named like an entry of the database root, or a package
+    named like another category's document, is kept like any other."""
+    env = make_env(metas=[
+        meta(target, {"1.0": ["sys-libs/lib"]}),
+        meta("sys-libs/lib", {"1.0": []}),
+    ])
+    db = env.client.db
+    assert env.client.update().packages_added == 2
+    before = tree_snapshot(db.root)
+    plan = env.client.install([parse_atom(target)])
+    assert [p.render() for p, _ in plan.steps] == ["sys-libs/lib", target]
+    assert db.get_metadata(pkg(target)).installed == "1.0"
+    assert sorted(p.name for p in db.root.iterdir()) == [".lock", "local", "store"]
+    assert db.validate() == []
+    assert [p.render() for p in env.client.remove([pkg(target)])] == [
+        target, "sys-libs/lib"
+    ]
+    assert tree_snapshot(db.root) == before
+    assert tree_snapshot(env.config.install_root) == {}
+    assert db.get_metadata(pkg("sys-libs/lib")).description == "d"
+
+
+@pytest.mark.parametrize("half", ["local", "category"])
+def test_a_torn_document_is_named(half, db, store_dir, tmp_path, capsys):
+    db.sync(DirectoryStore(store_dir))
+    vim = pkg("app-editors/vim")
+    db.record_install(vim, parse_version("8.1"), True, [], ["usr/bin/vim"])
+    path = db.metadata_path(vim) if half == "local" else db.category_path("app-editors")
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+    named = re.escape(str(path))
+    for read in (lambda: db.get_metadata(vim), lambda: db.search("vim"), db.validate):
+        with pytest.raises(MalformedCategoryDocument, match=named):
+            read()
+    config = cli_config(tmp_path, db.root)
+    for verb in (["-s", "vim"], ["-r", "app-editors/vim"]):
+        assert main(["--config", config, *verb]) == 1
+        captured = capsys.readouterr()
+        assert str(path) in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("dropped", ["version", "package"])
+def test_an_installed_version_the_store_no_longer_lists(dropped, make_env, tmp_path):
+    app, lib = pkg("cat/app"), pkg("cat/lib")
+    env = make_env(metas=[
+        meta("cat/app", {"1.0": [">=cat/lib-1.0"], "2.0": []}),
+        meta("cat/lib", {"1.0": []}),
+    ])
+    env.client.update()
+    env.client.install([parse_atom("=cat/app-1.0")])
+    later = [meta("cat/lib", {"1.0": []})]
+    if dropped == "version":
+        later.append(meta("cat/app", {"2.0": []}, description="newer"))
+    write_store(tmp_path / "later", later)
+    db = env.client.db
+    db.sync(DirectoryStore(tmp_path / "later"))
+    got = db.get_metadata(app)
+    assert got.installed == "1.0"
+    assert got.versions["1.0"].dependencies == (">=cat/lib-1.0",)
+    assert got.depends == [lib]
+    assert [str(v) for v in got.known_versions()] == (
+        ["1.0", "2.0"] if dropped == "version" else ["1.0"]
+    )
+    assert db.validate() == []
+    assert env.client.remove([app]) == [app, lib]
+    fresh = LocalDb(tmp_path / "fresh")
+    fresh.sync(DirectoryStore(tmp_path / "later"))
+    assert tree_snapshot(db.root) == tree_snapshot(fresh.root)
+    assert tree_snapshot(env.config.install_root) == {}
+
+
+class TestEarlierLayout:
+    """A database that kept a whole document per package, at
+    ``<root>/<category>/<name>/metadata.json``, is refused unread."""
+
+    @pytest.fixture
+    def old_root(self, tmp_path):
+        root = tmp_path / "db"
+        docs = [
+            {"name": "sys-libs/ncurses", "description": "d", "installed": "6.1-r2",
+             "explicit": False, "files": ["lib/n"], "depends": [],
+             "required_by": ["app-editors/vim"],
+             "versions": {"6.1-r2": {"dependencies": []}}},
+            {"name": "app-editors/vim", "description": "d", "installed": "8.1",
+             "explicit": True, "files": ["bin/vim"], "depends": ["sys-libs/ncurses"],
+             "required_by": [],
+             "versions": {"8.1": {"dependencies": [">=sys-libs/ncurses-6.0"]}}},
+        ]
+        for doc in docs:
+            path = root / doc["name"] / "metadata.json"
+            path.parent.mkdir(parents=True)
+            path.write_text(dump_document(doc), encoding="utf-8")
+        (root / ".lock").write_text("", encoding="utf-8")
+        return root
+
+    def test_refused_before_anything_is_read_or_written(
+        self, old_root, store_dir, tmp_path, capsys
+    ):
+        before = tree_snapshot(old_root)
+        with pytest.raises(DatabaseLayoutError, match="earlier layout"):
+            LocalDb(old_root)
+        config = cli_config(tmp_path, old_root, store_dir)
+        for verb in (["-u"], ["-s", "vim"], ["-r", "app-editors/vim"], ["-U"]):
+            assert main(["--config", config, *verb]) == 1
+            err = capsys.readouterr().err
+            assert "metadata.json" in err and "pacloud -u" in err
+        assert tree_snapshot(old_root) == before

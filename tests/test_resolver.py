@@ -16,7 +16,13 @@ from pacloud.errors import (
     NotInstalled,
     StillRequired,
 )
-from pacloud.localdb import LocalDb, PackageMetadata, VersionInfo, dump_document
+from pacloud.localdb import (
+    DirectoryStore,
+    LocalDb,
+    PackageMetadata,
+    VersionInfo,
+    write_store,
+)
 from pacloud.resolver import (
     compute_orphans,
     ordered_components,
@@ -59,6 +65,13 @@ def make_meta(
 class FakeDb:
     def __init__(self, metas):
         self._metas = {meta.name: meta for meta in metas}
+        # A database records each install edge both ways: give every
+        # installed package the forward edges its required_by lists imply.
+        for meta in metas:
+            if meta.installed is not None and meta.depends is None:
+                meta.depends = [
+                    other.name for other in metas if meta.name in other.required_by
+                ]
 
     def get_metadata(self, package):
         return self._metas.get(package)
@@ -69,14 +82,6 @@ class FakeDb:
             for name in sorted(self._metas, key=PackageId.render)
         ]
 
-    def installed_depends(self, meta):
-        if meta.installed is None:
-            return []
-        return [
-            other.name
-            for other in self.iter_packages()
-            if meta.name in other.required_by
-        ]
 
 
 class TestResolveRuntimeClosure:
@@ -510,11 +515,10 @@ def scan_orphans(db, roots):
 
 
 def random_install_db(rng, root):
-    """A LocalDb holding a random consistent install graph.
+    """A LocalDb holding a random consistent install graph, recorded with
+    ``record_install`` in package order.
 
-    Edges may form cycles; some packages are not installed, and some
-    installed documents lack ``depends``, as written before the field
-    existed.
+    Edges may form cycles, and some packages are not installed.
     """
     n = rng.randint(2, 14)
     names = [pkg(f"c{rng.randint(0, 2)}/p{i:02d}") for i in range(n)]
@@ -526,25 +530,18 @@ def random_install_db(rng, root):
         for i in installed
     }
     explicit = {i for i in installed if rng.random() < 0.2}
+    store = root.with_name(f"{root.name}-store")
+    write_store(store, [
+        PackageMetadata(name=name, description="d", versions={"1.0": VersionInfo()})
+        for name in names
+    ])
     db = LocalDb(root)
-    for i in range(n):
-        inst = i in depends
-        meta = PackageMetadata(
-            name=names[i],
-            description="d",
-            versions={"1.0": VersionInfo()},
-            installed="1.0" if inst else None,
-            explicit=i in explicit,
-            required_by=[names[j] for j in depends if i in depends[j]],
-            files=[] if inst else None,
-            depends=(
-                [names[j] for j in depends[i]]
-                if inst and rng.random() < 0.8 else None
-            ),
+    db.sync(DirectoryStore(store))
+    for i in depends:
+        db.record_install(
+            names[i], parse_version("1.0"), i in explicit,
+            [names[j] for j in depends[i]], [],
         )
-        path = db.metadata_path(meta.name)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(dump_document(meta.to_document()), encoding="utf-8")
     # Mostly packages nothing requires, so that many removals sweep in
     # dependencies; the rest may be required or not installed at all.
     tops = [i for i in depends if not any(i in ds for ds in depends.values())]
