@@ -272,6 +272,39 @@ class TestInstallState:
         assert not self.db.package_dir(self.vim).exists()
         assert self.db.get_metadata(self.vim).depends is None
 
+    def _install_vim_over_uninstalled_ncurses(self):
+        """Record vim over ncurses before ncurses is installed, as a cycle
+        group does: ncurses's local document then holds ``required_by``
+        and no ``depends`` field."""
+        self.db.record_install(
+            self.vim, parse_version("8.1"), True, [self.ncurses], []
+        )
+        doc = json.loads(self.db.metadata_path(self.ncurses).read_text())
+        assert doc == {"required_by": ["app-editors/vim"]}
+        assert self.db.validate() == []
+
+    def test_removal_without_depends_field(self):
+        before = tree_snapshot(self.db.root)
+        self._install_vim_over_uninstalled_ncurses()
+        self.db.record_removal(self.vim)
+        assert all(
+            self.vim not in meta.required_by for meta in self.db.iter_packages()
+        )
+        assert not self.db.package_dir(self.ncurses).exists()
+        assert self.db.validate() == []
+        assert tree_snapshot(self.db.root) == before
+
+    def test_reinstall_without_depends_field(self):
+        acl = pkg("sys-apps/acl")
+        self._install_vim_over_uninstalled_ncurses()
+        self.db.record_install(self.vim, parse_version("8.1"), True, [acl], [])
+        assert self.db.get_metadata(self.ncurses).required_by == []
+        assert self.db.get_metadata(acl).required_by == [self.vim]
+        assert self.db.get_metadata(self.vim).depends == [acl]
+        assert not self.db.package_dir(self.ncurses).exists()
+        assert "depends" not in json.loads(self.db.metadata_path(acl).read_text())
+        assert self.db.validate() == []
+
     def test_unknown_version(self):
         with pytest.raises(UnknownVersion):
             self.db.record_install(self.ncurses, parse_version("9.9"), True, [], [])
