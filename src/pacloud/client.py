@@ -7,12 +7,14 @@ with a poll-sleep loop, downloaded, cached and unpacked. The first error
 stops the walk, leaving the already-completed installs recorded.
 
 Removal unlinks the files of every package in the orphan closure
-(pruning emptied directories), then records the whole set in one
-``record_removal``, which deletes the local documents it empties, and
-drops the cached archives: removing what was just installed restores
-both trees exactly. Each document is read once outside the write lock
-and once under it, and written once. A crash before the recording leaves
-the packages recorded as installed; ``pacloud -r`` again finishes the job.
+(pruning emptied directories), drops their cached archives, then records
+the whole set in one ``record_removal``, which deletes their documents,
+roots last: removing what was just installed restores both trees
+exactly. Finding the closure reads every installed package's document
+once; the recording reads each removed one again under the write lock.
+A crash at any point leaves the roots recorded as installed. Where one
+package was named and the closure holds no dependency cycle, the same
+``pacloud -r`` again finishes the job.
 """
 from __future__ import annotations
 
@@ -273,11 +275,10 @@ class Client:
 
     def remove(self, targets: list[PackageId]) -> list[PackageId]:
         removal = compute_orphans(self.db, targets)
-        for meta in removal.values():
+        for pkg, meta in removal.items():
             self._unlink(meta.files or [])
-        self.db.record_removal(*removal)
-        for pkg in removal:
             self.db.remove_cached_archives(pkg)
+        self.db.record_removal(*removal)
         log_operation(
             self.config,
             "remove: " + " ".join(p.render() for p in removal),
@@ -293,9 +294,9 @@ class Client:
             candidates = list(targets)
         else:
             candidates = [
-                meta.name
-                for meta in self.db.iter_packages()
-                if meta.installed is not None and meta.explicit
+                name
+                for name, meta in self.db.installed_packages().items()
+                if meta.explicit
             ]
         performed: list[tuple[PackageId, Version, Version]] = []
         for pkg in candidates:

@@ -9,17 +9,21 @@ from its installed-package database.
                                                   named by its key's path_token
 
 ``sync`` keeps each valid category document whole: one file per category,
-whatever the package count. A package's own document holds only local
-state (``PackageMetadata.local_document``) and exists exactly while it
-holds some. It is canonical JSON (``dump_document``), so an install
-followed by the removal that undoes it restores the tree byte for byte. ``get_metadata`` joins
-the category entry, decoded once per file ``stat`` and validated per
-read, with that document. ``_set_depends`` keeps both directions of each
-edge, so an install or a removal reads and writes only the package and
-its old and new dependencies. A document that does not decode raises
-``MalformedCategoryDocument`` naming the file. A database of the earlier
-layout, a whole ``<root>/<category>/<name>/metadata.json`` per package,
-is refused when opened, before anything is read or written.
+whatever the package count. A package's own document holds only its
+install state (``PackageMetadata.local_document``) and exists exactly
+while the package is installed. It is canonical JSON (``dump_document``),
+so an install followed by the removal that undoes it restores the tree
+byte for byte. ``get_metadata`` joins the category entry, decoded once
+per file ``stat`` and validated per read, with that document.
+
+Each install edge is stored once, as Portage's ``/var/db/pkg`` stores it:
+in the dependent's ``depends``. An install writes only its package's
+document and a removal only deletes documents. Who requires a package is
+found by inverting ``depends`` over ``installed_packages``, which reads
+every installed package's document once. A document that does not decode
+raises ``MalformedCategoryDocument`` naming the file. A database of the
+earlier layout, a whole ``<root>/<category>/<name>/metadata.json`` per
+package, is refused when opened, before anything is read or written.
 
 The remote store is reached through the PackageStore interface: a
 ``manifest.txt`` of category names at the root, one ``<category>.json``
@@ -29,7 +33,6 @@ blobs addressed by ``store://`` URLs (``wire.artifact_url``).
 from __future__ import annotations
 
 import fcntl
-import functools
 import json
 import os
 from contextlib import contextmanager
@@ -76,7 +79,6 @@ class PackageMetadata:
     versions: dict[str, VersionInfo]
     installed: str | None = None
     explicit: bool = False
-    required_by: list[PackageId] = field(default_factory=list)
     files: list[str] | None = None
     depends: list[PackageId] | None = None
 
@@ -85,11 +87,6 @@ class PackageMetadata:
             raise MalformedCategoryDocument(
                 f"{self.name}: installed version {self.installed!r} "
                 f"is not a known version"
-            )
-        rendered = [p.render() for p in self.required_by]
-        if len(set(rendered)) != len(rendered):
-            raise MalformedCategoryDocument(
-                f"{self.name}: duplicate required_by entries"
             )
 
     def installed_version(self) -> Version | None:
@@ -112,20 +109,19 @@ class PackageMetadata:
         }
 
     def local_document(self) -> dict | None:
-        """The package's own document, None if it has no local state: the
+        """The package's own document, None unless it is installed: the
         install record, with the installed version's entry in case the
-        store drops it, and ``required_by``, the inverse of ``depends``."""
-        doc = {"required_by": sorted(p.render() for p in self.required_by)}
-        if self.installed is not None:
-            info = self.versions[self.installed]
-            doc.update(
-                installed=self.installed,
-                explicit=self.explicit,
-                files=list(self.files or []),
-                depends=sorted(p.render() for p in self.depends or []),
-                versions={self.installed: {"dependencies": list(info.dependencies)}},
-            )
-        return doc if self.installed is not None or self.required_by else None
+        store drops it."""
+        if self.installed is None:
+            return None
+        info = self.versions[self.installed]
+        return {
+            "installed": self.installed,
+            "explicit": self.explicit,
+            "files": list(self.files or []),
+            "depends": sorted(p.render() for p in self.depends or []),
+            "versions": {self.installed: {"dependencies": list(info.dependencies)}},
+        }
 
     @classmethod
     def from_document(cls, doc: object) -> "PackageMetadata":
@@ -140,7 +136,6 @@ class PackageMetadata:
                 if not all(isinstance(d, str) for d in deps):
                     raise TypeError("dependencies must be strings")
                 versions[rendered] = VersionInfo(tuple(deps))
-            required_by = [*map(PackageId.parse, doc.get("required_by", []))]
             files, depends = doc.get("files"), doc.get("depends")
             return cls(
                 name=name,
@@ -148,7 +143,6 @@ class PackageMetadata:
                 versions=versions,
                 installed=doc.get("installed"),
                 explicit=bool(doc.get("explicit", False)),
-                required_by=required_by,
                 files=list(files) if files is not None else None,
                 depends=None if depends is None else [*map(PackageId.parse, depends)],
             )
@@ -381,14 +375,41 @@ class LocalDb:
             "versions": {**local.get("versions", {}), **entry.get("versions", {})},
         })
 
-    def _packages(self, needle: str = "") -> Iterator[PackageMetadata]:
-        """The packages whose ``category/name`` contains ``needle``
-        (case-insensitive), in canonical string order."""
-        names = {
+    def _local_names(self) -> list[str]:
+        """``category/name`` of each package directory under ``local/``, in
+        canonical string order: the installed packages, and any package
+        whose cached archives alone remain."""
+        return sorted(
             f"{category}/{name}"
             for category in _listdir(self.local_dir)
             for name in _listdir(self.local_dir / category)
-        }
+        )
+
+    def _local_metadata(self, package: PackageId) -> PackageMetadata | None:
+        """The package's local document alone, None if it has none."""
+        path = self.metadata_path(package)
+        doc = _read_document(path)
+        if doc is None:
+            return None
+        try:
+            return PackageMetadata.from_document(
+                {"versions": {}, **doc, "name": package.render()}
+            )
+        except MalformedCategoryDocument as exc:
+            raise MalformedCategoryDocument(f"{path}: {exc}") from exc
+
+    def installed_packages(self) -> dict[PackageId, PackageMetadata]:
+        """Every installed package, in canonical string order, read from
+        its local document alone: one read per installed package, whatever
+        the store holds. Inverting their ``depends`` gives each package's
+        requirers."""
+        metas = map(self._local_metadata, map(PackageId.parse, self._local_names()))
+        return {m.name: m for m in metas if m is not None and m.installed is not None}
+
+    def _packages(self, needle: str = "") -> Iterator[PackageMetadata]:
+        """The packages whose ``category/name`` contains ``needle``
+        (case-insensitive), in canonical string order."""
+        names = set(self._local_names())
         for file in _listdir(self.store_dir):
             category = file.removesuffix(".json")
             names.update(f"{category}/{name}" for name in self._category(category))
@@ -455,17 +476,6 @@ class LocalDb:
 
     # --- install state ---
 
-    def _write_metadata(self, meta: PackageMetadata) -> None:
-        """Write the package's local state, or delete its emptied document."""
-        path = self.metadata_path(meta.name)
-        doc = meta.local_document()
-        if doc is None:
-            path.unlink(missing_ok=True)
-            prune_empty_dirs(path.parent, self.root)
-        else:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            rewrite_text(path, dump_document(doc))
-
     def record_install(
         self,
         package: PackageId,
@@ -474,73 +484,52 @@ class LocalDb:
         resolved_deps: Iterable[PackageId],
         files: Iterable[str],
     ) -> None:
-        """Mark a package installed and register it with its dependencies.
+        """Mark a package installed over its resolved runtime dependencies.
 
-        Idempotent: required_by lists end up reflecting exactly this
-        install's dependency list, so re-recording (or recording an
-        upgrade whose dependencies changed) leaves no stale reverse
-        dependencies behind. Only the package, its new dependencies and
-        the ones its previous install recorded are read or written.
+        Writes the package's own document and nothing else, so recording
+        it again, or recording an upgrade whose dependencies changed,
+        replaces whatever it recorded before. Nothing is written unless
+        the package, the version and every dependency are known.
         """
         deps = list(dict.fromkeys(resolved_deps))
         with self.write_lock():
-            get = functools.cache(self.get_metadata)
-            meta = get(package)
+            meta = self.get_metadata(package)
             if meta is None:
                 raise UnknownPackage(f"no metadata for {package}")
             rendered = version.render()
             if rendered not in meta.versions:
                 raise UnknownVersion(f"{package} has no version {rendered}")
-            changed = self._set_depends(meta, deps, get)
+            for dep in deps:
+                if (dep.name not in self._category(dep.category)
+                        and not self.metadata_path(dep).is_file()):
+                    raise UnknownPackage(f"no metadata for dependency {dep}")
             meta.installed = rendered
             meta.explicit = explicit
+            meta.depends = deps
             meta.files = sorted(files)
-            for other in changed.values():
-                self._write_metadata(other)
+            path = self.metadata_path(package)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            rewrite_text(path, dump_document(meta.local_document()))
 
     def record_removal(self, *packages: PackageId) -> None:
-        """Clear the packages' install state and drop each from its
-        dependencies' required_by lists. Nothing is written unless every
-        package is installed."""
+        """Delete the packages' documents, in reverse of the order given,
+        pruning the directories that empties. Nothing is deleted unless
+        every package is installed.
+
+        ``compute_orphans`` lists dependents first, so the roots go last: a
+        crash part way leaves the roots recorded. Where the removal has one
+        root and no dependency cycle, the same removal run again finishes
+        the job.
+        """
         with self.write_lock():
-            get = functools.cache(self.get_metadata)
             for package in packages:
-                meta = get(package)
+                meta = self._local_metadata(package)
                 if meta is None or meta.installed is None:
                     raise NotInstalled(f"{package} is not installed")
-            changed = {}
-            for package in packages:
-                meta = get(package)
-                changed.update(self._set_depends(meta, None, get))
-                meta.installed = None
-                meta.explicit = False
-                meta.files = None
-            for other in changed.values():
-                self._write_metadata(other)
-
-    def _set_depends(
-        self, meta: PackageMetadata, deps: list[PackageId] | None, get
-    ) -> dict[PackageId, PackageMetadata]:
-        """Set ``meta.depends`` and move its package from the required_by
-        lists of its old dependencies to those of the new ones; return the
-        documents to write, ``meta`` first. ``get`` is a cached
-        ``get_metadata``: each document is read once per cache, and the
-        changes of several calls accumulate in the same objects."""
-        package, new = meta.name, deps or []
-        changed = {package: meta}
-        for dep in meta.depends or []:
-            other = get(dep)
-            if dep not in new and other and package in other.required_by:
-                other.required_by.remove(package)
-                changed[dep] = other
-        for dep in new:
-            if (other := get(dep)) is None:
-                raise UnknownPackage(f"no metadata for dependency {dep}")
-            if package not in other.required_by:
-                other.required_by.append(package)
-                changed[dep] = other
-        meta.depends = deps
-        return changed
+            for package in reversed(packages):
+                path = self.metadata_path(package)
+                path.unlink(missing_ok=True)
+                prune_empty_dirs(path.parent, self.root)
 
     # --- archive cache ---
 
@@ -562,23 +551,38 @@ class LocalDb:
     # --- integrity ---
 
     def validate(self) -> list[str]:
-        """Full scan of every category entry and local document, and of
-        the edges between packages."""
+        """Full scan of every category document and every local document.
+        A document that does not decode is reported, naming its file, and
+        the scan goes on."""
         from . import depparse  # local import: depparse depends on this module
 
         problems: list[str] = []
-        metas = {meta.name: meta for meta in self.iter_packages()}
-        for meta in metas.values():
-            if meta.installed is not None:
-                if meta.files is None:
-                    problems.append(f"{meta.name}: installed but no files list")
-            else:
-                if meta.files is not None:
-                    problems.append(f"{meta.name}: files present but not installed")
-                if meta.depends is not None:
-                    problems.append(f"{meta.name}: depends present but not installed")
-                if not meta.required_by and self.metadata_path(meta.name).is_file():
-                    problems.append(f"{meta.name}: local document holds no state")
+        metas: list[PackageMetadata] = []
+        for file in sorted(_listdir(self.store_dir)):
+            try:
+                entries = self._category(file.removesuffix(".json")).values()
+            except MalformedCategoryDocument as exc:  # it names the file
+                problems.append(str(exc))
+                continue
+            for entry in entries:
+                try:
+                    metas.append(PackageMetadata.from_document(entry))
+                except MalformedCategoryDocument as exc:
+                    problems.append(f"{self.store_dir / file}: {exc}")
+        for name in self._local_names():
+            try:
+                meta = self._local_metadata(PackageId.parse(name))
+            except MalformedCategoryDocument as exc:
+                problems.append(str(exc))
+                continue
+            if meta is None:
+                continue
+            if meta.installed is None:
+                problems.append(f"{name}: local document holds no install state")
+            elif meta.files is None:
+                problems.append(f"{name}: installed but no files list")
+            metas.append(meta)
+        for meta in metas:
             for rendered, info in meta.versions.items():
                 for dep in info.dependencies:
                     try:
@@ -588,24 +592,6 @@ class LocalDb:
                             f"{meta.name}-{rendered}: bad dependency "
                             f"{dep!r}: {exc}"
                         )
-        for meta in metas.values():
-            for dep in meta.depends or []:
-                dep_meta = metas.get(dep)
-                if dep_meta is None or meta.name not in dep_meta.required_by:
-                    problems.append(
-                        f"{meta.name}: depends on {dep} whose required_by "
-                        f"does not list it"
-                    )
-            for requirer in meta.required_by:
-                requirer_meta = metas.get(requirer)
-                if requirer_meta is None or requirer_meta.installed is None:
-                    problems.append(
-                        f"{meta.name}: required_by {requirer} which is "
-                        f"not installed"
-                    )
-                elif meta.name not in (requirer_meta.depends or []):
-                    problems.append(
-                        f"{meta.name}: required_by {requirer} whose depends "
-                        f"does not list it"
-                    )
-        return problems
+        # An installed version's entry is in the store and in its local
+        # document alike: report a bad one once.
+        return list(dict.fromkeys(problems))

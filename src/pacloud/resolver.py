@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import heapq
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
@@ -42,6 +43,10 @@ _MAX_PASSES = 1000
 
 class MetadataSource(Protocol):
     def get_metadata(self, package: PackageId) -> PackageMetadata | None: ...
+
+
+class InstalledSource(Protocol):
+    def installed_packages(self) -> dict[PackageId, PackageMetadata]: ...
 
 
 @dataclass(frozen=True)
@@ -336,53 +341,47 @@ def _tarjan(
 
 
 def compute_orphans(
-    db: MetadataSource, roots: Iterable[PackageId]
+    db: InstalledSource, roots: Iterable[PackageId]
 ) -> dict[PackageId, PackageMetadata]:
-    """The roots plus their now-unneeded dependencies, each mapped to the
-    metadata read for it.
+    """The roots plus their now-unneeded dependencies, each mapped to its
+    installed metadata.
 
     Only dependency-installed packages reachable from the removal set are
     swept in, and only once nothing outside the set requires them;
     explicitly installed packages are never auto-removed. The result is
     ordered dependents before dependencies.
 
-    The walk follows forward edges from the removal set, so it reads only
-    the roots and the dependencies it examines, whatever the database
-    size. A package's eligibility changes only when one of its requirers
-    joins the set, and each joining package re-examines its dependencies,
-    so the walk reaches the same fixed point as a scan of every package.
+    A package's requirers are the installed packages whose ``depends``
+    name it: the database stores each edge once, on the dependent, so the
+    installed set is read once, whatever the store's size. The walk
+    follows ``depends`` from the removal set. A package's eligibility
+    changes only when one of its requirers joins the set, and each joining
+    package re-examines its dependencies, so the walk reaches the same
+    fixed point as a scan of every package.
     """
+    installed = db.installed_packages()
+    requirers: defaultdict[PackageId, set[PackageId]] = defaultdict(set)
+    for meta in installed.values():
+        for dep in meta.depends or []:
+            requirers[dep].add(meta.name)
     root_list = list(dict.fromkeys(roots))
-    seen: dict[PackageId, PackageMetadata | None] = {}
-
-    def installed(pkg: PackageId) -> PackageMetadata | None:
-        if pkg not in seen:
-            meta = db.get_metadata(pkg)
-            seen[pkg] = (
-                meta if meta is not None and meta.installed is not None else None
-            )
-        return seen[pkg]
-
     removal: dict[PackageId, PackageMetadata] = {}
     for pkg in root_list:
-        meta = installed(pkg)
-        if meta is None:
+        if pkg not in installed:
             raise NotInstalled(f"{pkg} is not installed")
-        removal[pkg] = meta
+        removal[pkg] = installed[pkg]
     work = list(root_list)
     while work:
         for dep in removal[work.pop()].depends or []:
-            if dep in removal:
+            meta = installed.get(dep)
+            if dep in removal or meta is None or meta.explicit:
                 continue
-            meta = installed(dep)
-            if meta is None or meta.explicit:
-                continue
-            requirers = set(meta.required_by)
-            if requirers and requirers <= removal.keys():
+            # never empty: the package just popped requires dep
+            if requirers[dep] <= removal.keys():
                 removal[dep] = meta
                 work.append(dep)
     for pkg in root_list:
-        outside = set(removal[pkg].required_by) - removal.keys()
+        outside = requirers[pkg] - removal.keys()
         if outside:
             raise StillRequired(
                 f"{pkg} is still required by "
@@ -391,11 +390,8 @@ def compute_orphans(
     # Dependents first: each member points at its in-set requirers, so the
     # pointee-first component order emits requirers before the required.
     edges = {
-        pkg: sorted(
-            (r for r in meta.required_by if r in removal),
-            key=PackageId.render,
-        )
-        for pkg, meta in removal.items()
+        pkg: sorted(requirers[pkg] & removal.keys(), key=PackageId.render)
+        for pkg in removal
     }
     components = ordered_components(sorted(removal), edges)
     return {pkg: removal[pkg] for component in components for pkg in component}

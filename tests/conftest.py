@@ -90,6 +90,16 @@ def build_sample_metadata():
     return metas
 
 
+def requirers(db, package):
+    """The installed packages whose ``depends`` name ``package``, in
+    canonical string order: its requirers, as the database derives them."""
+    return [
+        name
+        for name, meta in db.installed_packages().items()
+        if package in (meta.depends or [])
+    ]
+
+
 @pytest.fixture
 def store_dir(tmp_path):
     root = tmp_path / "store"

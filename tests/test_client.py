@@ -1,5 +1,9 @@
+import itertools
+from pathlib import Path
+
 import pytest
 
+from conftest import requirers
 from pacloud.client import (
     Client,
     await_package,
@@ -26,15 +30,16 @@ from pacloud.errors import (
     UnpackError,
 )
 from pacloud.config import Config
+from pacloud import localdb
 from pacloud.farm import JobProfile, VirtualClock, build_artifact_tar
 from pacloud.localdb import (
     DirectoryStore,
-    LocalDb,
     PackageMetadata,
     VersionInfo,
     write_store,
 )
 from pacloud.wire import STATUS_AVAILABLE, STATUS_PENDING
+from test_localdb import tree_snapshot
 
 
 def pkg(text):
@@ -180,9 +185,9 @@ class TestInstall:
         assert vim.explicit is True
         core = env.client.db.get_metadata(pkg("app-editors/vim-core"))
         assert core.explicit is False
-        assert pkg("app-editors/vim") in env.client.db.get_metadata(
-            pkg("sys-libs/ncurses")
-        ).required_by
+        assert pkg("app-editors/vim") in requirers(
+            env.client.db, pkg("sys-libs/ncurses")
+        )
 
     def test_files_on_disk_match_recorded(self, env):
         env.client.update()
@@ -353,7 +358,8 @@ class TestUpdateVerb:
 
 
 class TestReadsDoNotGrowWithDatabase:
-    """Remove and search read only the documents they walk or return."""
+    """Remove, upgrade and search read only the installed packages'
+    documents or the ones they return."""
 
     @pytest.fixture(params=[20, 400])
     def sized(self, request, tmp_path):
@@ -395,21 +401,28 @@ class TestReadsDoNotGrowWithDatabase:
         sized.db.record_install(a, v, True, [b, c], [])
         reads = self.count_reads(monkeypatch)
         writes = []
-        real_write = LocalDb._write_metadata
-
-        def counting_write(db, meta):
-            writes.append(meta.name.render())
-            real_write(db, meta)
-
-        monkeypatch.setattr(LocalDb, "_write_metadata", counting_write)
+        monkeypatch.setattr(localdb, "rewrite_text", lambda *args: writes.append(args))
         assert sized.remove([a]) == [a, b, c]
         monkeypatch.undo()
         assert sized.db.validate() == []
-        # compute_orphans reads each once and hands back what it read; the
-        # one record_removal reads each once more under the lock and
-        # writes each once. A scan would read every document.
+        # compute_orphans reads each installed document once and hands
+        # back what it read; the one record_removal reads each once more
+        # under the lock and deletes it. A scan would read every document.
         assert sorted(reads) == sorted([a.render(), b.render(), c.render()] * 2)
-        assert sorted(writes) == [a.render(), b.render(), c.render()]
+        assert writes == []
+
+    def test_upgrade_without_targets(self, sized, monkeypatch):
+        a, b, c = (pkg(f"cat/p{i:03d}") for i in range(3))
+        v = parse_version("1.0")
+        sized.db.record_install(b, v, False, [], [])
+        sized.db.record_install(c, v, True, [], [])
+        sized.db.record_install(a, v, True, [b, c], [])
+        reads = self.count_reads(monkeypatch)
+        assert sized.upgrade() == []
+        monkeypatch.undo()
+        # The installed documents once to find the explicit packages, then
+        # each explicit one joined with its store entry.
+        assert sorted(reads) == sorted(p.render() for p in [a, a, b, c, c])
 
     def test_search(self, sized, monkeypatch):
         reads = self.count_reads(monkeypatch)
@@ -418,3 +431,81 @@ class TestReadsDoNotGrowWithDatabase:
         names = [f"cat/p{i:03d}" for i in range(10)]
         assert [r.package.render() for r in results] == names
         assert reads == names
+
+
+class Crash(Exception):
+    """Stands for the process dying between two file operations."""
+
+
+def crash_at(monkeypatch, root, k):
+    """Make the ``k``-th file write or deletion under ``root`` raise
+    ``Crash`` instead of happening; return the ones that happened."""
+    done = []
+
+    def wrap(real):
+        def operation(path, *args, **kwargs):
+            if Path(path).is_relative_to(root):
+                if len(done) == k:
+                    raise Crash(path)
+                done.append(path)
+            return real(path, *args, **kwargs)
+        return operation
+
+    monkeypatch.setattr(localdb, "rewrite_text", wrap(localdb.rewrite_text))
+    monkeypatch.setattr(Path, "write_bytes", wrap(Path.write_bytes))
+    monkeypatch.setattr(Path, "unlink", wrap(Path.unlink))
+    return done
+
+
+@pytest.mark.parametrize("verb", ["install", "remove"])
+def test_a_crash_at_any_write_is_finished_by_the_same_verb(
+    verb, make_env, tmp_path, monkeypatch
+):
+    """client-churn's shape: an app over four private libraries, each over
+    two of the installed core libraries. A crash before each file write or
+    deletion in the database, then the same verb run again, leaves a valid
+    database; installing and removing the app restores both trees."""
+    cores = [f"core/c{i}" for i in range(4)]
+    libs = [f"app/lib{k}" for k in range(4)]
+    deps = {core: [] for core in cores}
+    deps.update({lib: [cores[k], cores[(k + 1) % 4]] for k, lib in enumerate(libs)})
+    deps["app/app"] = cores[:2] + libs
+    env = make_env(metas=[
+        PackageMetadata(pkg(name), "d", {"1.0": VersionInfo(tuple(names))})
+        for name, names in deps.items()
+    ])
+    app = pkg("app/app")
+    for k in itertools.count():
+        config = Config(
+            db_path=tmp_path / f"db{k}",
+            log_path=tmp_path / "pacloud.log",
+            install_root=tmp_path / f"image{k}",
+        )
+        client = Client(
+            config, store=env.store, transport=env.transport, clock=env.clock
+        )
+        client.update()
+        client.install([parse_atom(core) for core in cores])
+        before = tree_snapshot(config.db_path), tree_snapshot(config.install_root)
+        run = {
+            "install": lambda: client.install([DependencyAtom(Specifier.ANY, app)]),
+            "remove": lambda: client.remove([app]),
+        }[verb]
+        if verb == "remove":
+            client.install([DependencyAtom(Specifier.ANY, app)])
+        with monkeypatch.context() as patched:
+            done = crash_at(patched, config.db_path, k)
+            try:
+                run()
+            except Crash:
+                pass
+            else:
+                break  # k is past the verb's last file operation
+        run()
+        assert client.db.validate() == [], k
+        if verb == "install":
+            client.remove([app])
+        after = tree_snapshot(config.db_path), tree_snapshot(config.install_root)
+        assert after == before, k
+    # Five archives and five documents, each written or deleted once.
+    assert k == len(done) == 10

@@ -45,9 +45,11 @@ def make_meta(
     versions,
     installed=None,
     explicit=False,
-    required_by=(),
+    depends=(),
     files=None,
 ):
+    """Metadata as the database reads it; ``depends`` is recorded only for
+    an installed package."""
     return PackageMetadata(
         name=pkg(name),
         description=f"the {name} package",
@@ -57,21 +59,14 @@ def make_meta(
         },
         installed=installed,
         explicit=explicit,
-        required_by=[pkg(p) for p in required_by],
         files=list(files) if files is not None else (["f"] if installed else None),
+        depends=[pkg(p) for p in depends] if installed else None,
     )
 
 
 class FakeDb:
     def __init__(self, metas):
         self._metas = {meta.name: meta for meta in metas}
-        # A database records each install edge both ways: give every
-        # installed package the forward edges its required_by lists imply.
-        for meta in metas:
-            if meta.installed is not None and meta.depends is None:
-                meta.depends = [
-                    other.name for other in metas if meta.name in other.required_by
-                ]
 
     def get_metadata(self, package):
         return self._metas.get(package)
@@ -82,6 +77,12 @@ class FakeDb:
             for name in sorted(self._metas, key=PackageId.render)
         ]
 
+    def installed_packages(self):
+        return {
+            meta.name: meta
+            for meta in self.iter_packages()
+            if meta.installed is not None
+        }
 
 
 class TestResolveRuntimeClosure:
@@ -294,8 +295,11 @@ class TestComputeOrphans:
     def test_dep_installed_orphan_swept(self):
         db = FakeDb(
             [
-                make_meta("cat/a", {"1.0": ["cat/b"]}, installed="1.0", explicit=True),
-                make_meta("cat/b", {"1.0": []}, installed="1.0", required_by=["cat/a"]),
+                make_meta(
+                    "cat/a", {"1.0": ["cat/b"]}, installed="1.0", explicit=True,
+                    depends=["cat/b"],
+                ),
+                make_meta("cat/b", {"1.0": []}, installed="1.0"),
             ]
         )
         order = compute_orphans(db, [pkg("cat/a")])
@@ -304,14 +308,15 @@ class TestComputeOrphans:
     def test_dep_still_required_by_other_explicit(self):
         db = FakeDb(
             [
-                make_meta("cat/a", {"1.0": ["cat/b"]}, installed="1.0", explicit=True),
                 make_meta(
-                    "cat/b",
-                    {"1.0": []},
-                    installed="1.0",
-                    required_by=["cat/a", "cat/c"],
+                    "cat/a", {"1.0": ["cat/b"]}, installed="1.0", explicit=True,
+                    depends=["cat/b"],
                 ),
-                make_meta("cat/c", {"1.0": ["cat/b"]}, installed="1.0", explicit=True),
+                make_meta("cat/b", {"1.0": []}, installed="1.0"),
+                make_meta(
+                    "cat/c", {"1.0": ["cat/b"]}, installed="1.0", explicit=True,
+                    depends=["cat/b"],
+                ),
             ]
         )
         order = compute_orphans(db, [pkg("cat/a")])
@@ -320,8 +325,11 @@ class TestComputeOrphans:
     def test_removing_required_root_fails(self):
         db = FakeDb(
             [
-                make_meta("cat/a", {"1.0": ["cat/b"]}, installed="1.0", explicit=True),
-                make_meta("cat/b", {"1.0": []}, installed="1.0", required_by=["cat/a"]),
+                make_meta(
+                    "cat/a", {"1.0": ["cat/b"]}, installed="1.0", explicit=True,
+                    depends=["cat/b"],
+                ),
+                make_meta("cat/b", {"1.0": []}, installed="1.0"),
             ]
         )
         with pytest.raises(StillRequired):
@@ -335,14 +343,11 @@ class TestComputeOrphans:
     def test_explicit_packages_never_auto_removed(self):
         db = FakeDb(
             [
-                make_meta("cat/a", {"1.0": ["cat/b"]}, installed="1.0", explicit=True),
                 make_meta(
-                    "cat/b",
-                    {"1.0": []},
-                    installed="1.0",
-                    explicit=True,
-                    required_by=["cat/a"],
+                    "cat/a", {"1.0": ["cat/b"]}, installed="1.0", explicit=True,
+                    depends=["cat/b"],
                 ),
+                make_meta("cat/b", {"1.0": []}, installed="1.0", explicit=True),
             ]
         )
         order = compute_orphans(db, [pkg("cat/a")])
@@ -376,27 +381,24 @@ class TestComputeOrphans:
             explicit = {0} | ({1} if has_second_root else set())
             # every dep-installed node must have a requirer; attach strays
             # to an explicit root so the whole graph is a recorded install
-            parents = {i: set() for i in range(n)}
-            for i, ds in deps.items():
-                for j in ds:
-                    parents[j].add(i)
+            required = {j for ds in deps.values() for j in ds}
             for i in range(n):
-                if i not in explicit and not parents[i]:
+                if i not in explicit and i not in required:
                     deps[0].append(i)
-                    parents[i].add(0)
             metas = []
             for i in range(n):
+                names = [f"cat/p{j:02d}" for j in deps[i]]
                 metas.append(
                     make_meta(
                         f"cat/p{i:02d}",
-                        {"1.0": [f"cat/p{j:02d}" for j in deps[i]]},
+                        {"1.0": names},
                         installed="1.0",
                         explicit=i in explicit,
-                        required_by=[f"cat/p{j:02d}" for j in sorted(parents[i])],
+                        depends=names,
                     )
                 )
             db = FakeDb(metas)
-            if parents[0]:
+            if 0 in required:
                 continue  # target would be StillRequired; not this test
             order = compute_orphans(db, [pkg("cat/p00")])
             removed = {p.render() for p in order}
@@ -476,7 +478,8 @@ class TestResolutionMemo:
 def scan_orphans(db, roots):
     """The whole-database scan compute_orphans replaced, kept as its
     reference: same rule, applied to every installed package until no
-    package joins."""
+    package joins. Each package's requirers are the installed packages
+    whose ``depends`` name it."""
     root_list = []
     for p in roots:
         if p not in root_list:
@@ -485,6 +488,9 @@ def scan_orphans(db, roots):
     for p in root_list:
         if p not in metas:
             raise NotInstalled(f"{p} is not installed")
+    required_by = {
+        p: {q for q in metas if p in metas[q].depends} for p in metas
+    }
     removal = set(root_list)
     changed = True
     while changed:
@@ -492,12 +498,12 @@ def scan_orphans(db, roots):
         for p in sorted(metas, key=PackageId.render):
             if p in removal or metas[p].explicit:
                 continue
-            requirers = set(metas[p].required_by)
+            requirers = required_by[p]
             if requirers and requirers <= removal:
                 removal.add(p)
                 changed = True
     for p in root_list:
-        outside = set(metas[p].required_by) - removal
+        outside = required_by[p] - removal
         if outside:
             raise StillRequired(
                 f"{p} is still required by "
@@ -505,7 +511,7 @@ def scan_orphans(db, roots):
             )
     edges = {
         p: sorted(
-            (r for r in metas[p].required_by if r in removal),
+            (r for r in required_by[p] if r in removal),
             key=PackageId.render,
         )
         for p in removal

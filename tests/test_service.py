@@ -564,13 +564,20 @@ class TestFarmPersistence:
 
 
 class TestServiceMode:
+    KEY_BUILD_S = 0.5
+
     @pytest.fixture
     def wall_farm(self, tmp_path):
-        """A disk-backed farm in service mode on the wall clock."""
+        """A disk-backed farm in service mode on the wall clock. ``KEY``
+        builds for ``KEY_BUILD_S``, long enough to be seen building between
+        two pump rounds; every other key builds for 0.01 s."""
         farm = BuildFarm(
             clock=WallClock(),
             root=tmp_path,
-            executor_table=ExecutorTable(default=JobProfile(duration=0.01)),
+            executor_table=ExecutorTable(
+                {KEY.canonical(): JobProfile(duration=self.KEY_BUILD_S)},
+                default=JobProfile(duration=0.01),
+            ),
             num_workers=4,
             worker_poll_interval=0.02,
         )
@@ -617,7 +624,7 @@ class TestServiceMode:
 
         with farm.lock:
             assert status() == "pending"
-            time.sleep(0.3)  # the 0.01 s build is long due
+            time.sleep(self.KEY_BUILD_S + 0.3)  # the build is long due
             assert status() == "pending"
         assert self.wait_under_lock(farm, lambda: status() == "built")
 
