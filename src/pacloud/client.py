@@ -6,6 +6,12 @@ archive is reused without touching the wire, anything else is awaited
 with a poll-sleep loop, downloaded, cached and unpacked. The first error
 stops the walk, leaving the already-completed installs recorded.
 
+Installing a package that is already installed, at any version, replaces
+it as Portage merges over an installed version: once the new install is
+recorded, the files of the replaced one that the new one does not list
+are unlinked. ``upgrade`` only picks the highest known version and
+installs it this way.
+
 Removal unlinks the files of every package in the orphan closure
 (pruning emptied directories), drops their cached archives, then records
 the whole set in one ``record_removal``, which deletes their documents,
@@ -310,16 +316,12 @@ class Client:
             )
             if best is None or compare_versions(best, installed) <= 0:
                 continue
-            old_files = set(meta.files or [])
             plan = resolve_runtime_closure(
                 [DependencyAtom(Specifier.EQ, pkg, best)],
                 self.db,
                 self.config.use_flags,
             )
             self._install_plan(plan, {pkg: meta.explicit})
-            new_meta = self.db.get_metadata(pkg)
-            assert new_meta is not None
-            self._unlink(sorted(old_files - set(new_meta.files or [])))
             performed.append((pkg, installed, best))
         log_operation(
             self.config,
@@ -359,13 +361,16 @@ class Client:
                 data = self.store.fetch_artifact(url)
                 self.db.archive_put(key, data)
             files = unpack_archive(data, self.config.install_root)
-            self.db.record_install(
+            replaced = self.db.record_install(
                 pkg,
                 version,
                 explicit.get(pkg, False),
                 plan.dependencies.get(pkg, ()),
                 files,
             )
+            stale = set(replaced).difference(files)
+            if stale:
+                self._unlink(sorted(stale))
 
     def _unlink(self, files: list[str]) -> None:
         """Delete installed files, pruning the directories they empty."""

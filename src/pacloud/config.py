@@ -23,20 +23,6 @@ logger = logging.getLogger("pacloud.config")
 DEFAULT_CONFIG_PATH = "/etc/pacloud/pacloud.conf"
 CONFIG_ENV_VAR = "PACLOUD_CONFIG"
 
-_KNOWN_KEYS = {
-    ("local", "db_path"),
-    ("local", "log_path"),
-    ("local", "install_root"),
-    ("server", "api_url"),
-    ("server", "store_url"),
-    ("user", "use_flags"),
-    ("user", "arch"),
-    ("user", "cflags"),
-    ("client", "poll_interval"),
-    ("client", "timeout"),
-}
-
-
 @dataclass
 class Config:
     db_path: Path = Path("/var/lib/pacloud/db")
@@ -70,13 +56,24 @@ def _unquote(value: str) -> str:
     return value
 
 
-def _float(section: str, key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError as exc:
-        raise MalformedConfigValue(
-            f"{section}.{key} is not a number: {value!r}"
-        ) from exc
+def _url(value: str) -> str | None:
+    return value or None
+
+
+# (section, key) -> converter of the unquoted value; each key names the
+# Config field it sets.
+_KEYS = {
+    ("local", "db_path"): Path,
+    ("local", "log_path"): Path,
+    ("local", "install_root"): Path,
+    ("server", "api_url"): _url,
+    ("server", "store_url"): _url,
+    ("user", "use_flags"): UseFlagSet.parse,
+    ("user", "arch"): str,
+    ("user", "cflags"): str,
+    ("client", "poll_interval"): float,
+    ("client", "timeout"): float,
+}
 
 
 def load_config(path: str | Path | None = None) -> Config:
@@ -106,29 +103,16 @@ def _apply_file(config: Config, path: Path) -> None:
         raise MalformedConfigLine(str(exc), exc.lineno) from exc
     for section in parser.sections():
         for key, raw in parser.items(section):
-            if (section, key) not in _KNOWN_KEYS:
+            convert = _KEYS.get((section, key))
+            if convert is None:
                 logger.warning(
                     "%s: ignoring unknown key %s.%s", path, section, key
                 )
                 continue
             value = _unquote(raw)
-            if key == "db_path":
-                config.db_path = Path(value)
-            elif key == "log_path":
-                config.log_path = Path(value)
-            elif key == "install_root":
-                config.install_root = Path(value)
-            elif key == "api_url":
-                config.api_url = value or None
-            elif key == "store_url":
-                config.store_url = value or None
-            elif key == "use_flags":
-                config.use_flags = UseFlagSet.parse(value)
-            elif key == "arch":
-                config.arch = value
-            elif key == "cflags":
-                config.cflags = value
-            elif key == "poll_interval":
-                config.poll_interval = _float(section, key, value)
-            elif key == "timeout":
-                config.timeout = _float(section, key, value)
+            try:
+                setattr(config, key, convert(value))
+            except ValueError as exc:  # only float can fail
+                raise MalformedConfigValue(
+                    f"{section}.{key} is not a number: {value!r}"
+                ) from exc

@@ -20,10 +20,11 @@ Each install edge is stored once, as Portage's ``/var/db/pkg`` stores it:
 in the dependent's ``depends``. An install writes only its package's
 document and a removal only deletes documents. Who requires a package is
 found by inverting ``depends`` over ``installed_packages``, which reads
-every installed package's document once. A document that does not decode
-raises ``MalformedCategoryDocument`` naming the file. A database of the
-earlier layout, a whole ``<root>/<category>/<name>/metadata.json`` per
-package, is refused when opened, before anything is read or written.
+every installed package's document once. A document that does not decode,
+or decodes in the wrong shape, raises ``MalformedCategoryDocument`` naming
+the file. A database of the earlier layout, a whole
+``<root>/<category>/<name>/metadata.json`` per package, is refused when
+opened, before anything is read or written.
 
 The remote store is reached through the PackageStore interface: a
 ``manifest.txt`` of category names at the root, one ``<category>.json``
@@ -367,13 +368,25 @@ class LocalDb:
         if entry is None and local is None:
             return None
         entry, local = entry or {}, local or {}
-        return PackageMetadata.from_document({
-            **local,
-            "name": package.render(),
-            "description": entry.get("description", ""),
-            # the store's versions, and the installed one if it dropped it
-            "versions": {**local.get("versions", {}), **entry.get("versions", {})},
-        })
+        name = package.render()
+        try:
+            return PackageMetadata.from_document({
+                **local,
+                "name": name,
+                "description": entry.get("description", ""),
+                # the store's versions, and the installed one if it dropped it
+                "versions": {**local.get("versions", {}), **entry.get("versions", {})},
+            })
+        except MalformedCategoryDocument as exc:
+            # Name the file at fault: the category document if its entry
+            # fails on its own, else the package's own document.
+            try:
+                PackageMetadata.from_document({"versions": {}, **entry, "name": name})
+            except MalformedCategoryDocument:
+                path = self.category_path(package.category)
+            else:
+                path = self.metadata_path(package)
+            raise MalformedCategoryDocument(f"{path}: {exc}") from exc
 
     def _local_names(self) -> list[str]:
         """``category/name`` of each package directory under ``local/``, in
@@ -483,13 +496,14 @@ class LocalDb:
         explicit: bool,
         resolved_deps: Iterable[PackageId],
         files: Iterable[str],
-    ) -> None:
+    ) -> list[str]:
         """Mark a package installed over its resolved runtime dependencies.
 
         Writes the package's own document and nothing else, so recording
-        it again, or recording an upgrade whose dependencies changed,
-        replaces whatever it recorded before. Nothing is written unless
-        the package, the version and every dependency are known.
+        it again, or recording another version, replaces whatever it
+        recorded before. Returns the files of the install it replaced,
+        [] if none. Nothing is written unless the package, the version and
+        every dependency are known.
         """
         deps = list(dict.fromkeys(resolved_deps))
         with self.write_lock():
@@ -503,6 +517,7 @@ class LocalDb:
                 if (dep.name not in self._category(dep.category)
                         and not self.metadata_path(dep).is_file()):
                     raise UnknownPackage(f"no metadata for dependency {dep}")
+            replaced = meta.files or []
             meta.installed = rendered
             meta.explicit = explicit
             meta.depends = deps
@@ -510,6 +525,7 @@ class LocalDb:
             path = self.metadata_path(package)
             path.parent.mkdir(parents=True, exist_ok=True)
             rewrite_text(path, dump_document(meta.local_document()))
+        return replaced
 
     def record_removal(self, *packages: PackageId) -> None:
         """Delete the packages' documents, in reverse of the order given,

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import functools
 import heapq
-import json
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 from .core import (
@@ -54,38 +53,13 @@ class InstallPlan:
     """An ordered install plan over a dependency closure.
 
     ``steps`` lists each package exactly once, dependencies before
-    dependents except within a declared cycle group. ``dependencies`` maps
+    dependents except within a dependency cycle. ``dependencies`` maps
     each planned package to its direct evaluated runtime dependencies,
     including ones satisfied by already-installed packages.
     """
 
     steps: tuple[tuple[PackageId, Version], ...]
-    skipped_installed: frozenset[PackageId] = frozenset()
-    dependencies: dict[PackageId, tuple[PackageId, ...]] = field(
-        default_factory=dict
-    )
-    cycle_groups: tuple[frozenset[PackageId], ...] = ()
-
-    def serialize(self) -> str:
-        return json.dumps(
-            {
-                "steps": [[p.render(), v.render()] for p, v in self.steps],
-                "skipped_installed": sorted(
-                    p.render() for p in self.skipped_installed
-                ),
-                "dependencies": {
-                    p.render(): [d.render() for d in deps]
-                    for p, deps in sorted(
-                        self.dependencies.items(), key=lambda kv: kv[0].render()
-                    )
-                },
-                "cycle_groups": [
-                    sorted(p.render() for p in group)
-                    for group in self.cycle_groups
-                ],
-            },
-            sort_keys=True,
-        )
+    dependencies: dict[PackageId, tuple[PackageId, ...]]
 
 
 def resolve_runtime_closure(
@@ -132,8 +106,6 @@ class _ClosureWalk:
         self.accumulated = accumulated
         self.found: dict[PackageId, list[DependencyAtom]] = {}
         self.chosen: dict[PackageId, Version] = {}
-        self.skipped: set[PackageId] = set()
-        self.edges: dict[PackageId, list[PackageId]] = {}
         self.dep_map: dict[PackageId, list[PackageId]] = {}
         self._visited: set[PackageId] = set()
 
@@ -208,7 +180,6 @@ class _ClosureWalk:
             inst = meta.installed_version()
             assert inst is not None
             if all(atom_matches(a, inst) for a in atoms):
-                self.skipped.add(pkg)
                 return
             raise ConflictingAtoms(
                 f"{pkg}: installed version {inst} does not satisfy "
@@ -220,7 +191,6 @@ class _ClosureWalk:
         dep_atoms: list[DependencyAtom] = []
         for dep_string in meta.versions[version.render()].dependencies:
             dep_atoms.extend(self.dep_atoms(dep_string))
-        edge_list = self.edges.setdefault(pkg, [])
         deps = self.dep_map.setdefault(pkg, [])
         for atom in dep_atoms:
             dep_pkg = atom.package
@@ -228,35 +198,25 @@ class _ClosureWalk:
                 continue
             self._require_known(atom)
             self._note(atom)
-            if dep_pkg not in edge_list:
-                edge_list.append(dep_pkg)
             if dep_pkg not in deps:
                 deps.append(dep_pkg)
             yield dep_pkg
 
 
 def _plan_from_walk(walk: _ClosureWalk) -> InstallPlan:
-    planned = set(walk.chosen)
+    # Order over the planned packages only: a dependency already
+    # installed is in dep_map but not planned.
     edges = {
-        pkg: [d for d in deps if d in planned]
-        for pkg, deps in walk.edges.items()
+        pkg: [d for d in deps if d in walk.chosen]
+        for pkg, deps in walk.dep_map.items()
     }
-    components = ordered_components(sorted(planned), edges)
-    steps = tuple(
-        (pkg, walk.chosen[pkg])
-        for component in components
-        for pkg in component
-    )
-    cycles = tuple(
-        frozenset(component) for component in components if len(component) > 1
-    )
     return InstallPlan(
-        steps=steps,
-        skipped_installed=frozenset(walk.skipped),
-        dependencies={
-            pkg: tuple(deps) for pkg, deps in walk.dep_map.items()
-        },
-        cycle_groups=cycles,
+        steps=tuple(
+            (pkg, walk.chosen[pkg])
+            for component in ordered_components(sorted(walk.chosen), edges)
+            for pkg in component
+        ),
+        dependencies={pkg: tuple(deps) for pkg, deps in walk.dep_map.items()},
     )
 
 

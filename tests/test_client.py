@@ -54,6 +54,11 @@ def tree_files(root):
     }
 
 
+def trees(env):
+    """The database tree and the install root."""
+    return tree_snapshot(env.client.db.root), tree_snapshot(env.config.install_root)
+
+
 class ScriptedTransport:
     def __init__(self, responses):
         self.responses = list(responses)
@@ -202,10 +207,28 @@ class TestInstall:
     def test_reinstall_uses_cache_with_zero_wire_requests(self, env):
         env.client.update()
         env.client.install([parse_atom("app-editors/vim")])
+        before = trees(env)
         env.events.clear()
         env.client.install([parse_atom("app-editors/vim")])
         assert env.request_events() == []
         assert env.download_events() == []
+        # The replaced install lists the same files: none is unlinked.
+        assert trees(env) == before
+
+    @pytest.mark.parametrize(
+        "first, second", [("6.0-r2", "6.1-r2"), ("6.1-r2", "6.0-r2")]
+    )
+    def test_another_version_replaces_the_installed_one(self, first, second, env):
+        env.client.update()
+        before = trees(env)
+        for version in (first, second):
+            env.client.install([parse_atom(f"=sys-libs/ncurses-{version}")])
+        assert list(tree_files(env.config.install_root)) == [
+            f"usr/share/pacloud/sys-libs/ncurses-{second}"
+        ]
+        env.client.remove([pkg("sys-libs/ncurses")])
+        assert trees(env) == before
+        assert env.client.db.validate() == []
 
     def test_use_flag_pulls_conditional_dependency(self, make_env):
         env = make_env(use_flags=UseFlagSet.of(["acl"]))
@@ -423,6 +446,16 @@ class TestReadsDoNotGrowWithDatabase:
         # The installed documents once to find the explicit packages, then
         # each explicit one joined with its store entry.
         assert sorted(reads) == sorted(p.render() for p in [a, a, b, c, c])
+
+    def test_a_performed_upgrade(self, env, monkeypatch):
+        env.client.update()
+        env.client.install([parse_atom("=sys-libs/ncurses-6.0-r2")])
+        reads = self.count_reads(monkeypatch)
+        assert len(env.client.upgrade()) == 1
+        monkeypatch.undo()
+        # Finding the explicit packages, picking the version, resolving,
+        # and recording, which hands back the files it replaced.
+        assert reads == ["sys-libs/ncurses"] * 4
 
     def test_search(self, sized, monkeypatch):
         reads = self.count_reads(monkeypatch)

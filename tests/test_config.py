@@ -77,6 +77,15 @@ timeout = 600
         assert config.arch == "arm"
         assert any("shoe_size" in r.message for r in caplog.records)
 
+    def test_known_key_under_another_section_warns_and_is_ignored(
+        self, tmp_path, caplog
+    ):
+        text = "[server]\ndb_path = /x\n"
+        with caplog.at_level(logging.WARNING, logger="pacloud.config"):
+            config = load_config(write(tmp_path, text))
+        assert config.db_path == Config().db_path
+        assert any("server.db_path" in r.message for r in caplog.records)
+
     def test_line_without_equals_reports_line_number(self, tmp_path):
         text = "[local]\ndb_path = /x\nkey_without_equals\n"
         with pytest.raises(MalformedConfigLine) as exc_info:

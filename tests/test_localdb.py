@@ -673,14 +673,38 @@ def test_names_like_the_fixed_entries_sync_install_and_remove(target, make_env):
     assert db.get_metadata(pkg("sys-libs/lib")).description == "d"
 
 
-@pytest.mark.parametrize("half", ["local", "category"])
+def tear(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def reshape(change):
+    """Damage that leaves the document decoding, in the wrong shape."""
+    def damage(path):
+        doc = json.loads(path.read_bytes())
+        change(doc)
+        path.write_text(dump_document(doc), encoding="utf-8")
+    return damage
+
+
+DAMAGE = {
+    "local": tear,
+    "category": tear,
+    "local-depends": reshape(lambda doc: doc.update(depends=[5])),
+    "category-version": reshape(
+        lambda doc: doc["vim"]["versions"].update({"not a version": {}})
+    ),
+}
+
+
+@pytest.mark.parametrize("half", DAMAGE)
 def test_a_torn_document_is_named(half, db, store_dir, tmp_path, capsys):
     db.sync(DirectoryStore(store_dir))
     vim = pkg("app-editors/vim")
     db.record_install(vim, parse_version("8.1"), True, [], ["usr/bin/vim"])
-    path = db.metadata_path(vim) if half == "local" else db.category_path("app-editors")
-    data = path.read_bytes()
-    path.write_bytes(data[: len(data) // 2])
+    local = half.startswith("local")
+    path = db.metadata_path(vim) if local else db.category_path("app-editors")
+    DAMAGE[half](path)
     empty = db.metadata_path(pkg("sys-apps/acl"))
     empty.parent.mkdir(parents=True)
     empty.write_text("{}", encoding="utf-8")
@@ -695,7 +719,7 @@ def test_a_torn_document_is_named(half, db, store_dir, tmp_path, capsys):
     config = cli_config(tmp_path, db.root)
     for verb in (["-s", "vim"], ["-r", "app-editors/vim"]):
         # A removal reads only the local documents.
-        failed = half == "local" or verb[0] == "-s"
+        failed = local or verb[0] == "-s"
         assert main(["--config", config, *verb]) == int(failed)
         captured = capsys.readouterr()
         assert (str(path) in captured.err) == failed
