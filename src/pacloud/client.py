@@ -175,33 +175,39 @@ def unpack_archive(data: bytes, install_root: Path) -> list[str]:
     """Extract an artifact tar under the install root.
 
     Entries must be relative paths without ``..``; only directories and
-    regular files are accepted. Returns the sorted file paths, relative to
+    regular files are accepted. Every entry is checked and read before
+    anything is written, so an archive refused for any entry leaves the
+    install root as it was. Returns the sorted file paths, relative to
     the root, for the install record.
     """
+    dirs: list[PurePosixPath] = []
+    files: list[tuple[PurePosixPath, bytes]] = []
     try:
-        archive = tarfile.open(fileobj=io.BytesIO(data), mode="r:")
+        with tarfile.open(fileobj=io.BytesIO(data), mode="r:") as archive:
+            for member in archive.getmembers():
+                path = PurePosixPath(member.name)
+                parts = path.parts
+                if member.name.startswith("/") or ".." in parts or not parts:
+                    raise UnpackError(f"unsafe archive member: {member.name!r}")
+                if member.isdir():
+                    dirs.append(path)
+                elif member.isfile():
+                    extracted = archive.extractfile(member)
+                    assert extracted is not None
+                    files.append((path, extracted.read()))
+                else:
+                    raise UnpackError(
+                        f"unsupported archive member type: {member.name!r}"
+                    )
     except tarfile.TarError as exc:
         raise UnpackError(f"unreadable archive: {exc}") from exc
-    files: list[str] = []
-    with archive:
-        for member in archive.getmembers():
-            parts = PurePosixPath(member.name).parts
-            if member.name.startswith("/") or ".." in parts or not parts:
-                raise UnpackError(f"unsafe archive member: {member.name!r}")
-            target = install_root.joinpath(*parts)
-            if member.isdir():
-                target.mkdir(parents=True, exist_ok=True)
-            elif member.isfile():
-                target.parent.mkdir(parents=True, exist_ok=True)
-                extracted = archive.extractfile(member)
-                assert extracted is not None
-                target.write_bytes(extracted.read())
-                files.append(str(PurePosixPath(*parts)))
-            else:
-                raise UnpackError(
-                    f"unsupported archive member type: {member.name!r}"
-                )
-    return sorted(files)
+    for path in dirs:
+        install_root.joinpath(path).mkdir(parents=True, exist_ok=True)
+    for path, content in files:
+        target = install_root.joinpath(path)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(content)
+    return sorted(str(path) for path, _ in files)
 
 
 def format_search_results(term: str, results: list[SearchResult]) -> str:
@@ -359,8 +365,9 @@ class Client:
                     timeout=self.config.timeout,
                 )
                 data = self.store.fetch_artifact(url)
-                self.db.archive_put(key, data)
             files = unpack_archive(data, self.config.install_root)
+            if pkg not in cached:
+                self.db.archive_put(key, data)
             replaced = self.db.record_install(
                 pkg,
                 version,

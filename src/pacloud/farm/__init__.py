@@ -56,7 +56,6 @@ from .worker import (
     ExecutorFactory,
     ExecutorTable,
     JobProfile,
-    SimulatedExecutor,
     Worker,
     WorkerMode,
     build_artifact_tar,
@@ -83,7 +82,6 @@ __all__ = [
     "ReceivedMessage",
     "RENEWAL_INTERVAL",
     "RequestService",
-    "SimulatedExecutor",
     "VirtualClock",
     "VISIBILITY_TIMEOUT",
     "WallClock",
@@ -197,20 +195,12 @@ class BuildFarm:
 
     def next_event_time(self) -> float | None:
         with self.lock:
-            times = [
-                t
-                for t in (w.next_event_time() for w in self.workers)
-                if t is not None
-            ]
-        return min(times) if times else None
+            heap = self._event_heap()
+        return heap[0][0] if heap else None
 
     def advance_to(self, target: float) -> None:
         """Run all worker events up to the target time, then land on it."""
-        with self.lock:
-            self._run(target, settle=False)
-            if target > self.clock.now():
-                self.clock.set_time(target)
-            self._spend_ticks()
+        self._run(target, settle=False)
 
     def run_until_settled(self, max_time: float) -> None:
         """``advance_to(max_time)``, stopping at the first instant by which
@@ -221,15 +211,12 @@ class BuildFarm:
         run that does not settle lands on ``max_time``, as ``advance_to``
         does, so a later call continues from there.
         """
-        with self.lock:
-            settled = self._run(max_time, settle=True)
-            if not settled and max_time > self.clock.now():
-                self.clock.set_time(max_time)
-            self._spend_ticks()
+        self._run(max_time, settle=True)
 
-    def _run(self, limit: float, settle: bool) -> bool:
-        """Drive the workers' events in time order, up to ``limit``; return
-        whether the run settled.
+    def _run(self, limit: float, settle: bool) -> None:
+        """Under the farm's lock, drive the workers' events in time order
+        up to ``limit``, land on ``limit`` unless the run settled, then
+        spend the ticks up to where the clock stands.
 
         A min-heap holds each driven worker's next event as ``(time,
         index)``, so events at one instant run in worker order. External
@@ -246,33 +233,33 @@ class BuildFarm:
         the heap is built at the start of a call and again after a step
         that leaves its worker hibernated. With ``settle``, the run stops
         once every event of an instant has run and no record is pending,
-        or nothing left can settle one. The clock is set only to event
-        times up to ``limit``, so a run up to a wall clock's reading (the
-        service-mode pump) never moves it.
+        or nothing left can settle one. Within the loop the clock is set
+        only to event times up to ``limit``, so a run up to a wall
+        clock's reading (the service-mode pump) never moves it.
         """
-        self._fail_unheld_dead_letters(self.clock.now())
-        heap = self._event_heap()
-        instant = None
-        while heap:
-            t, i = heap[0]
-            if t != instant:
-                if settle and self._settled():
-                    return True
-                if t > limit:
-                    return False
-                if t > self.clock.now():
-                    self.clock.set_time(t)
-                instant = t
-            worker = self.workers[i]
-            after = worker.step(t)
-            if worker.mode is WorkerMode.HIBERNATED:
-                heap = self._event_heap()
-                continue
-            if after is None:
-                heapq.heappop(heap)
-            else:
-                heapq.heapreplace(heap, (after, i))
-        return settle and self._settled()
+        with self.lock:
+            self._fail_unheld_dead_letters(self.clock.now())
+            heap = self._event_heap()
+            instant = None
+            while heap:
+                t, i = heap[0]
+                if t != instant:
+                    if settle and self._settled() or t > limit:
+                        break
+                    if t > self.clock.now():
+                        self.clock.set_time(t)
+                    instant = t
+                worker = self.workers[i]
+                after = worker.step(t)
+                if worker.mode is WorkerMode.HIBERNATED:
+                    heap = self._event_heap()
+                elif after is None:
+                    heapq.heappop(heap)
+                else:
+                    heapq.heapreplace(heap, (after, i))
+            if not (settle and self._settled()) and limit > self.clock.now():
+                self.clock.set_time(limit)
+            self._spend_ticks()
 
     def _event_heap(self) -> list[tuple[float, int]]:
         heap = [

@@ -12,7 +12,7 @@ document, and a reload keeps the last line of each key. A key has at most
 two lines, so the journal needs no compaction. A line that is not a
 document the store writes raises ``FarmStateError``, and so does a key
 that is not the canonical string of a ``BuildKey``. Each artifact is the
-file ``<key.path_token()>.tar``; the token decodes back to its key, so the
+file ``wire.artifact_file(key)``, a name that decodes back to the key, so the
 directory is the index. Opening either store writes nothing. An artifact
 may be handed over as a function that builds its bytes: on disk it is
 called when the tar is written, in memory on the first read.
@@ -31,7 +31,7 @@ from typing import Callable
 from ..core import BuildKey
 from ..errors import FarmStateError, MalformedBuildKey
 from ..files import Journal
-from ..wire import artifact_url
+from ..wire import ARTIFACT_SUFFIX, artifact_file, artifact_url
 
 PENDING = "pending"
 BUILT = "built"
@@ -204,7 +204,7 @@ class ArtifactStore:
         first ``get``."""
         if self._persist_dir is None:
             self._blobs.setdefault(key.canonical(), data)
-        elif not (path := self._persist_dir / f"{key.path_token()}.tar").exists():
+        elif not (path := self._persist_dir / artifact_file(key)).exists():
             self._persist_dir.mkdir(parents=True, exist_ok=True)
             tmp = path.with_name(path.name + ".tmp")
             tmp.write_bytes(data() if callable(data) else data)
@@ -221,7 +221,7 @@ class ArtifactStore:
                 data = self._blobs[canonical] = data()
             return data
         try:
-            return (self._persist_dir / f"{key.path_token()}.tar").read_bytes()
+            return (self._persist_dir / artifact_file(key)).read_bytes()
         except FileNotFoundError:
             return None
 
@@ -229,7 +229,8 @@ class ArtifactStore:
         if self._persist_dir is None:
             return sorted(self._blobs)
         names = os.listdir(self._persist_dir) if self._persist_dir.is_dir() else []
+        suffix = ARTIFACT_SUFFIX
         return sorted(
-            BuildKey.from_path_token(name.removesuffix(".tar")).canonical()
-            for name in names if name.endswith(".tar")
+            BuildKey.from_path_token(name.removesuffix(suffix)).canonical()
+            for name in names if name.endswith(suffix)
         )

@@ -1,9 +1,9 @@
 """Simulated spot workers: polling, building, interruption and hibernation.
 
 An idle worker polls the queue on its own chain of ticks, ``poll_interval``
-apart. On a message it constructs a fresh executor (never reused across
-messages), builds for the executor's duration, and holds the message in
-the queue meanwhile, so no other worker receives it. On completion it
+apart. On a message it calls its executor once for that delivery, builds
+for the duration the call returns, and holds the message in the queue
+meanwhile, so no other worker receives it. On completion it
 stores the artifact, finalizes the build record (preserving an
 executor's error text verbatim on failure), deletes the message and
 polls again at once. Failures delete the message too and store nothing.
@@ -122,18 +122,15 @@ class ExecutionResult:
         return self.artifact is not None
 
 
-class SimulatedExecutor:
-    """One-shot executor; reuse across messages is a bug and raises."""
+class ExecutorFactory:
+    """Runs one simulated build per delivery and counts the calls."""
 
-    def __init__(self, table: ExecutorTable, serial: int):
-        self.table = table
-        self.serial = serial
-        self._used = False
+    def __init__(self, table: ExecutorTable | None = None):
+        self.table = table or ExecutorTable()
+        self.created = 0
 
-    def execute(self, key: BuildKey) -> ExecutionResult:
-        if self._used:
-            raise RuntimeError(f"executor {self.serial} reused")
-        self._used = True
+    def __call__(self, key: BuildKey) -> ExecutionResult:
+        self.created += 1
         profile = self.table.profile_for(key)
         if profile.error is not None:
             return ExecutionResult(profile.duration, error=profile.error)
@@ -141,18 +138,6 @@ class SimulatedExecutor:
         return ExecutionResult(
             profile.duration, artifact=partial(build_artifact_tar, key)
         )
-
-
-class ExecutorFactory:
-    """Creates a fresh executor per message and counts the instances."""
-
-    def __init__(self, table: ExecutorTable | None = None):
-        self.table = table or ExecutorTable()
-        self.created = 0
-
-    def __call__(self) -> SimulatedExecutor:
-        self.created += 1
-        return SimulatedExecutor(self.table, self.created)
 
 
 class WorkerMode(Enum):
@@ -168,6 +153,25 @@ class BuildEvent:
     started_at: float
     finished_at: float
     status: str  # built | failed | discarded
+
+
+@dataclass(slots=True)
+class _Build:
+    """The one build a worker has in flight, from its receive until it
+    completes or the worker crashes."""
+
+    handle: str
+    key: BuildKey
+    result: ExecutionResult
+    started_at: float
+    segment_started: float
+    completion_at: float
+    next_renewal_at: float  # the first tick not yet renewed
+    leased: bool  # the queue holds the message for this worker
+    hibernate_at: float | None = None  # a notice the build outlasts
+    remaining: float = 0.0  # the work left when it hibernated
+    resumed: bool = False
+    stop_after: bool = False  # a notice the build fits: stop after it
 
 
 class Worker:
@@ -192,19 +196,8 @@ class Worker:
         self._waiting = False  # the last poll found nothing
         self.busy_seconds = 0.0
         self.history: list[BuildEvent] = []
-        # in-flight build state
-        self._handle: str | None = None
-        self._key: BuildKey | None = None
-        self._result: ExecutionResult | None = None
-        self._started_at = 0.0
-        self._segment_started = 0.0
-        self._completion_at = 0.0
-        self._next_renewal_at = 0.0  # the first tick not yet renewed
-        self._leased = False  # the queue holds the message for this worker
-        self._hibernate_at: float | None = None
-        self._remaining = 0.0
-        self._resumed = False
-        self._stop_after_build = False
+        # None exactly while the worker is idle or stopped
+        self._build: _Build | None = None
 
     # --- driving ---
 
@@ -222,9 +215,10 @@ class Worker:
                 t += self.poll_interval
             return t
         if self.mode is WorkerMode.BUILDING:
-            if self._hibernate_at is not None:
-                return min(self._completion_at, self._hibernate_at)
-            return self._completion_at
+            build = self._build
+            if build.hibernate_at is not None:
+                return min(build.completion_at, build.hibernate_at)
+            return build.completion_at
         return None
 
     def step(self, now: float) -> float | None:
@@ -251,7 +245,7 @@ class Worker:
     def _fire(self, t: float) -> None:
         if self.mode is WorkerMode.IDLE:
             self._poll(t)
-        elif self._completion_at == t:  # completion wins a tie
+        elif self._build.completion_at == t:  # completion wins a tie
             self._complete(t)
         else:
             self._hibernate(t)
@@ -266,91 +260,75 @@ class Worker:
             self.next_poll_at = t + self.poll_interval
             return
         message, handle = received
-        key = message.body
-        executor = self.executor_factory()
-        result = executor.execute(key)
+        result = self.executor_factory(message.body)
         self.mode = WorkerMode.BUILDING
-        self._handle = handle
-        self._key = key
-        self._result = result
-        self._started_at = t
-        self._segment_started = t
-        self._completion_at = t + result.duration
-        self._next_renewal_at = t + RENEWAL_INTERVAL
-        self._leased = self.queue.hold(handle)
-        self._hibernate_at = None
-        self._remaining = result.duration
-        self._resumed = False
-        self._stop_after_build = False
+        self._build = _Build(
+            handle,
+            message.body,
+            result,
+            started_at=t,
+            segment_started=t,
+            completion_at=t + result.duration,
+            next_renewal_at=t + RENEWAL_INTERVAL,
+            leased=self.queue.hold(handle),
+        )
 
     def _renew_until(self, limit: float, at_limit: bool) -> None:
         """Make the renewal due at the last tick before ``limit`` (or at
         it, with ``at_limit``) that is not yet made. The ticks are reached
         by the same chained additions renewing at every tick would make,
         and that last renewal sets the same visibility window."""
-        if not self._leased:
+        build = self._build
+        if not build.leased:
             return
         last = None
-        t = self._next_renewal_at
+        t = build.next_renewal_at
         while t < limit or (at_limit and t == limit):
             last = t
             t += RENEWAL_INTERVAL
         if last is not None:
-            assert self._handle is not None
-            self.queue.renew(self._handle, last)
-            self._next_renewal_at = t
+            self.queue.renew(build.handle, last)
+            build.next_renewal_at = t
 
     def _lapse(self) -> None:
-        if self._leased:
-            assert self._handle is not None
-            self.queue.lapse(self._handle)
-            self._leased = False
+        build = self._build
+        if build is not None and build.leased:
+            self.queue.lapse(build.handle)
+            build.leased = False
 
     def _hibernate(self, t: float) -> None:
         # Hibernation wins a tie with a renewal tick.
         self._renew_until(t, at_limit=False)
         self._lapse()
-        self.busy_seconds += t - self._segment_started
-        self._remaining = self._completion_at - t
-        self._hibernate_at = None
+        build = self._build
+        self.busy_seconds += t - build.segment_started
+        build.remaining = build.completion_at - t
+        build.hibernate_at = None
         self.mode = WorkerMode.HIBERNATED
 
     def _complete(self, t: float) -> None:
-        assert self._key is not None and self._result is not None
-        assert self._handle is not None
-        self.busy_seconds += t - self._segment_started
-        canonical = self._key.canonical()
-        record = self.records.get(canonical) if self._resumed else None
+        build = self._build
+        self.busy_seconds += t - build.segment_started
+        canonical = build.key.canonical()
+        record = self.records.get(canonical) if build.resumed else None
         if record is not None and record.terminal:
             # Someone else finished this key while we were hibernated.
-            self.queue.delete(self._handle)
             status = "discarded"
+        elif build.result.ok:
+            url = self.artifacts.put(build.key, build.result.artifact)
+            self.records.finalize_built(canonical, url, t)
+            status = "built"
         else:
-            if self._result.ok:
-                assert self._result.artifact is not None
-                url = self.artifacts.put(self._key, self._result.artifact)
-                self.records.finalize_built(canonical, url, t)
-                status = "built"
-            else:
-                assert self._result.error is not None
-                self.records.finalize_failed(canonical, self._result.error, t)
-                status = "failed"
-            self.queue.delete(self._handle)
-        self.history.append(BuildEvent(canonical, self._started_at, t, status))
-        self._clear_build()
-        if self._stop_after_build:
+            self.records.finalize_failed(canonical, build.result.error, t)
+            status = "failed"
+        self.queue.delete(build.handle)
+        self.history.append(BuildEvent(canonical, build.started_at, t, status))
+        self._build = None
+        if build.stop_after:
             self.mode = WorkerMode.STOPPED
         else:
             self.mode = WorkerMode.IDLE
             self.next_poll_at = t
-
-    def _clear_build(self) -> None:
-        self._handle = None
-        self._leased = False
-        self._key = None
-        self._result = None
-        self._hibernate_at = None
-        self._resumed = False
 
     # --- external events ---
 
@@ -361,15 +339,15 @@ class Worker:
         A hibernated worker, or one whose handle went stale, still holds
         its key in this sense while the queue holds its message no longer.
         """
-        if self.mode in (WorkerMode.BUILDING, WorkerMode.HIBERNATED):
-            assert self._key is not None
-            return self._key.canonical()
-        return None
+        return None if self._build is None else self._build.key.canonical()
 
     @property
     def reclaiming(self) -> bool:
         """A reclamation notice is pending on the current build."""
-        return self._stop_after_build or self._hibernate_at is not None
+        build = self._build
+        return build is not None and (
+            build.stop_after or build.hibernate_at is not None
+        )
 
     def interrupt(self, now: float, notice: float = DEFAULT_NOTICE_SECONDS) -> None:
         """Reclamation notice with a grace window.
@@ -382,28 +360,29 @@ class Worker:
         if self.mode is WorkerMode.IDLE:
             self.mode = WorkerMode.STOPPED
         elif self.mode is WorkerMode.BUILDING and not self.reclaiming:
-            remaining = self._completion_at - now
-            if remaining <= notice:
-                self._stop_after_build = True
+            build = self._build
+            if build.completion_at - now <= notice:
+                build.stop_after = True
             else:
-                self._hibernate_at = now + notice
+                build.hibernate_at = now + notice
 
     def resume(self, now: float) -> None:
         """Continue a hibernated build from its preserved remaining work."""
         if self.mode is not WorkerMode.HIBERNATED:
             raise ValueError(f"worker {self.name} is not hibernated")
+        build = self._build
         self.mode = WorkerMode.BUILDING
-        self._segment_started = now
-        self._completion_at = now + self._remaining
-        self._next_renewal_at = now + RENEWAL_INTERVAL
-        self._resumed = True
-        assert self._handle is not None
+        build.segment_started = now
+        build.completion_at = now + build.remaining
+        build.next_renewal_at = now + RENEWAL_INTERVAL
+        build.resumed = True
         # Best effort: the handle is usually stale after a long hibernation,
         # and a worker whose handle went stale holds and renews nothing.
-        if self.queue.renew(self._handle, now):
-            self._leased = self.queue.hold(self._handle)
+        if self.queue.renew(build.handle, now):
+            build.leased = self.queue.hold(build.handle)
 
     def crash(self) -> None:
         """Vanish without cleanup; the in-flight message will resurface."""
         self._lapse()
+        self._build = None
         self.mode = WorkerMode.STOPPED

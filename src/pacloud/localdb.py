@@ -6,7 +6,7 @@ from its installed-package database.
     <root>/store/<category>.json                  category documents
     <root>/local/<category>/<name>/metadata.json  a package's local state
     <root>/local/<category>/<name>/<token>.tar    cached archives, each
-                                                  named by its key's path_token
+                                                  named by wire.artifact_file
 
 ``sync`` keeps each valid category document whole: one file per category,
 whatever the package count. A package's own document holds only its
@@ -55,7 +55,7 @@ from .errors import (
     UnknownVersion,
 )
 from .files import prune_empty_dirs, rewrite_text
-from .wire import ARTIFACT_DIR, artifact_key
+from .wire import ARTIFACT_DIR, ARTIFACT_SUFFIX, artifact_file, artifact_key
 
 METADATA_FILE = "metadata.json"
 MANIFEST_FILE = "manifest.txt"
@@ -224,8 +224,8 @@ class DirectoryStore:
     """A PackageStore backed by a plain directory tree.
 
     The directory holds ``manifest.txt``, one ``<category>.json`` per
-    category and artifact tars under ``artifacts/``, each named by its
-    build key's ``path_token``.
+    category and artifact tars under ``artifacts/``, each named by
+    ``wire.artifact_file``.
     """
 
     def __init__(self, root: str | Path):
@@ -247,8 +247,8 @@ class DirectoryStore:
 
     def fetch_artifact(self, url: str) -> bytes:
         try:
-            token = artifact_key(url).path_token()
-            return (self.root / ARTIFACT_DIR / f"{token}.tar").read_bytes()
+            name = artifact_file(artifact_key(url))
+            return (self.root / ARTIFACT_DIR / name).read_bytes()
         except (ProtocolError, OSError) as exc:
             raise StoreUnreachable(f"cannot fetch artifact {url}: {exc}") from exc
 
@@ -336,7 +336,7 @@ class LocalDb:
         return self.store_dir / f"{category}.json"
 
     def archive_path(self, key: BuildKey) -> Path:
-        return self.package_dir(key.package) / f"{key.path_token()}.tar"
+        return self.package_dir(key.package) / artifact_file(key)
 
     @contextmanager
     def write_lock(self) -> Iterator[None]:
@@ -560,7 +560,7 @@ class LocalDb:
 
     def remove_cached_archives(self, package: PackageId) -> None:
         directory = self.package_dir(package)
-        for archive in directory.glob("*.tar"):
+        for archive in directory.glob(f"*{ARTIFACT_SUFFIX}"):
             archive.unlink()
         prune_empty_dirs(directory, self.root)
 

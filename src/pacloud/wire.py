@@ -28,8 +28,15 @@ STATUS_PENDING = "pending"
 STATUS_FAILED = "failed"
 
 ARTIFACT_URL_PREFIX = "store://"
-# The store directory that holds each artifact as <key.path_token()>.tar.
+# The store directory that holds each artifact as its ``artifact_file``.
 ARTIFACT_DIR = "artifacts"
+ARTIFACT_SUFFIX = ".tar"
+
+
+def artifact_file(key: BuildKey) -> str:
+    """The name of the file that holds ``key``'s tar, in a store's
+    ``ARTIFACT_DIR`` and in a client's archive cache."""
+    return f"{key.path_token()}{ARTIFACT_SUFFIX}"
 
 
 def artifact_url(key: BuildKey) -> str:

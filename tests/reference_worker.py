@@ -122,8 +122,7 @@ class ReferenceWorker:
             return
         message, handle = received
         key = message.body
-        executor = self.executor_factory()
-        result = executor.execute(key)
+        result = self.executor_factory(key)
         self.mode = WorkerMode.BUILDING
         self._handle = handle
         self._key = key

@@ -1,4 +1,6 @@
+import io
 import itertools
+import tarfile
 from pathlib import Path
 
 import pytest
@@ -38,7 +40,12 @@ from pacloud.localdb import (
     VersionInfo,
     write_store,
 )
-from pacloud.wire import STATUS_AVAILABLE, STATUS_PENDING
+from pacloud.wire import (
+    ARTIFACT_DIR,
+    STATUS_AVAILABLE,
+    STATUS_PENDING,
+    artifact_file,
+)
 from test_localdb import tree_snapshot
 
 
@@ -138,9 +145,6 @@ class TestUnpack:
             unpack_archive(b"not a tar at all", tmp_path)
 
     def test_absolute_member_rejected(self, tmp_path):
-        import io
-        import tarfile
-
         buffer = io.BytesIO()
         with tarfile.open(fileobj=buffer, mode="w") as tar:
             info = tarfile.TarInfo("/etc/evil")
@@ -150,9 +154,6 @@ class TestUnpack:
             unpack_archive(buffer.getvalue(), tmp_path)
 
     def test_traversal_member_rejected(self, tmp_path):
-        import io
-        import tarfile
-
         buffer = io.BytesIO()
         with tarfile.open(fileobj=buffer, mode="w") as tar:
             info = tarfile.TarInfo("ok/../../evil")
@@ -160,6 +161,27 @@ class TestUnpack:
             tar.addfile(info, io.BytesIO(b""))
         with pytest.raises(UnpackError):
             unpack_archive(buffer.getvalue(), tmp_path)
+
+    @pytest.mark.parametrize("name, kind", [
+        ("../evil", tarfile.REGTYPE),
+        ("/etc/evil", tarfile.REGTYPE),
+        ("", tarfile.REGTYPE),
+        ("usr/link", tarfile.SYMTYPE),
+        ("usr/fifo", tarfile.FIFOTYPE),
+    ])
+    def test_a_refused_member_after_a_good_one_writes_nothing(
+        self, name, kind, tmp_path
+    ):
+        buffer = io.BytesIO()
+        with tarfile.open(fileobj=buffer, mode="w") as tar:
+            tar.addfile(tarfile.TarInfo("usr/a"), io.BytesIO(b""))
+            info = tarfile.TarInfo(name)
+            info.type = kind
+            info.linkname = "/etc/passwd" if kind == tarfile.SYMTYPE else ""
+            tar.addfile(info, io.BytesIO(b""))
+        with pytest.raises(UnpackError):
+            unpack_archive(buffer.getvalue(), tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestInstall:
@@ -229,6 +251,26 @@ class TestInstall:
         env.client.remove([pkg("sys-libs/ncurses")])
         assert trees(env) == before
         assert env.client.db.validate() == []
+
+    def test_an_archive_that_fails_to_unpack_is_not_cached(self, env):
+        env.client.update()
+        key = BuildKey.parse("sys-libs/ncurses-6.1-r2[]")
+        env.farm.service.handle_request(key)
+        env.farm.run_until_settled(1000.0)
+        stored = env.farm_root / ARTIFACT_DIR / artifact_file(key)
+        good = stored.read_bytes()
+        stored.write_bytes(good[:300])  # a torn first header
+        before = trees(env)
+        with pytest.raises(UnpackError):
+            env.client.install([parse_atom("sys-libs/ncurses")])
+        assert trees(env) == before
+        stored.write_bytes(good)  # the store is repaired
+        env.client.install([parse_atom("sys-libs/ncurses")])
+        assert tree_files(env.config.install_root) == {
+            "usr/share/pacloud/sys-libs/ncurses-6.1-r2":
+                f"{key.canonical()}\n".encode()
+        }
+        assert env.client.db.archive_get(key) == good
 
     def test_use_flag_pulls_conditional_dependency(self, make_env):
         env = make_env(use_flags=UseFlagSet.of(["acl"]))

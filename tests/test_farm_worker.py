@@ -123,6 +123,26 @@ class TestInterruption:
         assert record.completed_at == 100.0
         assert worker.mode is WorkerMode.STOPPED  # reclaimed after finishing
 
+    @pytest.mark.parametrize("notice", [120.0, 10.0])
+    def test_a_notice_ends_with_its_build(self, notice):
+        """Whether the build would finish inside the notice (120 s) or
+        hibernate when it runs out (10 s), the notice is pending until the
+        build ends: by a completion, or by a crash before either."""
+        farm = make_farm(default=JobProfile(duration=100.0))
+        farm.service.handle_request(KEY)
+        worker = farm.workers[0]
+        worker.step(0.0)
+        worker.interrupt(50.0, notice=notice)
+        assert worker.reclaiming and worker.holding == KEY.canonical()
+        if notice > 50.0:
+            worker.step(100.0)
+            assert farm.records.get(KEY.canonical()).status == BUILT
+        else:
+            worker.crash()
+        assert worker.mode is WorkerMode.STOPPED
+        assert not worker.reclaiming
+        assert worker.holding is None
+
     def test_hibernation_preserves_remaining_work(self):
         farm = make_farm(default=JobProfile(duration=500.0))
         farm.service.handle_request(KEY)
