@@ -62,8 +62,10 @@ from .wire import (
     STATUS_AVAILABLE,
     STATUS_FAILED,
     artifact_key,
+    decode_request,
     decode_response,
     encode_request,
+    encode_response,
 )
 
 
@@ -118,8 +120,6 @@ class InProcessTransport:
         self.service = service
 
     def exchange(self, request: dict) -> dict:
-        from .wire import decode_request, encode_response
-
         key = decode_request(request)
         return encode_response(self.service.handle_request(key))
 
@@ -175,13 +175,14 @@ def unpack_archive(data: bytes, install_root: Path) -> list[str]:
     """Extract an artifact tar under the install root.
 
     Entries must be relative paths without ``..``; only directories and
-    regular files are accepted. Every entry is checked and read before
-    anything is written, so an archive refused for any entry leaves the
-    install root as it was. Returns the sorted file paths, relative to
-    the root, for the install record.
+    regular files are accepted, and no file may hold another entry. Every
+    entry is checked and read before anything is written, so an archive
+    refused for any entry leaves the install root as it was; a failed
+    write raises UnpackError too. Returns the sorted file paths, relative
+    to the root, for the install record.
     """
-    dirs: list[PurePosixPath] = []
-    files: list[tuple[PurePosixPath, bytes]] = []
+    # each entry's path and its file's bytes; None for a directory
+    entries: list[tuple[PurePosixPath, bytes | None]] = []
     try:
         with tarfile.open(fileobj=io.BytesIO(data), mode="r:") as archive:
             for member in archive.getmembers():
@@ -190,24 +191,34 @@ def unpack_archive(data: bytes, install_root: Path) -> list[str]:
                 if member.name.startswith("/") or ".." in parts or not parts:
                     raise UnpackError(f"unsafe archive member: {member.name!r}")
                 if member.isdir():
-                    dirs.append(path)
+                    entries.append((path, None))
                 elif member.isfile():
                     extracted = archive.extractfile(member)
                     assert extracted is not None
-                    files.append((path, extracted.read()))
+                    entries.append((path, extracted.read()))
                 else:
                     raise UnpackError(
                         f"unsupported archive member type: {member.name!r}"
                     )
     except tarfile.TarError as exc:
         raise UnpackError(f"unreadable archive: {exc}") from exc
-    for path in dirs:
-        install_root.joinpath(path).mkdir(parents=True, exist_ok=True)
-    for path, content in files:
+    files = {path for path, content in entries if content is not None}
+    for path, content in entries:
+        if files.intersection(path.parents) or (content is None and path in files):
+            raise UnpackError(f"archive member {str(path)!r} clashes with a file")
+    for path, content in entries:
         target = install_root.joinpath(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(content)
-    return sorted(str(path) for path, _ in files)
+        try:
+            if content is None:
+                target.mkdir(parents=True, exist_ok=True)
+            else:
+                target.parent.mkdir(parents=True, exist_ok=True)
+                target.write_bytes(content)
+        except OSError as exc:
+            raise UnpackError(
+                f"cannot write archive member {str(path)!r}: {exc}"
+            ) from exc
+    return sorted(str(path) for path in files)
 
 
 def format_search_results(term: str, results: list[SearchResult]) -> str:

@@ -3,8 +3,9 @@
 Packages are identified as ``category/name``. A version is a dot-joined
 run of integers with an optional single trailing letter and an optional
 ``-rN`` revision. A binary is unique per (package, version, USE-flag set);
-that triple is a BuildKey and its canonical string is the interchange
-format of queue bodies, the wire protocol and (percent-encoded) file names.
+that triple is a BuildKey. Queue bodies carry the BuildKey itself; its
+canonical string is its one text form, in wire requests, artifact URLs,
+the farm's record journal and (percent-encoded) file names.
 """
 from __future__ import annotations
 
@@ -304,6 +305,14 @@ class BuildKey:
         key = cls.parse(unquote(token))
         if key.path_token() != token:
             raise MalformedBuildKey(f"not a build key's file name: {token!r}")
+        return key
+
+    @classmethod
+    def from_canonical(cls, text: str) -> "BuildKey":
+        """The key whose canonical string is ``text``, else MalformedBuildKey."""
+        key = cls.parse(text)
+        if key.canonical() != text:
+            raise MalformedBuildKey(f"not a canonical build key: {text!r}")
         return key
 
     @classmethod

@@ -9,6 +9,16 @@ class PacloudError(Exception):
     """Base class for all pacloud errors."""
 
 
+class LineError(PacloudError):
+    """An error at ``line_number`` of a text input, named in the message."""
+
+    def __init__(self, message: str, line_number: int | None = None):
+        if line_number is not None:
+            message = f"line {line_number}: {message}"
+        super().__init__(message)
+        self.line_number = line_number
+
+
 # --- value types ---
 
 class MalformedPackageId(PacloudError):
@@ -41,14 +51,8 @@ class DanglingConditional(PacloudError):
     pass
 
 
-class UnsupportedEbuildConstruct(PacloudError):
+class UnsupportedEbuildConstruct(LineError):
     """A bash construct outside the supported ebuild subset."""
-
-    def __init__(self, message: str, line_number: int | None = None):
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        super().__init__(message)
-        self.line_number = line_number
 
 
 class EmptyInput(PacloudError):
@@ -109,12 +113,8 @@ class UnknownVersion(PacloudError):
 
 # --- client ---
 
-class MalformedConfigLine(PacloudError):
-    def __init__(self, message: str, line_number: int | None = None):
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        super().__init__(message)
-        self.line_number = line_number
+class MalformedConfigLine(LineError):
+    pass
 
 
 class MalformedConfigValue(PacloudError):

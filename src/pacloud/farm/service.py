@@ -1,13 +1,13 @@
 """The request handler and its local socket server.
 
 A request for a key whose record is terminal is answered from the record
-store: available with the artifact URL, or failed with the stored error
-text (served to the original requester and to anyone asking for the same
-key later). The first request for an unknown key creates a pending record
-and then enqueues exactly one compile message; while the record stays
-pending, further requests return pending without enqueuing again. A crash
-between the two writes leaves a pending record without a message, and the
-farm that reopens the root sends it one.
+store: available with the key's artifact URL, or failed with the stored
+error text (served to the original requester and to anyone asking for
+the same key later). The first request for an unknown key creates a
+pending record and then enqueues exactly one compile message; while the
+record stays pending, further requests return pending without enqueuing
+again. A crash between the two writes leaves a pending record without a
+message, and the farm that reopens the root sends it one.
 
 The socket server speaks the wire protocol: one newline-terminated JSON
 request per connection, answered with one JSON response. Connections are
@@ -16,7 +16,9 @@ farm's one lock, ``RequestService.lock``, for the whole of its handling,
 so requests could not overlap anyway, and starting a thread per
 connection costs more than the exchange itself. A client that sends no
 full request line within ``REQUEST_TIMEOUT`` seconds is disconnected so
-it cannot hold up others.
+it cannot hold up others. A request line longer than
+``MAX_REQUEST_BYTES``, or one that names no canonical build key, is
+dropped: the connection closes without a response.
 """
 from __future__ import annotations
 
@@ -32,6 +34,7 @@ from ..wire import (
     STATUS_AVAILABLE,
     STATUS_FAILED,
     STATUS_PENDING,
+    artifact_url,
     decode_request,
     encode_response,
 )
@@ -74,7 +77,7 @@ class RequestService:
                 self.queue.send(key, now)
                 return _PENDING
             if record.status == BUILT:
-                return Response(STATUS_AVAILABLE, url=record.artifact_url)
+                return Response(STATUS_AVAILABLE, url=artifact_url(key))
             if record.status == FAILED:
                 return Response(STATUS_FAILED, error=record.error_message)
             return _PENDING
@@ -89,7 +92,9 @@ class _ExchangeHandler(socketserver.StreamRequestHandler):
         except TimeoutError:
             logger.warning("dropping a connection that sent no request")
             return
-        if not line:
+        if not line.endswith(b"\n"):
+            if line:  # cut short, or longer than MAX_REQUEST_BYTES
+                logger.warning("dropping an unterminated request line")
             return
         try:
             key = decode_request(json.loads(line.decode("utf-8")))

@@ -11,7 +11,9 @@ each ``create_pending`` and each first finalize appends the record's
 document, and a reload keeps the last line of each key. A key has at most
 two lines, so the journal needs no compaction. A line that is not a
 document the store writes raises ``FarmStateError``, and so does a key
-that is not the canonical string of a ``BuildKey``. Each artifact is the
+that is not the canonical string of a ``BuildKey``. A built record holds
+no URL (it is ``wire.artifact_url`` of the key); the ``artifact_url`` of
+lines written by earlier versions is ignored. Each artifact is the
 file ``wire.artifact_file(key)``, a name that decodes back to the key, so the
 directory is the index. Opening either store writes nothing. An artifact
 may be handed over as a function that builds its bytes: on disk it is
@@ -31,7 +33,7 @@ from typing import Callable
 from ..core import BuildKey
 from ..errors import FarmStateError, MalformedBuildKey
 from ..files import Journal
-from ..wire import ARTIFACT_SUFFIX, artifact_file, artifact_url
+from ..wire import ARTIFACT_SUFFIX, artifact_file
 
 PENDING = "pending"
 BUILT = "built"
@@ -46,7 +48,6 @@ class BuildRecord:
 
     key: str
     status: str
-    artifact_url: str | None = None
     error_message: str | None = None
     created_at: float = 0.0
     completed_at: float | None = None
@@ -61,8 +62,6 @@ class BuildRecord:
             "status": self.status,
             "created_at": self.created_at,
         }
-        if self.artifact_url is not None:
-            doc["artifact_url"] = self.artifact_url
         if self.error_message is not None:
             doc["error_message"] = self.error_message
         if self.completed_at is not None:
@@ -75,13 +74,12 @@ class BuildRecord:
         record = cls(
             key=doc["key"],
             status=doc["status"],
-            artifact_url=doc.get("artifact_url"),
             error_message=doc.get("error_message"),
             created_at=doc.get("created_at", 0.0),
             completed_at=doc.get("completed_at"),
         )
-        # the text each status carries; an unknown status has none
-        text = {PENDING: "", BUILT: record.artifact_url, FAILED: record.error_message}
+        # a failed record must carry its error text; an unknown status has none
+        text = {PENDING: "", BUILT: "", FAILED: record.error_message}
         if not all(isinstance(s, str) for s in (record.key, text.get(record.status))):
             raise ValueError(f"not a build record: {doc!r}")
         return record
@@ -111,19 +109,18 @@ class BuildRecordStore:
         self._save(record)
         return True
 
-    def finalize_built(self, canonical: str, url: str, now: float) -> BuildRecord:
-        return self._finalize(canonical, BUILT, url, None, now)
+    def finalize_built(self, canonical: str, now: float) -> BuildRecord:
+        return self._finalize(canonical, BUILT, None, now)
 
     def finalize_failed(
         self, canonical: str, error: str, now: float
     ) -> BuildRecord:
-        return self._finalize(canonical, FAILED, None, error, now)
+        return self._finalize(canonical, FAILED, error, now)
 
     def _finalize(
         self,
         canonical: str,
         status: str,
-        url: str | None,
         error: str | None,
         now: float,
     ) -> BuildRecord:
@@ -135,7 +132,7 @@ class BuildRecordStore:
         else:
             created_at = record.created_at
             self._pending -= 1
-        record = BuildRecord(canonical, status, url, error, created_at, now)
+        record = BuildRecord(canonical, status, error, created_at, now)
         self._records[canonical] = record
         self._save(record)
         return record
@@ -172,14 +169,12 @@ class BuildRecordStore:
                     f"{self._journal.path}: line {number}: not a build record"
                 ) from exc
             try:
-                key = BuildKey.parse(record.key)
-            except MalformedBuildKey:
-                key = None
-            if key is None or key.canonical() != record.key:
+                key = BuildKey.from_canonical(record.key)
+            except MalformedBuildKey as exc:
                 raise FarmStateError(
                     f"{self._journal.path}: line {number}: {record.key!r} is"
                     f" not a canonical build key"
-                )
+                ) from exc
             self._records[record.key] = record
             keys[record.key] = key
         self.pending_at_open = [
@@ -194,7 +189,7 @@ class ArtifactStore:
         self._blobs: dict[str, bytes | Callable[[], bytes]] = {}
         self._persist_dir = Path(persist_dir) if persist_dir else None
 
-    def put(self, key: BuildKey, data: bytes | Callable[[], bytes]) -> str:
+    def put(self, key: BuildKey, data: bytes | Callable[[], bytes]) -> None:
         """Store the artifact; a later write for the same key is a no-op.
 
         ``data`` is the tar's bytes or a function that builds them. On
@@ -209,7 +204,6 @@ class ArtifactStore:
             tmp = path.with_name(path.name + ".tmp")
             tmp.write_bytes(data() if callable(data) else data)
             os.rename(tmp, path)
-        return artifact_url(key)
 
     def get(self, key: BuildKey) -> bytes | None:
         """The stored tar's bytes, or None; in memory the first ``get``

@@ -88,8 +88,7 @@ class JobProfile:
 
 
 class ExecutorTable:
-    """Per-key build profiles, looked up by canonical key, then by
-    package-version, then falling back to a default."""
+    """Build profiles by canonical key, and the default for other keys."""
 
     def __init__(
         self,
@@ -100,10 +99,7 @@ class ExecutorTable:
         self.default = default
 
     def profile_for(self, key: BuildKey) -> JobProfile:
-        profile = self.profiles.get(key.canonical())
-        if profile is None:
-            profile = self.profiles.get(f"{key.package}-{key.version}")
-        return profile if profile is not None else self.default
+        return self.profiles.get(key.canonical(), self.default)
 
 
 @dataclass(frozen=True)
@@ -315,8 +311,8 @@ class Worker:
             # Someone else finished this key while we were hibernated.
             status = "discarded"
         elif build.result.ok:
-            url = self.artifacts.put(build.key, build.result.artifact)
-            self.records.finalize_built(canonical, url, t)
+            self.artifacts.put(build.key, build.result.artifact)
+            self.records.finalize_built(canonical, t)
             status = "built"
         else:
             self.records.finalize_failed(canonical, build.result.error, t)

@@ -2,26 +2,21 @@
 
 One exchange carries one UTF-8 JSON request and one JSON response:
 
-    request:  {"package": "<category/name>", "version": "<rendered>",
-               "useflags": ["...", sorted]}
+    request:  {"key": "<canonical build key>"}
     response: {"status": "available"|"pending"|"failed",
                "url": optional, "error": optional}
 
-The status vocabulary is closed; anything else is a protocol error. An
-available artifact's url is ``store://<canonical build key>``.
+A request names its key by the key's canonical string; any other text,
+such as ``cat/p-1[b,a]`` or ``cat/p-01[]``, is a protocol error, and so
+is a status outside the closed vocabulary. An available artifact's url
+is ``store://<canonical build key>``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import BuildKey, PackageId, UseFlagSet, parse_version
-from .errors import (
-    MalformedBuildKey,
-    MalformedPackageId,
-    MalformedUseFlag,
-    MalformedVersion,
-    ProtocolError,
-)
+from .core import BuildKey
+from .errors import MalformedBuildKey, ProtocolError
 
 STATUS_AVAILABLE = "available"
 STATUS_PENDING = "pending"
@@ -62,30 +57,18 @@ class Response:
 
 
 def encode_request(key: BuildKey) -> dict:
-    return {
-        "package": key.package.render(),
-        "version": key.version.render(),
-        "useflags": list(key.useflags.sorted_flags()),
-    }
+    return {"key": key.canonical()}
 
 
 def decode_request(doc: object) -> BuildKey:
-    if not isinstance(doc, dict):
-        raise ProtocolError("request is not an object")
+    """The key whose canonical string is the request's ``key``."""
+    text = doc.get("key") if isinstance(doc, dict) else None
+    if not isinstance(text, str):
+        raise ProtocolError("request has no key string")
     try:
-        package = PackageId.parse(doc["package"])
-        version = parse_version(doc["version"])
-        flags = doc["useflags"]
-        if not isinstance(flags, list) or not all(
-            isinstance(f, str) for f in flags
-        ):
-            raise ProtocolError("useflags must be a list of strings")
-        return BuildKey(package, version, UseFlagSet.of(flags))
-    except ProtocolError:
-        raise
-    except (KeyError, TypeError, MalformedPackageId, MalformedUseFlag,
-            MalformedVersion) as exc:
-        raise ProtocolError(f"bad request document: {exc}") from exc
+        return BuildKey.from_canonical(text)
+    except MalformedBuildKey as exc:
+        raise ProtocolError(f"bad request: {exc}") from exc
 
 
 def encode_response(response: Response) -> dict:

@@ -4,7 +4,7 @@ import pytest
 
 from pacloud.client import Client, InProcessTransport
 from pacloud.config import Config
-from pacloud.core import PackageId, parse_version
+from pacloud.core import BuildKey, PackageId, parse_version
 from pacloud.depparse import metadata_from_ebuilds, parse_ebuild
 from pacloud.farm import BuildFarm, ExecutorTable, JobProfile, VirtualClock
 from pacloud.localdb import DirectoryStore, LocalDb, write_store
@@ -118,7 +118,8 @@ class SpyTransport:
         self.events = events
 
     def exchange(self, request):
-        self.events.append(("request", request["package"]))
+        key = BuildKey.from_canonical(request["key"])
+        self.events.append(("request", key.package.render()))
         return self.inner.exchange(request)
 
 

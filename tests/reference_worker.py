@@ -160,8 +160,8 @@ class ReferenceWorker:
         else:
             if self._result.ok:
                 assert self._result.artifact is not None
-                url = self.artifacts.put(self._key, self._result.artifact)
-                self.records.finalize_built(canonical, url, t)
+                self.artifacts.put(self._key, self._result.artifact)
+                self.records.finalize_built(canonical, t)
                 status = "built"
             else:
                 assert self._result.error is not None

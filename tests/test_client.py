@@ -183,6 +183,36 @@ class TestUnpack:
             unpack_archive(buffer.getvalue(), tmp_path)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("members", [
+        [("usr/a", tarfile.REGTYPE), ("usr/a/b", tarfile.REGTYPE)],
+        [("usr/a/b", tarfile.REGTYPE), ("usr/a", tarfile.REGTYPE)],
+        [("usr/a", tarfile.REGTYPE), ("usr/a/d", tarfile.DIRTYPE)],
+        [("usr/a", tarfile.DIRTYPE), ("usr/a", tarfile.REGTYPE)],
+    ], ids=["file-then-child", "child-then-file", "file-then-dir", "dir-and-file"])
+    def test_a_file_member_in_another_members_path_writes_nothing(
+        self, members, tmp_path
+    ):
+        buffer = io.BytesIO()
+        with tarfile.open(fileobj=buffer, mode="w") as tar:
+            for name, kind in members:
+                info = tarfile.TarInfo(name)
+                info.type = kind
+                tar.addfile(info, io.BytesIO(b""))
+        (tmp_path / "keep").write_bytes(b"kept")
+        before = tree_snapshot(tmp_path)
+        with pytest.raises(UnpackError, match="clashes with a file"):
+            unpack_archive(buffer.getvalue(), tmp_path)
+        assert tree_snapshot(tmp_path) == before
+
+    def test_a_file_in_the_install_root_in_the_way_is_an_unpack_error(
+        self, tmp_path
+    ):
+        (tmp_path / "usr").write_bytes(b"in the way")
+        key = BuildKey.parse("sys-libs/ncurses-6.1-r2[]")
+        with pytest.raises(UnpackError, match="usr/share/pacloud"):
+            unpack_archive(build_artifact_tar(key), tmp_path)
+        assert (tmp_path / "usr").read_bytes() == b"in the way"
+
 
 class TestInstall:
     def test_requests_issued_before_downloads(self, env):

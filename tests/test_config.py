@@ -91,6 +91,7 @@ timeout = 600
         with pytest.raises(MalformedConfigLine) as exc_info:
             load_config(write(tmp_path, text))
         assert exc_info.value.line_number == 3
+        assert str(exc_info.value).startswith("line 3: ")
 
     def test_value_before_section_rejected(self, tmp_path):
         with pytest.raises(MalformedConfigLine):

@@ -262,6 +262,7 @@ class TestParseEbuild:
         with pytest.raises(UnsupportedEbuildConstruct) as exc_info:
             parse_ebuild(text, "x", "1")
         assert exc_info.value.line_number == 2
+        assert str(exc_info.value).startswith("line 2: ")
 
     def test_backticks_rejected(self):
         with pytest.raises(UnsupportedEbuildConstruct):

@@ -439,18 +439,18 @@ class TestPendingCount:
             if op == 0:
                 store.create_pending(key, float(step))
             elif op == 1:
-                store.finalize_built(key, f"store://{key}", float(step))
+                store.finalize_built(key, float(step))
             elif op == 2:
                 store.finalize_failed(key, "boom", float(step))
             else:
-                store.finalize_built(f"cat/stray{step}-1.0[]", "store://x", 0.0)
+                store.finalize_built(f"cat/stray{step}-1.0[]", 0.0)
             self.check(store)
         store.close()
         reopened = BuildRecordStore(tmp_path / "records")
         self.check(reopened)
         assert reopened.pending_keys() == store.pending_keys()
         reopened.create_pending("cat/late-1.0[]", 99.0)
-        reopened.finalize_built(self.KEYS[0], "store://x", 100.0)
+        reopened.finalize_built(self.KEYS[0], 100.0)
         reopened.close()
         self.check(reopened)
 

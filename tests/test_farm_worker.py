@@ -20,6 +20,7 @@ from pacloud.farm import (
 )
 from pacloud.farm.stores import BUILT, FAILED, PENDING
 from pacloud.files import json_line
+from pacloud.wire import artifact_key, artifact_url
 
 KEY = BuildKey.parse("sys-libs/ncurses-6.1-r2[]")
 
@@ -206,14 +207,15 @@ class TestInterruption:
 class TestArtifactStore:
     def test_first_write_wins(self):
         store = ArtifactStore()
-        url = store.put(KEY, b"original")
-        assert store.put(KEY, b"imposter") == url
+        store.put(KEY, b"original")
+        store.put(KEY, b"imposter")
         assert store.get(KEY) == b"original"
 
     def test_url_embeds_canonical_key(self):
-        store = ArtifactStore()
-        url = store.put(KEY, b"x")
-        assert url == f"store://{KEY.canonical()}"
+        # a put returns no URL: the key's URL is derived from the key alone
+        assert ArtifactStore().put(KEY, b"x") is None
+        assert artifact_url(KEY) == f"store://{KEY.canonical()}"
+        assert artifact_key(artifact_url(KEY)) == KEY
 
     def test_persistence_round_trip(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -301,17 +303,17 @@ class TestRecordStore:
     def test_terminal_states_immutable(self):
         records = BuildRecordStore()
         records.create_pending(KEY.canonical(), 0.0)
-        first = records.finalize_built(KEY.canonical(), "store://x", 5.0)
+        first = records.finalize_built(KEY.canonical(), 5.0)
         assert first.status == BUILT
         second = records.finalize_failed(KEY.canonical(), "boom", 6.0)
-        assert second.status == BUILT  # first write wins
-        assert records.get(KEY.canonical()).artifact_url == "store://x"
+        assert second is first  # first write wins
+        assert records.get(KEY.canonical()).completed_at == 5.0
 
     def test_records_handed_out_are_frozen(self):
         records = BuildRecordStore()
         records.create_pending(KEY.canonical(), 0.0)
         pending = records.get(KEY.canonical())
-        built = records.finalize_built(KEY.canonical(), "store://x", 5.0)
+        built = records.finalize_built(KEY.canonical(), 5.0)
         assert pending.status == PENDING
         for record in [pending, built, *records.all_records()]:
             with pytest.raises(dataclasses.FrozenInstanceError):
@@ -341,13 +343,13 @@ class TestRecordStore:
         records = BuildRecordStore(tmp_path)
         for i, key in enumerate(keys):
             records.create_pending(key, float(i))
-            records.finalize_built(key, f"store://{key}", 10.0 + i)
+            records.finalize_built(key, 10.0 + i)
         records.close()
         reloaded = BuildRecordStore(tmp_path)
         assert [r.to_document() for r in reloaded.all_records()] == [
             r.to_document() for r in records.all_records()
         ]
-        assert reloaded.get(keys[0]).artifact_url == f"store://{keys[0]}"
+        assert [reloaded.get(key).completed_at for key in keys] == [10.0, 11.0]
 
     def test_every_truncation_replays_to_a_prefix(self, tmp_path):
         def documents(store):
@@ -363,7 +365,7 @@ class TestRecordStore:
             if op == "create":
                 records.create_pending(key, float(step))
             elif op == "built":
-                records.finalize_built(key, f"store://{key}", float(step))
+                records.finalize_built(key, float(step))
             else:
                 records.finalize_failed(key, "boom", float(step))
             prefixes.append(documents(records))
@@ -380,7 +382,7 @@ class TestRecordStore:
             last = prefixes.index(got, last)
             assert reopened.pending_count() == len(reopened.pending_keys())
             reopened.create_pending("cat/after-1[]", 50.0)
-            reopened.finalize_built("cat/c-1[]", "store://c", 51.0)
+            reopened.finalize_built("cat/c-1[]", 51.0)
             reopened.close()
             assert documents(BuildRecordStore(cut)) == documents(reopened)
         assert last == len(prefixes) - 1
@@ -389,12 +391,10 @@ class TestRecordStore:
         {"key": "cat/p-1[]", "status": "bogus"},
         {"key": "cat/p-1[]", "status": ["pending"]},
         {"key": ["cat/p-1[]"], "status": PENDING},
-        {"key": "cat/p-1[]", "status": BUILT},
-        {"key": "cat/p-1[]", "status": BUILT, "artifact_url": 5},
         {"key": "cat/p-1[]", "status": FAILED},
         {"key": "cat/p-1[]", "status": FAILED, "error_message": None},
-    ], ids=["unknown-status", "list-status", "list-key", "built-without-url",
-            "built-with-int-url", "failed-without-error", "failed-null-error"])
+    ], ids=["unknown-status", "list-status", "list-key", "failed-without-error",
+            "failed-null-error"])
     def test_refuses_a_document_no_store_writes(self, tmp_path, doc):
         good = {"key": "cat/q-1[]", "status": PENDING, "created_at": 0.0}
         (tmp_path / "records.jsonl").write_bytes(json_line(good) + json_line(doc))
@@ -407,7 +407,7 @@ class TestRecordStore:
         good = {"key": "cat/q-1[]", "status": PENDING, "created_at": 0.0}
         doc = {"key": key, "status": status, "created_at": 0.0}
         if status == BUILT:
-            doc.update(artifact_url="store://p", completed_at=1.0)
+            doc.update(completed_at=1.0)
         (tmp_path / "records.jsonl").write_bytes(json_line(good) + json_line(doc))
         with pytest.raises(
             FarmStateError, match="line 2: .* is not a canonical build key"

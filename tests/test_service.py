@@ -21,6 +21,7 @@ from pacloud.errors import (
 from pacloud.farm import (
     DEAD_LETTER_ERROR,
     MAX_DELIVERIES,
+    ArtifactStore,
     BuildFarm,
     BuildRecordStore,
     ExecutorTable,
@@ -33,12 +34,14 @@ from pacloud.farm import (
     generate_emerge_commands,
 )
 from pacloud.farm import service as service_module
+from pacloud.files import json_line
 from pacloud.localdb import DirectoryStore
 from pacloud.wire import (
     Response,
     STATUS_AVAILABLE,
     STATUS_FAILED,
     STATUS_PENDING,
+    artifact_url,
     decode_request,
     decode_response,
     encode_request,
@@ -156,7 +159,7 @@ class TestDeadLetters:
         farm.service.handle_request(KEY)
         for t in (0.0, 15.0, 30.0):
             assert farm.queue.receive(t) is not None
-        farm.records.finalize_built(KEY.canonical(), "store://x", 31.0)
+        farm.records.finalize_built(KEY.canonical(), 31.0)
         assert farm.queue.receive(45.0) is None
         assert len(farm.queue.dead_letters()) == 1
         record = farm.records.get(KEY.canonical())
@@ -226,11 +229,7 @@ class TestDeadLetters:
 class TestWireDocuments:
     def test_request_round_trip(self):
         doc = encode_request(KEY)
-        assert doc == {
-            "package": "sys-libs/ncurses",
-            "version": "6.1-r2",
-            "useflags": ["mousewheel", "unicode"],
-        }
+        assert doc == {"key": "sys-libs/ncurses-6.1-r2[mousewheel,unicode]"}
         assert decode_request(doc) == KEY
 
     def test_every_service_response_parses(self):
@@ -259,11 +258,11 @@ class TestWireDocuments:
 
     def test_bad_request_rejected(self):
         with pytest.raises(ProtocolError):
-            decode_request({"package": "noslash", "version": "1", "useflags": []})
+            decode_request({"key": "noslash-1[]"})
         with pytest.raises(ProtocolError):
-            decode_request({"package": "a/b", "version": "x", "useflags": []})
+            decode_request({"key": "a/b-x[]"})
         with pytest.raises(ProtocolError):
-            decode_request({"package": "a/b", "version": "1", "useflags": "x"})
+            decode_request({"key": "a/b-1[x"})
 
 
 def tcp_exchange(address: str, payload: bytes) -> bytes:
@@ -272,6 +271,67 @@ def tcp_exchange(address: str, payload: bytes) -> bytes:
         sock.sendall(payload)
         with sock.makefile("rb") as reader:
             return reader.readline()
+
+
+def tcp_exchange_or_reset(address: str, payload: bytes) -> bytes:
+    """``tcp_exchange``, with a reset connection read as no response: a
+    server that closes before reading all of ``payload`` resets it."""
+    try:
+        return tcp_exchange(address, payload)
+    except ConnectionResetError:
+        return b""
+
+
+@pytest.fixture(scope="module")
+def idle_server():
+    """One farm server for every refused request below: each case checks
+    that its request left the farm empty."""
+    farm = BuildFarm(clock=VirtualClock())
+    server = FarmServer(farm.service).start()
+    yield server, farm
+    server.stop()
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param(
+        {"package": "sys-libs/ncurses", "version": "6.1-r2", "useflags": []},
+        id="three-field-form",
+    ),
+    pytest.param({}, id="missing-key"),
+    pytest.param({"key": 5}, id="int-key"),
+    pytest.param({"key": "cat/p-1[b,a]"}, id="unsorted-flags"),
+    pytest.param({"key": "cat/p-01[]"}, id="leading-zero"),
+    pytest.param({"key": "cat/p-1[]\n"}, id="newline-after"),
+    pytest.param({"key": "cat/p\n-1[]"}, id="newline-inside"),
+    pytest.param({"key": "cat/sub/p-1[]"}, id="extra-slash"),
+    pytest.param({"key": "cat/p-1[]]"}, id="extra-bracket"),
+    pytest.param(
+        {"key": "cat/p-1[]", "pad": "x" * service_module.MAX_REQUEST_BYTES},
+        id="over-max-bytes",
+    ),
+])
+def test_a_request_that_names_no_canonical_key_is_dropped(idle_server, doc):
+    server, farm = idle_server
+    if "pad" not in doc:
+        with pytest.raises(ProtocolError):
+            decode_request(doc)
+    line = (json.dumps(doc) + "\n").encode("utf-8")
+    assert tcp_exchange_or_reset(server.address, line) == b""
+    with pytest.raises(TransportError):
+        TcpTransport(server.address).exchange(doc)
+    assert farm.records.all_records() == []
+    assert farm.queue.depth() == 0
+
+
+def test_a_good_request_over_max_bytes_is_dropped(idle_server):
+    # the line's first MAX_REQUEST_BYTES are a whole request and blanks,
+    # which JSON alone would accept
+    server, farm = idle_server
+    request = json.dumps(encode_request(KEY)).encode("utf-8")
+    line = request + b" " * service_module.MAX_REQUEST_BYTES + b"\n"
+    assert tcp_exchange_or_reset(server.address, line) == b""
+    assert farm.records.all_records() == []
+    assert farm.queue.depth() == 0
 
 
 class TestFarmServer:
@@ -333,7 +393,7 @@ class TestFarmPersistence:
         assert (root / "artifacts" / f"{KEY.path_token()}.tar").is_file()
         # the same directory doubles as the download surface for clients
         store = DirectoryStore(root)
-        url = farm.records.get(KEY.canonical()).artifact_url
+        url = farm.service.handle_request(KEY).url
         assert store.fetch_artifact(url) == farm.artifacts.get(KEY)
 
     def test_keys_with_colliding_file_names_keep_their_own_artifacts(
@@ -355,17 +415,17 @@ class TestFarmPersistence:
         assert expected[keys[0]] != expected[keys[1]]
         store = DirectoryStore(root)
 
-        def served(records):
+        def served(farm):
             return {
-                key: store.fetch_artifact(records.get(key.canonical()).artifact_url)
+                key: store.fetch_artifact(farm.service.handle_request(key).url)
                 for key in keys
             }
 
-        assert served(farm.records) == expected
+        assert served(farm) == expected
         farm.close()
         reborn = BuildFarm(clock=VirtualClock(), root=root)
+        assert served(reborn) == expected
         reborn.close()
-        assert served(reborn.records) == expected
         assert {key: reborn.artifacts.get(key) for key in keys} == expected
 
     def test_records_survive_restart(self, tmp_path):
@@ -476,6 +536,30 @@ class TestFarmPersistence:
         assert "remove records/ and artifacts/" in str(exc_info.value)
         assert files_under(tmp_path) == before
 
+    def test_a_built_line_naming_another_url_is_served_its_own(
+        self, make_env, tmp_path
+    ):
+        # earlier versions stored each built record's URL; the store now
+        # ignores it and serves the URL of the record's own key
+        key = BuildKey.parse("sys-libs/ncurses-6.1-r2[]")
+        root = tmp_path / "farm"
+        ArtifactStore(root / "artifacts").put(key, build_artifact_tar(key))
+        (root / "records").mkdir()
+        (root / "records" / "records.jsonl").write_bytes(json_line(
+            {"key": key.canonical(), "status": "built", "created_at": 0.0,
+             "artifact_url": "store://app-editors/vim-8.1[]",
+             "completed_at": 3.0}
+        ))
+        env = make_env()
+        env.client.update()
+        env.client.install([parse_atom("=sys-libs/ncurses-6.1-r2")])
+        assert env.client.db.get_metadata(key.package).installed_version() == (
+            key.version
+        )
+        assert env.download_events() == [("download", artifact_url(key))]
+        assert env.farm.service.handle_request(key).url == artifact_url(key)
+        assert [r.key for r in env.farm.records.all_records()] == [key.canonical()]
+
     def test_a_category_named_queue_is_served(self, make_env):
         package = PackageId.parse("queue/q")
         ebuild = parse_ebuild('EAPI=6\nDESCRIPTION="q"\nRDEPEND=""\n', "q", "1.0")
@@ -535,7 +619,7 @@ class TestFarmPersistence:
 
     def test_opening_a_root_writes_nothing(self, tmp_path):
         table = ExecutorTable(
-            {"cat/broken-1": JobProfile(duration=3.0, error="boom")},
+            {"cat/broken-1[]": JobProfile(duration=3.0, error="boom")},
             default=JobProfile(duration=3.0),
         )
         farm = BuildFarm(clock=VirtualClock(), root=tmp_path, executor_table=table)
