@@ -1,10 +1,13 @@
 """The package-manager operations behind the command-line verbs.
 
-Install requests every plan entry from the build service up front so the
-farm compiles them in parallel, then walks the plan in order: a cached
-archive is reused without touching the wire, anything else is awaited
-with a poll-sleep loop, downloaded, cached and unpacked. The first error
-stops the walk, leaving the already-completed installs recorded.
+Install asks the build service about every uncached plan entry in one
+request, so the farm compiles them in parallel, then asks again about
+the ones not yet available once per poll round, ``poll_interval`` apart.
+It walks the plan in order: a cached archive is reused without touching
+the wire, and any other entry is downloaded, cached and unpacked as soon
+as it and every entry before it are available. The first error stops the
+walk, leaving the already-completed installs recorded. The exchanges of
+one install share one connection, closed when the install ends.
 
 Installing a package that is already installed, at any version, replaces
 it as Portage merges over an installed version: once the new install is
@@ -30,7 +33,7 @@ import socket
 import tarfile
 from datetime import datetime
 from pathlib import Path, PurePosixPath
-from typing import Protocol
+from typing import Iterator, Protocol, Sequence
 from urllib.parse import urlsplit
 
 from .config import Config
@@ -61,7 +64,7 @@ from .wire import (
     Response,
     STATUS_AVAILABLE,
     STATUS_FAILED,
-    artifact_key,
+    STATUS_PENDING,
     decode_request,
     decode_response,
     encode_request,
@@ -70,13 +73,22 @@ from .wire import (
 
 
 class Transport(Protocol):
-    """One request/response exchange with the build service."""
+    """Request/response exchanges with the build service, until ``close``."""
 
     def exchange(self, request: dict) -> dict: ...
 
+    def close(self) -> None: ...
+
 
 class TcpTransport:
-    """The wire protocol over a ``tcp://host:port`` endpoint."""
+    """The wire protocol over a ``tcp://host:port`` endpoint.
+
+    Exchanges share one connection until ``close``, or until one fails. A
+    reused connection that gives no response at all, as one the server
+    closed for idleness does, is replaced once and the request sent
+    again. That is safe because a build request is idempotent: it creates
+    a key's pending record once, and a resend only reads it.
+    """
 
     def __init__(self, url: str, connect_timeout: float = 30.0):
         try:
@@ -89,24 +101,51 @@ class TcpTransport:
         self.host = host
         self.port = port
         self.connect_timeout = connect_timeout
+        self._sock: socket.socket | None = None
+        self._reader: io.BufferedReader | None = None
 
     def exchange(self, request: dict) -> dict:
         payload = (json.dumps(request) + "\n").encode("utf-8")
+        reused = self._sock is not None
         try:
-            with socket.create_connection(
-                (self.host, self.port), timeout=self.connect_timeout
-            ) as sock:
-                sock.sendall(payload)
-                with sock.makefile("rb") as reader:
-                    line = reader.readline()
+            line = self._round_trip(payload)
+            if reused and not line:
+                self.close()
+                line = self._round_trip(payload)
         except OSError as exc:
+            self.close()
             raise TransportError(f"cannot reach {self.host}:{self.port}: {exc}") from exc
-        if not line:
+        if not line.endswith(b"\n"):
+            self.close()
             raise TransportError("connection closed without a response")
         try:
             return json.loads(line.decode("utf-8"))
         except ValueError as exc:
+            self.close()
             raise ProtocolError(f"undecodable response body: {exc}") from exc
+
+    def _round_trip(self, payload: bytes) -> bytes:
+        """The response line to ``payload``; b"" if the connection gave
+        none."""
+        if self._sock is None:
+            sock = socket.create_connection(
+                (self.host, self.port), timeout=self.connect_timeout
+            )
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._sock, self._reader = sock, sock.makefile("rb")
+        assert self._reader is not None
+        try:
+            self._sock.sendall(payload)
+            return self._reader.readline()
+        except ConnectionError:  # reset by the server, or closed under a send
+            return b""
+
+    def close(self) -> None:
+        if self._sock is not None:
+            assert self._reader is not None
+            self._reader.close()
+            self._sock.close()
+            self._sock = self._reader = None
 
 
 class InProcessTransport:
@@ -120,8 +159,11 @@ class InProcessTransport:
         self.service = service
 
     def exchange(self, request: dict) -> dict:
-        key = decode_request(request)
-        return encode_response(self.service.handle_request(key))
+        keys = decode_request(request)
+        return encode_response([self.service.handle_request(key) for key in keys])
+
+    def close(self) -> None:
+        pass
 
 
 def transport_from_url(url: str | None) -> Transport:
@@ -140,9 +182,56 @@ def store_from_url(url: str | None) -> PackageStore:
     raise StoreUnreachable(f"unsupported store url: {url!r}")
 
 
+def request_packages(transport: Transport, keys: Sequence[BuildKey]) -> list[Response]:
+    """One build request for ``keys``: one response per key, in order."""
+    return decode_response(transport.exchange(encode_request(keys)), len(keys))
+
+
 def request_package(transport: Transport, key: BuildKey) -> Response:
-    """One build request; the response is parsed by its status field."""
-    return decode_response(transport.exchange(encode_request(key)))
+    """One build request for one key."""
+    [response] = request_packages(transport, [key])
+    return response
+
+
+def await_packages(
+    transport: Transport,
+    keys: Sequence[BuildKey],
+    clock: Clock,
+    poll_interval: float = 10.0,
+    timeout: float = 7200.0,
+) -> Iterator[BuildKey]:
+    """Request ``keys`` in one exchange, then ask about the ones still
+    pending once per round, ``poll_interval`` apart, until each is built.
+
+    Yields each key, in order, as soon as it and every key before it are
+    available; the caller's work between two keys runs before the next
+    sleep. Raises BuildFailed with the farm's error text when the next
+    key in order failed, and BuildTimeout when a key is still pending
+    ``timeout`` seconds after the first request.
+    """
+    start = clock.now()
+    statuses: dict[BuildKey, Response] = {}
+    asking = list(keys)
+    done = 0
+    while True:
+        statuses.update(zip(asking, request_packages(transport, asking)))
+        while done < len(keys):
+            response = statuses[keys[done]]
+            if response.status == STATUS_FAILED:
+                assert response.error is not None
+                raise BuildFailed(response.error)
+            if response.status != STATUS_AVAILABLE:
+                break
+            done += 1
+            yield keys[done - 1]
+        if done == len(keys):
+            return
+        clock.sleep(poll_interval)
+        if clock.now() - start >= timeout:
+            raise BuildTimeout(
+                f"{keys[done]}: still pending after {timeout:g} seconds"
+            )
+        asking = [key for key in keys[done:] if statuses[key].status == STATUS_PENDING]
 
 
 def await_package(
@@ -151,24 +240,10 @@ def await_package(
     clock: Clock,
     poll_interval: float = 10.0,
     timeout: float = 7200.0,
-) -> str:
-    """Poll until the key is available; its URL must name ``key``."""
-    start = clock.now()
-    while True:
-        if clock.now() - start >= timeout:
-            raise BuildTimeout(
-                f"{key}: still pending after {timeout:g} seconds"
-            )
-        response = request_package(transport, key)
-        if response.status == STATUS_AVAILABLE:
-            assert response.url is not None
-            if artifact_key(response.url) != key:
-                raise ProtocolError(f"{key}: service offered {response.url}")
-            return response.url
-        if response.status == STATUS_FAILED:
-            assert response.error is not None
-            raise BuildFailed(response.error)
-        clock.sleep(poll_interval)
+) -> None:
+    """Poll until ``key`` is available: ``await_packages`` of one key."""
+    for _ in await_packages(transport, [key], clock, poll_interval, timeout):
+        pass
 
 
 def unpack_archive(data: bytes, install_root: Path) -> list[str]:
@@ -359,36 +434,39 @@ class Client:
             data = self.db.archive_get(keys[pkg])
             if data is not None:
                 cached[pkg] = data
-        # Request every uncached entry before downloading anything so the
-        # farm compiles the whole closure in parallel.
-        for pkg, _ in plan.steps:
-            if pkg not in cached:
-                request_package(self.transport, keys[pkg])
-        for pkg, version in plan.steps:
-            key = keys[pkg]
-            data = cached.get(pkg)
-            if data is None:
-                url = await_package(
-                    self.transport,
-                    key,
-                    self.clock,
-                    poll_interval=self.config.poll_interval,
-                    timeout=self.config.timeout,
-                )
-                data = self.store.fetch_artifact(url)
-            files = unpack_archive(data, self.config.install_root)
-            if pkg not in cached:
-                self.db.archive_put(key, data)
-            replaced = self.db.record_install(
-                pkg,
-                version,
-                explicit.get(pkg, False),
-                plan.dependencies.get(pkg, ()),
-                files,
+        uncached = [keys[pkg] for pkg, _ in plan.steps if pkg not in cached]
+        built: Iterator[BuildKey] = iter(())
+        if uncached:
+            built = await_packages(
+                self.transport,
+                uncached,
+                self.clock,
+                poll_interval=self.config.poll_interval,
+                timeout=self.config.timeout,
             )
-            stale = set(replaced).difference(files)
-            if stale:
-                self._unlink(sorted(stale))
+        try:
+            for pkg, version in plan.steps:
+                key = keys[pkg]
+                data = cached.get(pkg)
+                if data is None:
+                    next(built)
+                    data = self.store.fetch_artifact(key)
+                files = unpack_archive(data, self.config.install_root)
+                if pkg not in cached:
+                    self.db.archive_put(key, data)
+                replaced = self.db.record_install(
+                    pkg,
+                    version,
+                    explicit.get(pkg, False),
+                    plan.dependencies.get(pkg, ()),
+                    files,
+                )
+                stale = set(replaced).difference(files)
+                if stale:
+                    self._unlink(sorted(stale))
+        finally:
+            if uncached:
+                self.transport.close()
 
     def _unlink(self, files: list[str]) -> None:
         """Delete installed files, pruning the directories they empty."""

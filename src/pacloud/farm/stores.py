@@ -12,7 +12,7 @@ document, and a reload keeps the last line of each key. A key has at most
 two lines, so the journal needs no compaction. A line that is not a
 document the store writes raises ``FarmStateError``, and so does a key
 that is not the canonical string of a ``BuildKey``. A built record holds
-no URL (it is ``wire.artifact_url`` of the key); the ``artifact_url`` of
+no URL, since a client reads its artifact by key; the ``artifact_url`` of
 lines written by earlier versions is ignored. Each artifact is the
 file ``wire.artifact_file(key)``, a name that decodes back to the key, so the
 directory is the index. Opening either store writes nothing. An artifact

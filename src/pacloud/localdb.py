@@ -29,7 +29,8 @@ opened, before anything is read or written.
 The remote store is reached through the PackageStore interface: a
 ``manifest.txt`` of category names at the root, one ``<category>.json``
 document per category mapping package name to metadata, and artifact
-blobs addressed by ``store://`` URLs (``wire.artifact_url``).
+blobs under ``artifacts/``, each named by its build key
+(``wire.artifact_file``).
 """
 from __future__ import annotations
 
@@ -49,13 +50,12 @@ from .errors import (
     MalformedPackageId,
     MalformedVersion,
     NotInstalled,
-    ProtocolError,
     StoreUnreachable,
     UnknownPackage,
     UnknownVersion,
 )
 from .files import prune_empty_dirs, rewrite_text
-from .wire import ARTIFACT_DIR, ARTIFACT_SUFFIX, artifact_file, artifact_key
+from .wire import ARTIFACT_DIR, ARTIFACT_SUFFIX, artifact_file
 
 METADATA_FILE = "metadata.json"
 MANIFEST_FILE = "manifest.txt"
@@ -217,7 +217,7 @@ class PackageStore(Protocol):
 
     def fetch_category(self, category: str) -> str: ...
 
-    def fetch_artifact(self, url: str) -> bytes: ...
+    def fetch_artifact(self, key: BuildKey) -> bytes: ...
 
 
 class DirectoryStore:
@@ -245,12 +245,11 @@ class DirectoryStore:
                 f"cannot fetch category {category}: {exc}"
             ) from exc
 
-    def fetch_artifact(self, url: str) -> bytes:
+    def fetch_artifact(self, key: BuildKey) -> bytes:
         try:
-            name = artifact_file(artifact_key(url))
-            return (self.root / ARTIFACT_DIR / name).read_bytes()
-        except (ProtocolError, OSError) as exc:
-            raise StoreUnreachable(f"cannot fetch artifact {url}: {exc}") from exc
+            return (self.root / ARTIFACT_DIR / artifact_file(key)).read_bytes()
+        except OSError as exc:
+            raise StoreUnreachable(f"cannot fetch artifact {key}: {exc}") from exc
 
 
 def parse_manifest(text: str) -> list[str]:
@@ -326,11 +325,16 @@ class LocalDb:
 
     # --- paths ---
 
+    # One f-string per path: a category and a name hold no "/", and three
+    # pathlib joins cost about three times one Path made from a string.
+
     def package_dir(self, package: PackageId) -> Path:
-        return self.local_dir / package.category / package.name
+        return Path(f"{self.local_dir}/{package.category}/{package.name}")
 
     def metadata_path(self, package: PackageId) -> Path:
-        return self.package_dir(package) / METADATA_FILE
+        return Path(
+            f"{self.local_dir}/{package.category}/{package.name}/{METADATA_FILE}"
+        )
 
     def category_path(self, category: str) -> Path:
         return self.store_dir / f"{category}.json"

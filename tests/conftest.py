@@ -118,9 +118,13 @@ class SpyTransport:
         self.events = events
 
     def exchange(self, request):
-        key = BuildKey.from_canonical(request["key"])
-        self.events.append(("request", key.package.render()))
+        for text in request["keys"]:
+            key = BuildKey.from_canonical(text)
+            self.events.append(("request", key.package.render()))
         return self.inner.exchange(request)
+
+    def close(self):
+        self.inner.close()
 
 
 class SpyStore:
@@ -134,9 +138,9 @@ class SpyStore:
     def fetch_category(self, category):
         return self.inner.fetch_category(category)
 
-    def fetch_artifact(self, url):
-        self.events.append(("download", url))
-        return self.inner.fetch_artifact(url)
+    def fetch_artifact(self, key):
+        self.events.append(("download", key))
+        return self.inner.fetch_artifact(key)
 
 
 class ClientEnv:

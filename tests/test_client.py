@@ -9,6 +9,7 @@ from conftest import requirers
 from pacloud.client import (
     Client,
     await_package,
+    await_packages,
     format_search_results,
     request_package,
     unpack_archive,
@@ -42,6 +43,7 @@ from pacloud.localdb import (
 )
 from pacloud.wire import (
     ARTIFACT_DIR,
+    Response,
     STATUS_AVAILABLE,
     STATUS_PENDING,
     artifact_file,
@@ -67,33 +69,50 @@ def trees(env):
 
 
 class ScriptedTransport:
+    """Answers each exchange with the next scripted statuses."""
+
     def __init__(self, responses):
         self.responses = list(responses)
-        self.exchanges = 0
+        self.requests = []
+        self.closed = 0
+
+    @property
+    def exchanges(self):
+        return len(self.requests)
 
     def exchange(self, request):
-        self.exchanges += 1
-        return self.responses.pop(0)
+        self.requests.append(request)
+        return {"statuses": self.responses.pop(0)}
+
+    def close(self):
+        self.closed += 1
 
 
 class TestRequestPackage:
     KEY = BuildKey.parse("a/b-1.0[]")
 
     def test_available(self):
-        transport = ScriptedTransport(
-            [{"status": "available", "url": "store://a/b-1.0[]"}]
-        )
+        transport = ScriptedTransport([[{"status": "available"}]])
         response = request_package(transport, self.KEY)
-        assert response.status == STATUS_AVAILABLE
-        assert response.url == "store://a/b-1.0[]"
+        assert response == Response(STATUS_AVAILABLE)
+        assert transport.requests == [{"type": "build", "keys": ["a/b-1.0[]"]}]
 
     def test_pending(self):
-        transport = ScriptedTransport([{"status": "pending"}])
+        transport = ScriptedTransport([[{"status": "pending"}]])
         assert request_package(transport, self.KEY).status == STATUS_PENDING
 
     def test_closed_vocabulary(self):
-        transport = ScriptedTransport([{"status": "done"}])
+        transport = ScriptedTransport([[{"status": "done"}]])
         with pytest.raises(ProtocolError):
+            request_package(transport, self.KEY)
+
+    @pytest.mark.parametrize("statuses", [
+        pytest.param([], id="none"),
+        pytest.param([{"status": "pending"}] * 2, id="one-too-many"),
+    ])
+    def test_one_status_per_key(self, statuses):
+        transport = ScriptedTransport([statuses])
+        with pytest.raises(ProtocolError, match="statuses for 1 keys"):
             request_package(transport, self.KEY)
 
 
@@ -104,19 +123,19 @@ class TestAwaitPackage:
         clock = VirtualClock()
         transport = ScriptedTransport(
             [
-                {"status": "pending"},
-                {"status": "pending"},
-                {"status": "available", "url": "store://a/b-1.0[]"},
+                [{"status": "pending"}],
+                [{"status": "pending"}],
+                [{"status": "available"}],
             ]
         )
-        url = await_package(transport, self.KEY, clock, poll_interval=10.0)
-        assert url == "store://a/b-1.0[]"
+        await_package(transport, self.KEY, clock, poll_interval=10.0)
         assert clock.now() == 20.0
+        assert transport.exchanges == 3
 
     def test_failed_carries_verbatim_error(self):
         clock = VirtualClock()
         transport = ScriptedTransport(
-            [{"status": "failed", "error": "configure: error: missing x"}]
+            [[{"status": "failed", "error": "configure: error: missing x"}]]
         )
         with pytest.raises(BuildFailed) as exc_info:
             await_package(transport, self.KEY, clock)
@@ -124,13 +143,63 @@ class TestAwaitPackage:
 
     def test_perpetual_pending_times_out_at_deadline(self):
         clock = VirtualClock()
-        transport = ScriptedTransport([{"status": "pending"}] * 100000)
+        transport = ScriptedTransport([[{"status": "pending"}]] * 100000)
         with pytest.raises(BuildTimeout):
             await_package(
                 transport, self.KEY, clock, poll_interval=10.0, timeout=7200.0
             )
         assert clock.now() == 7200.0
         assert transport.exchanges == 720
+
+
+class TestAwaitPackages:
+    KEYS = [BuildKey.parse(f"a/b{i}-1.0[]") for i in range(3)]
+
+    def test_each_round_asks_only_about_the_keys_still_pending(self):
+        clock = VirtualClock()
+        transport = ScriptedTransport([
+            [{"status": "pending"}, {"status": "available"}, {"status": "pending"}],
+            [{"status": "pending"}, {"status": "pending"}],
+            [{"status": "available"}, {"status": "available"}],
+        ])
+        got = []
+        for key in await_packages(transport, self.KEYS, clock, poll_interval=10.0):
+            got.append((key, clock.now()))
+        assert got == [(key, 20.0) for key in self.KEYS]
+        assert [r["keys"] for r in transport.requests] == [
+            [k.canonical() for k in self.KEYS],
+            [self.KEYS[0].canonical(), self.KEYS[2].canonical()],
+            [self.KEYS[0].canonical(), self.KEYS[2].canonical()],
+        ]
+
+    def test_a_key_is_yielded_before_the_next_sleep(self):
+        clock = VirtualClock()
+        transport = ScriptedTransport([
+            [{"status": "available"}, {"status": "pending"}, {"status": "pending"}],
+            [{"status": "available"}, {"status": "available"}],
+        ])
+        got = [
+            (key, clock.now())
+            for key in await_packages(transport, self.KEYS, clock, poll_interval=10.0)
+        ]
+        assert got == [(self.KEYS[0], 0.0), (self.KEYS[1], 10.0), (self.KEYS[2], 10.0)]
+
+    def test_a_later_failure_waits_for_the_keys_before_it(self):
+        clock = VirtualClock()
+        transport = ScriptedTransport([
+            [{"status": "pending"}, {"status": "failed", "error": "boom"},
+             {"status": "pending"}],
+            [{"status": "available"}, {"status": "pending"}],
+        ])
+        built = await_packages(transport, self.KEYS, clock, poll_interval=10.0)
+        assert next(built) == self.KEYS[0]
+        with pytest.raises(BuildFailed, match="boom"):
+            next(built)
+        assert clock.now() == 10.0
+        # the failed key is not asked about again
+        assert transport.requests[1]["keys"] == [
+            self.KEYS[0].canonical(), self.KEYS[2].canonical()
+        ]
 
 
 class TestUnpack:
@@ -329,9 +398,10 @@ class TestInstall:
         "url", ["store://sys-apps/acl-2.2.53[]", "store://../x"]
     )
     def test_a_url_for_another_key_fails_before_any_fetch(self, env, url):
+        # a status holds no url: one that carries any is refused
         env.client.update()
         env.client._transport = ScriptedTransport(
-            [{"status": "pending"}, {"status": "available", "url": url}]
+            [[{"status": "pending"}], [{"status": "available", "url": url}]]
         )
         with pytest.raises(ProtocolError):
             env.client.install([parse_atom("sys-libs/ncurses")])

@@ -20,7 +20,6 @@ from pacloud.farm import (
 )
 from pacloud.farm.stores import BUILT, FAILED, PENDING
 from pacloud.files import json_line
-from pacloud.wire import artifact_key, artifact_url
 
 KEY = BuildKey.parse("sys-libs/ncurses-6.1-r2[]")
 
@@ -210,12 +209,6 @@ class TestArtifactStore:
         store.put(KEY, b"original")
         store.put(KEY, b"imposter")
         assert store.get(KEY) == b"original"
-
-    def test_url_embeds_canonical_key(self):
-        # a put returns no URL: the key's URL is derived from the key alone
-        assert ArtifactStore().put(KEY, b"x") is None
-        assert artifact_url(KEY) == f"store://{KEY.canonical()}"
-        assert artifact_key(artifact_url(KEY)) == KEY
 
     def test_persistence_round_trip(self, tmp_path):
         store = ArtifactStore(tmp_path)

@@ -29,6 +29,7 @@ from pacloud.localdb import (
     write_store,
 )
 from pacloud.resolver import compute_orphans
+from pacloud.wire import ARTIFACT_DIR, artifact_file
 from test_resolver import random_install_db
 
 
@@ -52,7 +53,7 @@ class FailingStore:
     def fetch_category(self, category):
         raise StoreUnreachable("backend down")
 
-    def fetch_artifact(self, url):
+    def fetch_artifact(self, key):
         raise StoreUnreachable("backend down")
 
 
@@ -508,13 +509,20 @@ class TestStoreLayout:
         assert set(doc["ncurses"]["versions"]) == set(NCURSES_VERSIONS)
         assert "installed" not in doc["ncurses"]
 
-    @pytest.mark.parametrize(
-        "url", ["http://x/a/b-1[]", "store://../x", "store://a/b-1[]/../../c"]
-    )
-    def test_artifact_url_must_name_a_key(self, store_dir, url):
-        (store_dir / "artifacts").mkdir()
-        with pytest.raises(StoreUnreachable):
-            DirectoryStore(store_dir).fetch_artifact(url)
+    def test_an_artifact_is_read_from_its_key_file_alone(self, store_dir):
+        # artifacts/<artifact_file(key)> and no other file, such as the
+        # one of a key with fewer flags
+        key = BuildKey.parse("a/b-1[x,y]")
+        other = BuildKey.parse("a/b-1[x]")
+        artifacts = store_dir / ARTIFACT_DIR
+        artifacts.mkdir()
+        (artifacts / artifact_file(key)).write_bytes(b"mine")
+        (artifacts / artifact_file(other)).write_bytes(b"other")
+        assert artifact_file(key) == "a%2Fb-1[x,y].tar"
+        assert DirectoryStore(store_dir).fetch_artifact(key) == b"mine"
+        (artifacts / artifact_file(key)).unlink()
+        with pytest.raises(StoreUnreachable, match=r"a/b-1\[x,y\]"):
+            DirectoryStore(store_dir).fetch_artifact(key)
 
 
 class TestBatchRemoval:

@@ -41,7 +41,6 @@ from pacloud.wire import (
     STATUS_AVAILABLE,
     STATUS_FAILED,
     STATUS_PENDING,
-    artifact_url,
     decode_request,
     decode_response,
     encode_request,
@@ -85,8 +84,7 @@ class TestHandleRequest:
         farm.service.handle_request(KEY)
         farm.run_until_settled(60.0)
         response = farm.service.handle_request(KEY)
-        assert response.status == STATUS_AVAILABLE
-        assert response.url == f"store://{KEY.canonical()}"
+        assert response == Response(STATUS_AVAILABLE)
 
     def test_failed_key_serves_preserved_error(self):
         error_text = "emerge: it broke"
@@ -228,41 +226,55 @@ class TestDeadLetters:
 
 class TestWireDocuments:
     def test_request_round_trip(self):
-        doc = encode_request(KEY)
-        assert doc == {"key": "sys-libs/ncurses-6.1-r2[mousewheel,unicode]"}
-        assert decode_request(doc) == KEY
+        keys = [KEY, BuildKey.parse("a/b-1[]")]
+        doc = encode_request(keys)
+        assert doc == {
+            "type": "build",
+            "keys": ["sys-libs/ncurses-6.1-r2[mousewheel,unicode]", "a/b-1[]"],
+        }
+        assert decode_request(doc) == keys
 
     def test_every_service_response_parses(self):
-        for response in (
-            Response(STATUS_AVAILABLE, url="store://x"),
+        responses = [
+            Response(STATUS_AVAILABLE),
             Response(STATUS_PENDING),
             Response(STATUS_FAILED, error="why"),
-        ):
-            assert decode_response(encode_response(response)) == response
+        ]
+        doc = encode_response(responses)
+        assert doc == {"statuses": [
+            {"status": "available"}, {"status": "pending"},
+            {"status": "failed", "error": "why"},
+        ]}
+        assert decode_response(doc, 3) == responses
 
     def test_unknown_status_rejected(self):
         with pytest.raises(ProtocolError):
-            decode_response({"status": "done"})
+            decode_response({"statuses": [{"status": "done"}]}, 1)
 
-    def test_available_requires_url(self):
+    def test_available_carries_no_url(self):
         with pytest.raises(ProtocolError):
-            decode_response({"status": "available"})
+            decode_response(
+                {"statuses": [{"status": "available", "url": "store://a/b-1[]"}]},
+                1,
+            )
 
     def test_failed_requires_error(self):
         with pytest.raises(ProtocolError):
-            decode_response({"status": "failed"})
+            decode_response({"statuses": [{"status": "failed"}]}, 1)
+        with pytest.raises(ProtocolError):
+            decode_response({"statuses": [{"status": "pending", "error": "x"}]}, 1)
 
     def test_non_object_rejected(self):
-        with pytest.raises(ProtocolError):
-            decode_response(["status"])
+        for doc in (["statuses"], {"status": "pending"}, {"statuses": {}},
+                    {"statuses": [["status"]]},
+                    {"statuses": [{"status": "pending"}], "more": 1}):
+            with pytest.raises(ProtocolError):
+                decode_response(doc, 1)
 
     def test_bad_request_rejected(self):
-        with pytest.raises(ProtocolError):
-            decode_request({"key": "noslash-1[]"})
-        with pytest.raises(ProtocolError):
-            decode_request({"key": "a/b-x[]"})
-        with pytest.raises(ProtocolError):
-            decode_request({"key": "a/b-1[x"})
+        for text in ("noslash-1[]", "a/b-x[]", "a/b-1[x"):
+            with pytest.raises(ProtocolError):
+                decode_request({"type": "build", "keys": [text]})
 
 
 def tcp_exchange(address: str, payload: bytes) -> bytes:
@@ -292,33 +304,51 @@ def idle_server():
     server.stop()
 
 
+GOOD = KEY.canonical()
+
+
 @pytest.mark.parametrize("doc", [
     pytest.param(
         {"package": "sys-libs/ncurses", "version": "6.1-r2", "useflags": []},
         id="three-field-form",
     ),
+    pytest.param({"key": GOOD}, id="one-key-form"),
     pytest.param({}, id="missing-key"),
-    pytest.param({"key": 5}, id="int-key"),
-    pytest.param({"key": "cat/p-1[b,a]"}, id="unsorted-flags"),
-    pytest.param({"key": "cat/p-01[]"}, id="leading-zero"),
-    pytest.param({"key": "cat/p-1[]\n"}, id="newline-after"),
-    pytest.param({"key": "cat/p\n-1[]"}, id="newline-inside"),
-    pytest.param({"key": "cat/sub/p-1[]"}, id="extra-slash"),
-    pytest.param({"key": "cat/p-1[]]"}, id="extra-bracket"),
+    pytest.param({"keys": [GOOD]}, id="missing-type"),
+    pytest.param({"type": "stats", "keys": [GOOD]}, id="unknown-type"),
+    pytest.param({"type": "build", "keys": [GOOD], "key": GOOD}, id="extra-field"),
+    pytest.param({"type": "build", "keys": GOOD}, id="keys-not-a-list"),
+    pytest.param({"type": "build", "keys": []}, id="empty-keys"),
+    pytest.param({"type": "build", "keys": [GOOD, GOOD]}, id="duplicate-key"),
+    pytest.param({"type": "build", "keys": [GOOD, 5]}, id="int-key"),
+    pytest.param({"type": "build", "keys": [GOOD, [GOOD]]}, id="list-key"),
+    pytest.param({"type": "build", "keys": ["a/b-1[]", "cat/p-1[b,a]", GOOD]},
+                 id="unsorted-flags"),
+    pytest.param({"type": "build", "keys": ["cat/p-01[]"]}, id="leading-zero"),
+    pytest.param({"type": "build", "keys": ["cat/p-1[]\n"]}, id="newline-after"),
+    pytest.param({"type": "build", "keys": ["cat/p\n-1[]"]}, id="newline-inside"),
+    pytest.param({"type": "build", "keys": ["cat/sub/p-1[]"]}, id="extra-slash"),
+    pytest.param({"type": "build", "keys": ["cat/p-1[]]"]}, id="extra-bracket"),
     pytest.param(
-        {"key": "cat/p-1[]", "pad": "x" * service_module.MAX_REQUEST_BYTES},
+        {"type": "build", "keys": ["cat/p-1[]"],
+         "pad": "x" * service_module.MAX_REQUEST_BYTES},
         id="over-max-bytes",
     ),
 ])
-def test_a_request_that_names_no_canonical_key_is_dropped(idle_server, doc):
+def test_a_request_that_names_no_canonical_key_is_dropped(
+    idle_server, doc, caplog
+):
     server, farm = idle_server
     if "pad" not in doc:
         with pytest.raises(ProtocolError):
             decode_request(doc)
     line = (json.dumps(doc) + "\n").encode("utf-8")
-    assert tcp_exchange_or_reset(server.address, line) == b""
-    with pytest.raises(TransportError):
-        TcpTransport(server.address).exchange(doc)
+    with caplog.at_level(logging.WARNING, logger="pacloud.farm"):
+        assert tcp_exchange_or_reset(server.address, line) == b""
+        transport = TcpTransport(server.address)
+        with pytest.raises(TransportError):
+            transport.exchange(doc)
+    assert [r.levelno for r in caplog.records] == [logging.WARNING] * 2
     assert farm.records.all_records() == []
     assert farm.queue.depth() == 0
 
@@ -327,11 +357,31 @@ def test_a_good_request_over_max_bytes_is_dropped(idle_server):
     # the line's first MAX_REQUEST_BYTES are a whole request and blanks,
     # which JSON alone would accept
     server, farm = idle_server
-    request = json.dumps(encode_request(KEY)).encode("utf-8")
+    request = json.dumps(encode_request([KEY])).encode("utf-8")
     line = request + b" " * service_module.MAX_REQUEST_BYTES + b"\n"
     assert tcp_exchange_or_reset(server.address, line) == b""
     assert farm.records.all_records() == []
     assert farm.queue.depth() == 0
+
+
+def request_line(*keys):
+    return (json.dumps(encode_request(list(keys))) + "\n").encode("utf-8")
+
+
+def connect(server):
+    host, port = server.address[len("tcp://"):].rsplit(":", 1)
+    return socket.create_connection((host, int(port)), timeout=10.0)
+
+
+def closed_by_peer(sock, timeout):
+    """Whether the peer closes ``sock`` within ``timeout`` seconds."""
+    sock.settimeout(timeout)
+    try:
+        return sock.recv(1) == b""
+    except TimeoutError:
+        return False
+    except ConnectionResetError:
+        return True
 
 
 class TestFarmServer:
@@ -344,33 +394,259 @@ class TestFarmServer:
 
     def test_socket_exchange(self, server):
         server_obj, farm = server
-        request = json.dumps(encode_request(KEY)) + "\n"
-        line = tcp_exchange(server_obj.address, request.encode("utf-8"))
-        response = decode_response(json.loads(line.decode("utf-8")))
+        line = tcp_exchange(server_obj.address, request_line(KEY))
+        [response] = decode_response(json.loads(line.decode("utf-8")), 1)
         assert response.status == STATUS_PENDING
         assert farm.queue.depth() == 1
 
     def test_one_request_per_exchange(self, server):
+        # each line on a kept-open connection is one request, answered by
+        # one line with a status per key, in the request's order
         server_obj, farm = server
-        request = json.dumps(encode_request(KEY)) + "\n"
-        for _ in range(2):
-            line = tcp_exchange(server_obj.address, request.encode("utf-8"))
-            assert json.loads(line.decode("utf-8"))["status"] == STATUS_PENDING
-        assert farm.queue.depth() == 1
+        other = BuildKey.parse("a/b-1[]")
+        with connect(server_obj) as sock, sock.makefile("rb") as reader:
+            for keys in ([KEY], [other, KEY], [KEY]):
+                sock.sendall(request_line(*keys))
+                assert json.loads(reader.readline()) == {
+                    "statuses": [{"status": "pending"}] * len(keys)
+                }
+        assert farm.queue.depth() == 2
+
+    def test_pipelined_requests_are_answered_in_order(self, server):
+        server_obj, farm = server
+        other = BuildKey.parse("a/b-1[]")
+        with farm.lock:
+            farm.records.create_pending(other.canonical(), 0.0)
+            farm.records.finalize_failed(other.canonical(), "boom", 0.0)
+        with connect(server_obj) as sock, sock.makefile("rb") as reader:
+            sock.sendall(request_line(KEY) + request_line(other))
+            assert json.loads(reader.readline())["statuses"] == [
+                {"status": "pending"}
+            ]
+            assert json.loads(reader.readline())["statuses"] == [
+                {"status": "failed", "error": "boom"}
+            ]
 
     def test_malformed_request_closes_quietly(self, server):
         server_obj, _ = server
         line = tcp_exchange(server_obj.address, b"this is not json\n")
         assert line == b""
 
-    def test_stalled_client_does_not_block_others(self, server, monkeypatch):
-        monkeypatch.setattr(service_module._ExchangeHandler, "timeout", 0.2)
+    def test_a_deeply_nested_request_is_dropped(self, server):
+        server_obj, farm = server
+        line = b"[" * (service_module.MAX_REQUEST_BYTES - 1) + b"\n"
+        assert tcp_exchange_or_reset(server_obj.address, line) == b""
+        line = tcp_exchange(server_obj.address, request_line(KEY))
+        assert json.loads(line)["statuses"] == [{"status": "pending"}]
+
+    def test_a_line_of_max_bytes_is_served(self, server):
+        server_obj, farm = server
+        request = request_line(KEY)
+        pad = b" " * (service_module.MAX_REQUEST_BYTES - len(request))
+        line = tcp_exchange(server_obj.address, request[:-1] + pad + b"\n")
+        assert json.loads(line)["statuses"] == [{"status": "pending"}]
+
+    def test_stalled_client_does_not_block_others(self, server):
         server_obj, _ = server
-        host, port = server_obj.address[len("tcp://"):].rsplit(":", 1)
-        with socket.create_connection((host, int(port)), timeout=5.0):
-            request = json.dumps(encode_request(KEY)) + "\n"
-            line = tcp_exchange(server_obj.address, request.encode("utf-8"))
-        assert json.loads(line.decode("utf-8"))["status"] == STATUS_PENDING
+        with connect(server_obj):
+            line = tcp_exchange(server_obj.address, request_line(KEY))
+        assert json.loads(line.decode("utf-8"))["statuses"] == [
+            {"status": "pending"}
+        ]
+
+    def test_idle_connections_do_not_delay_an_exchange(self, server):
+        server_obj, _ = server
+        idle = [connect(server_obj) for _ in range(10)]
+        try:
+            started = time.monotonic()
+            line = tcp_exchange(server_obj.address, request_line(KEY))
+            elapsed = time.monotonic() - started
+        finally:
+            for sock in idle:
+                sock.close()
+        assert json.loads(line)["statuses"] == [{"status": "pending"}]
+        assert elapsed < 1.0
+
+    def test_slow_writers_are_dropped_at_their_own_deadline(self, server):
+        # one connection sends a byte at a time and never ends its line,
+        # another sends half a line and stalls; each is closed once
+        # REQUEST_TIMEOUT has passed since it opened, and an honest
+        # exchange is served in the meantime
+        server_obj, _ = server
+        timeout = service_module.REQUEST_TIMEOUT
+        half = request_line(KEY)[:20]
+        with connect(server_obj) as trickle:
+            opened = time.monotonic()
+            with connect(server_obj) as stalled:
+                stalled.sendall(half)
+                stalled_opened = time.monotonic()
+                trickle.settimeout(0.25)
+                closed_at = None
+                while closed_at is None:
+                    try:
+                        trickle.sendall(b" ")
+                        if trickle.recv(1) == b"":
+                            closed_at = time.monotonic()
+                    except TimeoutError:
+                        pass
+                    except (BrokenPipeError, ConnectionResetError):
+                        closed_at = time.monotonic()
+                    assert time.monotonic() - opened < timeout + 2.0
+                assert timeout - 0.3 <= closed_at - opened <= timeout + 1.0
+                line = tcp_exchange(server_obj.address, request_line(KEY))
+                assert json.loads(line)["statuses"] == [{"status": "pending"}]
+                remaining = stalled_opened + timeout - time.monotonic()
+                assert closed_by_peer(stalled, remaining + 1.0)
+                assert time.monotonic() - stalled_opened >= timeout - 0.05
+
+    def test_an_answered_line_restarts_the_deadline(self, server, monkeypatch):
+        monkeypatch.setattr(service_module, "REQUEST_TIMEOUT", 0.3)
+        server_obj, _ = server
+        with connect(server_obj) as sock, sock.makefile("rb") as reader:
+            for _ in range(3):
+                time.sleep(0.2)
+                sock.sendall(request_line(KEY))
+                assert json.loads(reader.readline())["statuses"] == [
+                    {"status": "pending"}
+                ]
+            assert closed_by_peer(sock, 2.0)
+
+    def test_stop_returns_at_once_with_a_connection_open(self):
+        farm = BuildFarm(clock=VirtualClock())
+        before = threading.active_count()
+        server = FarmServer(farm.service).start()
+        with connect(server) as sock:
+            sock.sendall(request_line(KEY)[:10])
+            time.sleep(0.05)  # the server holds the half line
+            started = time.monotonic()
+            server.stop()
+            elapsed = time.monotonic() - started
+            assert closed_by_peer(sock, 1.0)
+        assert elapsed < 0.1
+        assert threading.active_count() == before
+        server.stop()  # a second stop does nothing
+
+    def test_one_thread_serves_every_connection(self, server):
+        server_obj, _ = server
+        before = threading.active_count()
+        socks = [connect(server_obj) for _ in range(8)]
+        try:
+            for sock in socks:
+                sock.sendall(request_line(KEY))
+            for sock in socks:
+                with sock.makefile("rb") as reader:
+                    assert json.loads(reader.readline())["statuses"] == [
+                        {"status": "pending"}
+                    ]
+            assert threading.active_count() == before
+        finally:
+            for sock in socks:
+                sock.close()
+
+
+class TestTcpTransport:
+    @pytest.fixture
+    def server(self):
+        farm = BuildFarm(clock=VirtualClock())
+        server = FarmServer(farm.service).start()
+        yield server, farm
+        server.stop()
+
+    @pytest.fixture
+    def accepted(self, monkeypatch):
+        """The connections every server here accepts, counted."""
+        count = [0]
+        real = socket.socket.accept
+
+        def counting(sock):
+            accepted = real(sock)
+            count[0] += 1
+            return accepted
+
+        monkeypatch.setattr(socket.socket, "accept", counting)
+        return count
+
+    def test_exchanges_share_one_connection(self, server, accepted):
+        server_obj, _ = server
+        transport = TcpTransport(server_obj.address)
+        try:
+            for _ in range(3):
+                assert transport.exchange(encode_request([KEY]))["statuses"] == [
+                    {"status": "pending"}
+                ]
+        finally:
+            transport.close()
+        assert accepted[0] == 1
+
+    def test_a_connection_closed_for_idleness_is_replaced(
+        self, server, accepted, monkeypatch
+    ):
+        monkeypatch.setattr(service_module, "REQUEST_TIMEOUT", 0.1)
+        server_obj, farm = server
+        transport = TcpTransport(server_obj.address)
+        try:
+            transport.exchange(encode_request([KEY]))
+            time.sleep(0.4)  # the server closes the idle connection
+            assert transport.exchange(encode_request([KEY]))["statuses"] == [
+                {"status": "pending"}
+            ]
+        finally:
+            transport.close()
+        assert accepted[0] == 2
+        assert farm.queue.depth() == 1
+
+    def test_a_refused_request_is_sent_twice_at_most(
+        self, server, accepted, caplog
+    ):
+        server_obj, farm = server
+        transport = TcpTransport(server_obj.address)
+        transport.exchange(encode_request([KEY]))
+        with caplog.at_level(logging.WARNING, logger="pacloud.farm"):
+            with pytest.raises(TransportError):
+                transport.exchange({"type": "build", "keys": []})
+        # the reused connection and one fresh one, each refused once
+        assert accepted[0] == 2
+        assert len([r for r in caplog.records if r.name == "pacloud.farm"]) == 2
+        # a failed exchange closes its connection: the next opens another
+        assert transport.exchange(encode_request([KEY]))["statuses"] == [
+            {"status": "pending"}
+        ]
+        transport.close()
+        assert accepted[0] == 3
+
+    def test_a_server_that_is_gone_is_a_transport_error(self, server):
+        server_obj, _ = server
+        transport = TcpTransport(server_obj.address, connect_timeout=1.0)
+        transport.exchange(encode_request([KEY]))
+        server_obj.stop()
+        with pytest.raises(TransportError):
+            transport.exchange(encode_request([KEY]))
+
+    def test_an_install_opens_one_connection(self, make_env, accepted):
+        env = make_env()
+        server = FarmServer(env.farm.service).start()
+        try:
+            transport = TcpTransport(server.address)
+            exchanges = []
+            real = transport.exchange
+
+            def counting(request):
+                exchanges.append(request["keys"])
+                return real(request)
+
+            transport.exchange = counting
+            env.client._transport = transport
+            env.client.update()
+            plan = env.client.install([parse_atom("app-editors/vim")])
+        finally:
+            server.stop()
+        assert accepted[0] == 1
+        assert transport._sock is None  # closed when the install ended
+        keys = [BuildKey(p, v, env.config.use_flags).canonical() for p, v in plan.steps]
+        # the whole plan in one request, then one request per poll round
+        # (30 s builds, 10 s polls)
+        assert exchanges == [keys] * 4
+        assert env.clock.now() == 30.0
 
 
 class TestFarmPersistence:
@@ -393,8 +669,8 @@ class TestFarmPersistence:
         assert (root / "artifacts" / f"{KEY.path_token()}.tar").is_file()
         # the same directory doubles as the download surface for clients
         store = DirectoryStore(root)
-        url = farm.service.handle_request(KEY).url
-        assert store.fetch_artifact(url) == farm.artifacts.get(KEY)
+        assert farm.service.handle_request(KEY).status == STATUS_AVAILABLE
+        assert store.fetch_artifact(KEY) == farm.artifacts.get(KEY)
 
     def test_keys_with_colliding_file_names_keep_their_own_artifacts(
         self, tmp_path
@@ -417,8 +693,9 @@ class TestFarmPersistence:
 
         def served(farm):
             return {
-                key: store.fetch_artifact(farm.service.handle_request(key).url)
+                key: store.fetch_artifact(key)
                 for key in keys
+                if farm.service.handle_request(key).status == STATUS_AVAILABLE
             }
 
         assert served(farm) == expected
@@ -540,7 +817,7 @@ class TestFarmPersistence:
         self, make_env, tmp_path
     ):
         # earlier versions stored each built record's URL; the store now
-        # ignores it and serves the URL of the record's own key
+        # ignores it, and the client reads the artifact of its own key
         key = BuildKey.parse("sys-libs/ncurses-6.1-r2[]")
         root = tmp_path / "farm"
         ArtifactStore(root / "artifacts").put(key, build_artifact_tar(key))
@@ -556,8 +833,8 @@ class TestFarmPersistence:
         assert env.client.db.get_metadata(key.package).installed_version() == (
             key.version
         )
-        assert env.download_events() == [("download", artifact_url(key))]
-        assert env.farm.service.handle_request(key).url == artifact_url(key)
+        assert env.download_events() == [("download", key)]
+        assert env.farm.service.handle_request(key) == Response(STATUS_AVAILABLE)
         assert [r.key for r in env.farm.records.all_records()] == [key.canonical()]
 
     def test_a_category_named_queue_is_served(self, make_env):
@@ -671,7 +948,7 @@ class TestServiceMode:
 
     def test_a_request_waits_while_the_lock_is_held(self, wall_farm):
         farm, server = wall_farm
-        request = (json.dumps(encode_request(KEY)) + "\n").encode("utf-8")
+        request = request_line(KEY)
         lines = []
         client = threading.Thread(
             target=lambda: lines.append(tcp_exchange(server.address, request))
@@ -682,7 +959,7 @@ class TestServiceMode:
             assert client.is_alive() and lines == []
         client.join(5.0)
         assert not client.is_alive()
-        assert json.loads(lines[0])["status"] == STATUS_PENDING
+        assert json.loads(lines[0])["statuses"] == [{"status": STATUS_PENDING}]
 
     @staticmethod
     def wait_under_lock(farm, done, seconds=5.0):
@@ -728,9 +1005,9 @@ class TestServiceMode:
                 deadline = time.monotonic() + 30.0
                 while waiting and time.monotonic() < deadline:
                     for key in list(waiting):
-                        request = json.dumps(encode_request(key)) + "\n"
-                        line = tcp_exchange(server.address, request.encode())
-                        if json.loads(line)["status"] == STATUS_AVAILABLE:
+                        line = tcp_exchange(server.address, request_line(key))
+                        [status] = json.loads(line)["statuses"]
+                        if status["status"] == STATUS_AVAILABLE:
                             waiting.remove(key)
                 failures.extend(key.canonical() for key in waiting)
             except Exception as exc:  # reported below, not lost in the thread
@@ -774,7 +1051,9 @@ class TestServiceMode:
     ):
         farm, server = wall_farm
         transport = TcpTransport(server.address, connect_timeout=1.0)
-        assert transport.exchange(encode_request(KEY))["status"] == STATUS_PENDING
+        assert transport.exchange(encode_request([KEY]))["statuses"] == [
+            {"status": STATUS_PENDING}
+        ]
 
         def failing_step(now):
             raise OSError("record journal append failed")
@@ -785,7 +1064,7 @@ class TestServiceMode:
         deadline = time.monotonic() + 2.0
         with pytest.raises(TransportError):
             while time.monotonic() < deadline:
-                transport.exchange(encode_request(KEY))
+                transport.exchange(encode_request([KEY]))
                 time.sleep(0.01)
         failed = [r for r in caplog.records if r.name == "pacloud.farm"]
         assert [r.exc_info[0] for r in failed] == [OSError]
@@ -804,14 +1083,14 @@ class TestServiceMode:
         )
         server = farm.start_service()
         try:
-            request = json.dumps(encode_request(KEY)) + "\n"
-            line = tcp_exchange(server.address, request.encode("utf-8"))
-            assert json.loads(line)["status"] == STATUS_PENDING
+            request = request_line(KEY)
+            line = tcp_exchange(server.address, request)
+            assert json.loads(line)["statuses"] == [{"status": STATUS_PENDING}]
             deadline = time.monotonic() + 5.0
             status = None
             while time.monotonic() < deadline:
-                line = tcp_exchange(server.address, request.encode("utf-8"))
-                status = json.loads(line)["status"]
+                line = tcp_exchange(server.address, request)
+                [status] = [s["status"] for s in json.loads(line)["statuses"]]
                 if status == STATUS_AVAILABLE:
                     break
                 time.sleep(0.02)
