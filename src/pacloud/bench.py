@@ -95,12 +95,7 @@ def run_makespan(num_workers: int, jobs: list[JobSpec]) -> MakespanReport:
             for job in jobs
         }
     )
-    farm = BuildFarm(
-        clock=clock,
-        executor_table=table,
-        num_workers=num_workers,
-        worker_poll_interval=1.0,
-    )
+    farm = BuildFarm(clock=clock, executor_table=table, num_workers=num_workers)
     for job in jobs:
         farm.service.handle_request(job.key)
     budget = sum(job.duration for job in jobs) + 60.0 * len(jobs) + 60.0

@@ -4,16 +4,21 @@ Install asks the build service about every uncached plan entry in one
 request, so the farm compiles them in parallel, then asks again about
 the ones not yet available once per poll round, ``poll_interval`` apart.
 It walks the plan in order: a cached archive is reused without touching
-the wire, and any other entry is downloaded, cached and unpacked as soon
+the wire, and any other entry is downloaded, unpacked and cached as soon
 as it and every entry before it are available. The first error stops the
 walk, leaving the already-completed installs recorded. The exchanges of
 one install share one connection, closed when the install ends.
 
 Installing a package that is already installed, at any version, replaces
-it as Portage merges over an installed version: once the new install is
-recorded, the files of the replaced one that the new one does not list
-are unlinked. ``upgrade`` only picks the highest known version and
-installs it this way.
+it as Portage merges over an installed version. Each entry is unpacked,
+then the replaced install's files that the new one does not list are
+unlinked, then the archive is cached, and only then is the entry
+recorded. A crash before the record leaves the replaced version
+recorded: the new files written so far stay on disk, and so do the stale
+files not yet unlinked. The same install run again unpacks the same
+files, unlinks the stale files that are left and records the entry, so
+it finishes the job. ``upgrade`` only picks the highest known version
+and installs it this way.
 
 Removal unlinks the files of every package in the orphan closure
 (pruning emptied directories), drops their cached archives, then records
@@ -36,7 +41,7 @@ from pathlib import Path, PurePosixPath
 from typing import Iterator, Protocol, Sequence
 from urllib.parse import urlsplit
 
-from .config import Config
+from .config import DEFAULT_POLL_INTERVAL, DEFAULT_TIMEOUT, Config
 from .core import (
     BuildKey,
     DependencyAtom,
@@ -197,8 +202,8 @@ def await_packages(
     transport: Transport,
     keys: Sequence[BuildKey],
     clock: Clock,
-    poll_interval: float = 10.0,
-    timeout: float = 7200.0,
+    poll_interval: float = DEFAULT_POLL_INTERVAL,
+    timeout: float = DEFAULT_TIMEOUT,
 ) -> Iterator[BuildKey]:
     """Request ``keys`` in one exchange, then ask about the ones still
     pending once per round, ``poll_interval`` apart, until each is built.
@@ -238,8 +243,8 @@ def await_package(
     transport: Transport,
     key: BuildKey,
     clock: Clock,
-    poll_interval: float = 10.0,
-    timeout: float = 7200.0,
+    poll_interval: float = DEFAULT_POLL_INTERVAL,
+    timeout: float = DEFAULT_TIMEOUT,
 ) -> None:
     """Poll until ``key`` is available: ``await_packages`` of one key."""
     for _ in await_packages(transport, [key], clock, poll_interval, timeout):
@@ -451,19 +456,21 @@ class Client:
                 if data is None:
                     next(built)
                     data = self.store.fetch_artifact(key)
+                meta = self.db.get_metadata(pkg)
+                replaced = (meta.files if meta else None) or []
                 files = unpack_archive(data, self.config.install_root)
+                stale = set(replaced).difference(files)
+                if stale:
+                    self._unlink(sorted(stale))
                 if pkg not in cached:
                     self.db.archive_put(key, data)
-                replaced = self.db.record_install(
+                self.db.record_install(
                     pkg,
                     version,
                     explicit.get(pkg, False),
                     plan.dependencies.get(pkg, ()),
                     files,
                 )
-                stale = set(replaced).difference(files)
-                if stale:
-                    self._unlink(sorted(stale))
         finally:
             if uncached:
                 self.transport.close()

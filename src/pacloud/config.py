@@ -22,6 +22,9 @@ logger = logging.getLogger("pacloud.config")
 
 DEFAULT_CONFIG_PATH = "/etc/pacloud/pacloud.conf"
 CONFIG_ENV_VAR = "PACLOUD_CONFIG"
+DEFAULT_POLL_INTERVAL = 10.0
+DEFAULT_TIMEOUT = 7200.0
+
 
 @dataclass
 class Config:
@@ -33,8 +36,8 @@ class Config:
     use_flags: UseFlagSet = field(default_factory=UseFlagSet)
     arch: str = ""
     cflags: str = ""
-    poll_interval: float = 10.0
-    timeout: float = 7200.0
+    poll_interval: float = DEFAULT_POLL_INTERVAL
+    timeout: float = DEFAULT_TIMEOUT
 
     def validate(self) -> None:
         if self.poll_interval <= 0:

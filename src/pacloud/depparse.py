@@ -1,19 +1,12 @@
-"""Dependency-string and ebuild parsing.
+"""Dependency-string parsing.
 
 Dependency strings are whitespace-separated tokens: atoms, ``flag? ( ... )``
 conditional groups (negatable as ``!flag?``, nestable to any depth) and
 bare ``( ... )`` groups. OR groups (``|| ( ... )``) are rejected outright
 instead of being mis-read as atoms.
-
-The ebuild reader handles a deliberately small subset of bash: quoted
-variable assignments with ``${VAR}`` expansion, plus ``inherit`` and
-``EAPI=`` lines which are skipped. Anything else (command substitution,
-backticks, functions, conditionals, unquoted values) is a hard error that
-reports the offending line.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -22,21 +15,17 @@ from .core import (
     PackageId,
     Specifier,
     UseFlagSet,
-    Version,
     _FLAG_RE,
     _SPECIFIERS_BY_LENGTH,
     split_name_version,
 )
 from .errors import (
     DanglingConditional,
-    DuplicateVersion,
-    EmptyInput,
     MalformedAtom,
     MalformedPackageId,
     UnbalancedParenthesis,
     UnsupportedEbuildConstruct,
 )
-from .localdb import PackageMetadata, VersionInfo
 
 
 @dataclass(frozen=True)
@@ -140,27 +129,6 @@ def parse_dep_string(text: str) -> GroupNode:
     return GroupNode(parse_children(False))
 
 
-def render_dep_string(expr: DependencyExpr) -> str:
-    """Render an expression tree; re-parsing yields an equal tree.
-
-    A GroupNode passed at the top level renders without enclosing parens.
-    """
-    if isinstance(expr, GroupNode):
-        return " ".join(_render_node(c) for c in expr.children)
-    return _render_node(expr)
-
-
-def _render_node(node: DependencyExpr) -> str:
-    if isinstance(node, AtomNode):
-        return node.atom.render()
-    if isinstance(node, CondNode):
-        inner = " ".join(_render_node(c) for c in node.children)
-        prefix = "!" if node.negated else ""
-        return f"{prefix}{node.flag}? ( {inner} )"
-    inner = " ".join(_render_node(c) for c in node.children)
-    return f"( {inner} )" if inner else "( )"
-
-
 def eval_use_conditionals(
     expr: DependencyExpr, enabled: UseFlagSet
 ) -> list[DependencyAtom]:
@@ -184,167 +152,3 @@ def eval_use_conditionals(
 
     walk(expr)
     return out
-
-
-@dataclass(frozen=True)
-class EbuildInfo:
-    """The variables extracted from one ebuild."""
-
-    description: str
-    depend_raw: str
-    rdepend_raw: str
-    variables: dict[str, str]
-
-
-_ASSIGNMENT_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)=(.*)\Z")
-_VAR_REF_RE = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
-
-
-def _expand(value: str, variables: dict[str, str], line_number: int) -> str:
-    if "$(" in value:
-        raise UnsupportedEbuildConstruct(
-            "command substitution '$( ... )'", line_number
-        )
-    if "`" in value:
-        raise UnsupportedEbuildConstruct("backtick substitution", line_number)
-    expanded = _VAR_REF_RE.sub(lambda m: variables.get(m.group(1), ""), value)
-    if "$" in expanded:
-        raise UnsupportedEbuildConstruct(
-            "unbraced '$' expansion is not supported", line_number
-        )
-    return expanded
-
-
-def parse_ebuild(text: str, pn: str, pv: str) -> EbuildInfo:
-    """Read an ebuild's variable assignments.
-
-    ``pn`` and ``pv`` provide the implicit ${PN}, ${PV} and ${P} values.
-    Double-quoted values may span lines and are expanded; single-quoted
-    values are taken literally. Unknown ${VAR} references expand to the
-    empty string, as bash would.
-    """
-    if not pn or not pv:
-        raise EmptyInput("pn and pv must be non-empty")
-    implicit = {"PN": pn, "PV": pv, "P": f"{pn}-{pv}"}
-    variables: dict[str, str] = {}
-    lines = text.splitlines()
-    i = 0
-    while i < len(lines):
-        line_number = i + 1
-        stripped = lines[i].strip()
-        i += 1
-        if not stripped or stripped.startswith("#"):
-            continue
-        if stripped == "inherit" or stripped.startswith("inherit "):
-            continue
-        if stripped.startswith("EAPI="):
-            continue
-        m = _ASSIGNMENT_RE.fullmatch(stripped)
-        if not m:
-            raise UnsupportedEbuildConstruct(
-                f"unsupported construct: {stripped!r}", line_number
-            )
-        name, raw_value = m.group(1), m.group(2)
-        if raw_value.startswith('"'):
-            value, i = _read_double_quoted(raw_value, lines, i, line_number)
-            value = _expand(value, {**implicit, **variables}, line_number)
-        elif raw_value.startswith("'"):
-            value = _read_single_quoted(raw_value, line_number)
-        else:
-            raise UnsupportedEbuildConstruct(
-                f"unquoted assignment to {name}", line_number
-            )
-        variables[name] = value
-    return EbuildInfo(
-        description=variables.get("DESCRIPTION", ""),
-        depend_raw=variables.get("DEPEND", ""),
-        rdepend_raw=variables.get("RDEPEND", ""),
-        variables=variables,
-    )
-
-
-def _split_closing_quote(text: str, quote: str) -> tuple[str, str] | None:
-    """Split at the first unescaped closing quote; None if it never closes."""
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and quote == '"' and i + 1 < len(text):
-            out.append(text[i + 1])
-            i += 2
-            continue
-        if ch == quote:
-            return "".join(out), text[i + 1:]
-        out.append(ch)
-        i += 1
-    return None
-
-
-def _check_trailing(rest: str, line_number: int) -> None:
-    rest = rest.strip()
-    if rest and not rest.startswith("#"):
-        raise UnsupportedEbuildConstruct(
-            f"unexpected text after assignment: {rest!r}", line_number
-        )
-
-
-def _read_double_quoted(
-    raw_value: str, lines: list[str], next_index: int, line_number: int
-) -> tuple[str, int]:
-    split = _split_closing_quote(raw_value[1:], '"')
-    if split is not None:
-        value, rest = split
-        _check_trailing(rest, line_number)
-        return value, next_index
-    # The value continues on following lines until the closing quote.
-    parts = [raw_value[1:]]
-    i = next_index
-    while i < len(lines):
-        split = _split_closing_quote(lines[i], '"')
-        if split is not None:
-            value, rest = split
-            _check_trailing(rest, i + 1)
-            parts.append(value)
-            return "\n".join(parts), i + 1
-        parts.append(lines[i])
-        i += 1
-    raise UnsupportedEbuildConstruct("unterminated double quote", line_number)
-
-
-def _read_single_quoted(raw_value: str, line_number: int) -> str:
-    split = _split_closing_quote(raw_value[1:], "'")
-    if split is None:
-        raise UnsupportedEbuildConstruct(
-            "unterminated single quote", line_number
-        )
-    value, rest = split
-    _check_trailing(rest, line_number)
-    return value
-
-
-def metadata_from_ebuilds(
-    package: PackageId, entries: list[tuple[Version, EbuildInfo]]
-) -> PackageMetadata:
-    """Translate per-version ebuild info into one metadata document.
-
-    The "dependencies" field keeps runtime dependencies only, one string
-    per top-level element of RDEPEND; the description comes from the
-    highest version.
-    """
-    if not entries:
-        raise EmptyInput("no ebuild entries")
-    versions: dict[str, VersionInfo] = {}
-    for version, info in entries:
-        rendered = version.render()
-        if rendered in versions:
-            raise DuplicateVersion(f"{package} version {rendered} given twice")
-        tree = parse_dep_string(info.rdepend_raw)
-        versions[rendered] = VersionInfo(
-            tuple(render_dep_string(child) for child in tree.children)
-        )
-    highest = max(entries, key=lambda e: e[0].sort_key())
-    return PackageMetadata(
-        name=package,
-        description=highest[1].description,
-        versions=versions,
-    )

@@ -9,16 +9,6 @@ class PacloudError(Exception):
     """Base class for all pacloud errors."""
 
 
-class LineError(PacloudError):
-    """An error at ``line_number`` of a text input, named in the message."""
-
-    def __init__(self, message: str, line_number: int | None = None):
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        super().__init__(message)
-        self.line_number = line_number
-
-
 # --- value types ---
 
 class MalformedPackageId(PacloudError):
@@ -37,7 +27,7 @@ class MalformedBuildKey(PacloudError):
     pass
 
 
-# --- dependency / ebuild parsing ---
+# --- dependency strings ---
 
 class MalformedAtom(PacloudError):
     pass
@@ -51,16 +41,8 @@ class DanglingConditional(PacloudError):
     pass
 
 
-class UnsupportedEbuildConstruct(LineError):
-    """A bash construct outside the supported ebuild subset."""
-
-
-class EmptyInput(PacloudError):
-    pass
-
-
-class DuplicateVersion(PacloudError):
-    pass
+class UnsupportedEbuildConstruct(PacloudError):
+    """An OR group (``|| ( ... )``), which dependency strings may not hold."""
 
 
 # --- resolution ---
@@ -113,8 +95,15 @@ class UnknownVersion(PacloudError):
 
 # --- client ---
 
-class MalformedConfigLine(LineError):
-    pass
+class MalformedConfigLine(PacloudError):
+    """A configuration file that does not parse; the message names the
+    line when the parser reports one."""
+
+    def __init__(self, message: str, line_number: int | None = None):
+        if line_number is not None:
+            message = f"line {line_number}: {message}"
+        super().__init__(message)
+        self.line_number = line_number
 
 
 class MalformedConfigValue(PacloudError):

@@ -51,6 +51,7 @@ from .stores import (
     BuildRecordStore,
 )
 from .worker import (
+    DEFAULT_POLL_INTERVAL,
     BuildEvent,
     ExecutionResult,
     ExecutorFactory,
@@ -108,7 +109,7 @@ class BuildFarm:
         root: str | Path | None = None,
         executor_table: ExecutorTable | None = None,
         num_workers: int = 1,
-        worker_poll_interval: float = 1.0,
+        worker_poll_interval: float = DEFAULT_POLL_INTERVAL,
     ):
         self.clock = clock or VirtualClock()
         self.root = Path(root) if root else None

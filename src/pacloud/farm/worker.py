@@ -47,11 +47,15 @@ from typing import Callable
 
 from ..core import BuildKey
 from .queue import RENEWAL_INTERVAL, CompileQueue
-from .stores import ArtifactStore, BuildRecordStore
+from .stores import BUILT, FAILED, ArtifactStore, BuildRecordStore
 
 DEFAULT_POLL_INTERVAL = 1.0
 DEFAULT_NOTICE_SECONDS = 120.0
 DEFAULT_BUILD_SECONDS = 10.0
+
+# A build event's status when the build's key was finished by another
+# worker first; a record's status is never this.
+DISCARDED = "discarded"
 
 
 def build_artifact_tar(key: BuildKey) -> bytes:
@@ -148,7 +152,7 @@ class BuildEvent:
     key: str
     started_at: float
     finished_at: float
-    status: str  # built | failed | discarded
+    status: str  # BUILT | FAILED | DISCARDED
 
 
 @dataclass(slots=True)
@@ -309,14 +313,14 @@ class Worker:
         record = self.records.get(canonical) if build.resumed else None
         if record is not None and record.terminal:
             # Someone else finished this key while we were hibernated.
-            status = "discarded"
+            status = DISCARDED
         elif build.result.ok:
             self.artifacts.put(build.key, build.result.artifact)
             self.records.finalize_built(canonical, t)
-            status = "built"
+            status = BUILT
         else:
             self.records.finalize_failed(canonical, build.result.error, t)
-            status = "failed"
+            status = FAILED
         self.queue.delete(build.handle)
         self.history.append(BuildEvent(canonical, build.started_at, t, status))
         self._build = None

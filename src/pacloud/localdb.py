@@ -43,6 +43,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Protocol
 
 from .core import BuildKey, PackageId, Version, is_category, parse_version
+from .depparse import parse_dep_string
 from .errors import (
     DatabaseLayoutError,
     MalformedCategoryDocument,
@@ -500,14 +501,13 @@ class LocalDb:
         explicit: bool,
         resolved_deps: Iterable[PackageId],
         files: Iterable[str],
-    ) -> list[str]:
+    ) -> None:
         """Mark a package installed over its resolved runtime dependencies.
 
         Writes the package's own document and nothing else, so recording
         it again, or recording another version, replaces whatever it
-        recorded before. Returns the files of the install it replaced,
-        [] if none. Nothing is written unless the package, the version and
-        every dependency are known.
+        recorded before. Nothing is written unless the package, the
+        version and every dependency are known.
         """
         deps = list(dict.fromkeys(resolved_deps))
         with self.write_lock():
@@ -521,7 +521,6 @@ class LocalDb:
                 if (dep.name not in self._category(dep.category)
                         and not self.metadata_path(dep).is_file()):
                     raise UnknownPackage(f"no metadata for dependency {dep}")
-            replaced = meta.files or []
             meta.installed = rendered
             meta.explicit = explicit
             meta.depends = deps
@@ -529,7 +528,6 @@ class LocalDb:
             path = self.metadata_path(package)
             path.parent.mkdir(parents=True, exist_ok=True)
             rewrite_text(path, dump_document(meta.local_document()))
-        return replaced
 
     def record_removal(self, *packages: PackageId) -> None:
         """Delete the packages' documents, in reverse of the order given,
@@ -574,8 +572,6 @@ class LocalDb:
         """Full scan of every category document and every local document.
         A document that does not decode is reported, naming its file, and
         the scan goes on."""
-        from . import depparse  # local import: depparse depends on this module
-
         problems: list[str] = []
         metas: list[PackageMetadata] = []
         for file in sorted(_listdir(self.store_dir)):
@@ -606,7 +602,7 @@ class LocalDb:
             for rendered, info in meta.versions.items():
                 for dep in info.dependencies:
                     try:
-                        depparse.parse_dep_string(dep)
+                        parse_dep_string(dep)
                     except Exception as exc:
                         problems.append(
                             f"{meta.name}-{rendered}: bad dependency "

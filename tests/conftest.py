@@ -4,10 +4,9 @@ import pytest
 
 from pacloud.client import Client, InProcessTransport
 from pacloud.config import Config
-from pacloud.core import BuildKey, PackageId, parse_version
-from pacloud.depparse import metadata_from_ebuilds, parse_ebuild
+from pacloud.core import BuildKey
 from pacloud.farm import BuildFarm, ExecutorTable, JobProfile, VirtualClock
-from pacloud.localdb import DirectoryStore, LocalDb, write_store
+from pacloud.localdb import DirectoryStore, LocalDb, PackageMetadata, write_store
 
 
 def pytest_collection_modifyitems(items):
@@ -25,69 +24,39 @@ def pytest_collection_modifyitems(items):
 
 NCURSES_VERSIONS = ["5.9-r101", "6.0-r1", "6.0-r2", "6.1-r2"]
 
-NCURSES_EBUILD = """\
-EAPI=6
-inherit multilib toolchain-funcs
-
-DESCRIPTION="console display library"
-RDEPEND=""
-DEPEND="${RDEPEND}"
-"""
-
-VIM_EBUILD = """\
-EAPI=6
-# vim and friends
-inherit eutils
-
-DESCRIPTION="Vim, an improved vi-style text editor"
-CORE_DEPEND=">=sys-libs/ncurses-6.0 app-editors/vim-core"
-RDEPEND="${CORE_DEPEND} acl? ( sys-apps/acl )"
-DEPEND="${RDEPEND}"
-"""
-
-VIM_CORE_EBUILD = """\
-EAPI=6
-DESCRIPTION="vim and gvim shared files"
-RDEPEND=">=sys-libs/ncurses-6.0"
-"""
-
-ACL_EBUILD = """\
-EAPI=6
-DESCRIPTION="access control list utilities"
-RDEPEND=""
-"""
+# The store documents of the small package universe used by the sync,
+# resolve and end-to-end tests.
+SAMPLE_DOCUMENTS = [
+    {
+        "name": "sys-libs/ncurses",
+        "description": "console display library",
+        "versions": {v: {"dependencies": []} for v in NCURSES_VERSIONS},
+    },
+    {
+        "name": "app-editors/vim",
+        "description": "Vim, an improved vi-style text editor",
+        "versions": {"8.1": {"dependencies": [
+            ">=sys-libs/ncurses-6.0",
+            "app-editors/vim-core",
+            "acl? ( sys-apps/acl )",
+        ]}},
+    },
+    {
+        "name": "app-editors/vim-core",
+        "description": "vim and gvim shared files",
+        "versions": {"8.1": {"dependencies": [">=sys-libs/ncurses-6.0"]}},
+    },
+    {
+        "name": "sys-apps/acl",
+        "description": "access control list utilities",
+        "versions": {"2.2.53": {"dependencies": []}},
+    },
+]
 
 
 def build_sample_metadata():
     """The small package universe used by sync/resolve/E2E tests."""
-    metas = []
-    ncurses = PackageId.parse("sys-libs/ncurses")
-    entries = [
-        (parse_version(v), parse_ebuild(NCURSES_EBUILD, "ncurses", v))
-        for v in NCURSES_VERSIONS
-    ]
-    metas.append(metadata_from_ebuilds(ncurses, entries))
-    vim = PackageId.parse("app-editors/vim")
-    metas.append(
-        metadata_from_ebuilds(
-            vim, [(parse_version("8.1"), parse_ebuild(VIM_EBUILD, "vim", "8.1"))]
-        )
-    )
-    vim_core = PackageId.parse("app-editors/vim-core")
-    metas.append(
-        metadata_from_ebuilds(
-            vim_core,
-            [(parse_version("8.1"), parse_ebuild(VIM_CORE_EBUILD, "vim-core", "8.1"))],
-        )
-    )
-    acl = PackageId.parse("sys-apps/acl")
-    metas.append(
-        metadata_from_ebuilds(
-            acl,
-            [(parse_version("2.2.53"), parse_ebuild(ACL_EBUILD, "acl", "2.2.53"))],
-        )
-    )
-    return metas
+    return [PackageMetadata.from_document(doc) for doc in SAMPLE_DOCUMENTS]
 
 
 def requirers(db, package):

@@ -596,8 +596,8 @@ class TestReadsDoNotGrowWithDatabase:
         assert len(env.client.upgrade()) == 1
         monkeypatch.undo()
         # Finding the explicit packages, picking the version, resolving,
-        # and recording, which hands back the files it replaced.
-        assert reads == ["sys-libs/ncurses"] * 4
+        # reading the files the install replaces, and recording.
+        assert reads == ["sys-libs/ncurses"] * 5
 
     def test_search(self, sized, monkeypatch):
         reads = self.count_reads(monkeypatch)
@@ -630,6 +630,29 @@ def crash_at(monkeypatch, root, k):
     monkeypatch.setattr(Path, "write_bytes", wrap(Path.write_bytes))
     monkeypatch.setattr(Path, "unlink", wrap(Path.unlink))
     return done
+
+
+def test_a_crash_while_unlinking_replaced_files_is_finished_by_the_same_install(
+    env, monkeypatch
+):
+    """The replaced version stays recorded until its stale files are gone,
+    so installing again unlinks the ones a crash left."""
+    env.client.update()
+    env.client.install([parse_atom("=sys-libs/ncurses-6.0-r2")])
+    real = Client._unlink
+
+    def crash_once(client, files):
+        monkeypatch.setattr(Client, "_unlink", real)
+        raise Crash(files)
+
+    monkeypatch.setattr(Client, "_unlink", crash_once)
+    target = [parse_atom("=sys-libs/ncurses-6.1-r2")]
+    with pytest.raises(Crash):
+        env.client.install(target)
+    env.client.install(target)
+    env.client.remove([pkg("sys-libs/ncurses")])
+    assert tree_files(env.config.install_root) == {}
+    assert env.client.db.validate() == []
 
 
 @pytest.mark.parametrize("verb", ["install", "remove"])

@@ -13,18 +13,12 @@ from pacloud.depparse import (
     AtomNode,
     CondNode,
     GroupNode,
-    EbuildInfo,
     eval_use_conditionals,
-    metadata_from_ebuilds,
     parse_atom,
     parse_dep_string,
-    parse_ebuild,
-    render_dep_string,
 )
 from pacloud.errors import (
     DanglingConditional,
-    DuplicateVersion,
-    EmptyInput,
     MalformedAtom,
     MalformedVersion,
     UnbalancedParenthesis,
@@ -34,6 +28,27 @@ from pacloud.errors import (
 
 def atom(text):
     return parse_atom(text)
+
+
+def render_dep_string(expr):
+    """Render an expression tree; re-parsing yields an equal tree.
+
+    A GroupNode passed at the top level renders without enclosing parens.
+    """
+    if isinstance(expr, GroupNode):
+        return " ".join(_render_node(c) for c in expr.children)
+    return _render_node(expr)
+
+
+def _render_node(node):
+    if isinstance(node, AtomNode):
+        return node.atom.render()
+    if isinstance(node, CondNode):
+        inner = " ".join(_render_node(c) for c in node.children)
+        prefix = "!" if node.negated else ""
+        return f"{prefix}{node.flag}? ( {inner} )"
+    inner = " ".join(_render_node(c) for c in node.children)
+    return f"( {inner} )" if inner else "( )"
 
 
 class TestParseDepString:
@@ -227,138 +242,3 @@ class TestEvalUseConditionals:
         for _ in range(200):
             tree = random_tree(rng)
             assert parse_dep_string(render_dep_string(tree)) == tree
-
-
-class TestParseEbuild:
-    def test_description(self):
-        info = parse_ebuild(
-            'DESCRIPTION="console display library"\n', "ncurses", "6.1"
-        )
-        assert info.description == "console display library"
-
-    def test_variable_expansion(self):
-        info = parse_ebuild('MY_P="${PN}-${PV}"\n', "vim", "8.1")
-        assert info.variables["MY_P"] == "vim-8.1"
-
-    def test_p_expansion_and_chaining(self):
-        text = 'BASE="${P}"\nSRC="${BASE}.tar.gz"\n'
-        info = parse_ebuild(text, "vim", "8.1")
-        assert info.variables["SRC"] == "vim-8.1.tar.gz"
-
-    def test_inherit_ignored(self):
-        info = parse_ebuild("inherit eutils\nRDEPEND=\"cat/p\"\n", "x", "1")
-        assert info.rdepend_raw == "cat/p"
-
-    def test_eapi_ignored(self):
-        info = parse_ebuild("EAPI=6\n", "x", "1")
-        assert info.variables == {}
-
-    def test_comments_and_blank_lines(self):
-        text = "# a comment\n\nDESCRIPTION=\"x\"\n"
-        assert parse_ebuild(text, "x", "1").description == "x"
-
-    def test_command_substitution_reports_line(self):
-        text = 'DESCRIPTION="ok"\nV="$(ls)"\n'
-        with pytest.raises(UnsupportedEbuildConstruct) as exc_info:
-            parse_ebuild(text, "x", "1")
-        assert exc_info.value.line_number == 2
-        assert str(exc_info.value).startswith("line 2: ")
-
-    def test_backticks_rejected(self):
-        with pytest.raises(UnsupportedEbuildConstruct):
-            parse_ebuild('V="`ls`"\n', "x", "1")
-
-    def test_function_definition_rejected(self):
-        text = "src_compile() {\n\temake\n}\n"
-        with pytest.raises(UnsupportedEbuildConstruct) as exc_info:
-            parse_ebuild(text, "x", "1")
-        assert exc_info.value.line_number == 1
-
-    def test_conditional_rejected(self):
-        with pytest.raises(UnsupportedEbuildConstruct):
-            parse_ebuild('if use gtk; then\nfi\n', "x", "1")
-
-    def test_unquoted_assignment_rejected(self):
-        with pytest.raises(UnsupportedEbuildConstruct):
-            parse_ebuild("SLOT=0\n", "x", "1")
-
-    def test_bare_dollar_rejected(self):
-        with pytest.raises(UnsupportedEbuildConstruct):
-            parse_ebuild('V="$PN"\n', "x", "1")
-
-    def test_multiline_double_quoted_value(self):
-        text = 'RDEPEND=">=cat/a-1.0\n\tcat/b\n\tgtk? ( cat/c )"\n'
-        info = parse_ebuild(text, "x", "1")
-        assert info.rdepend_raw.split() == [
-            ">=cat/a-1.0",
-            "cat/b",
-            "gtk?",
-            "(",
-            "cat/c",
-            ")",
-        ]
-
-    def test_single_quoted_literal(self):
-        info = parse_ebuild("V='costs $5 ${PN}'\n", "x", "1")
-        assert info.variables["V"] == "costs $5 ${PN}"
-
-    def test_unknown_variable_expands_empty(self):
-        info = parse_ebuild('V="a${NOPE}b"\n', "x", "1")
-        assert info.variables["V"] == "ab"
-
-    def test_trailing_comment_after_value(self):
-        info = parse_ebuild('V="x" # note\n', "x", "1")
-        assert info.variables["V"] == "x"
-
-    def test_depend_and_rdepend_default_empty(self):
-        info = parse_ebuild("", "x", "1")
-        assert info.depend_raw == ""
-        assert info.rdepend_raw == ""
-
-    def test_deterministic(self):
-        text = 'A="1"\nB="${A}2"\n'
-        assert parse_ebuild(text, "x", "1") == parse_ebuild(text, "x", "1")
-
-
-class TestMetadataFromEbuilds:
-    def test_single_version(self):
-        pkg = PackageId.parse("sys-libs/ncurses")
-        info = EbuildInfo("console display library", "", "", {})
-        meta = metadata_from_ebuilds(pkg, [(parse_version("6.1-r2"), info)])
-        assert list(meta.versions) == ["6.1-r2"]
-        assert meta.versions["6.1-r2"].dependencies == ()
-        assert meta.description == "console display library"
-
-    def test_description_from_highest_version(self):
-        pkg = PackageId.parse("a/b")
-        old = EbuildInfo("old words", "", "", {})
-        new = EbuildInfo("new words", "", "", {})
-        meta = metadata_from_ebuilds(
-            pkg,
-            [(parse_version("2.0"), new), (parse_version("1.0"), old)],
-        )
-        assert set(meta.versions) == {"1.0", "2.0"}
-        assert meta.description == "new words"
-
-    def test_duplicate_version(self):
-        pkg = PackageId.parse("a/b")
-        info = EbuildInfo("", "", "", {})
-        with pytest.raises(DuplicateVersion):
-            metadata_from_ebuilds(
-                pkg, [(parse_version("1.0"), info), (parse_version("1.0"), info)]
-            )
-
-    def test_empty_input(self):
-        with pytest.raises(EmptyInput):
-            metadata_from_ebuilds(PackageId.parse("a/b"), [])
-
-    def test_dependencies_split_per_top_level_element(self):
-        pkg = PackageId.parse("a/b")
-        info = EbuildInfo(
-            "", "", ">=cat/x-1.0 gtk? ( cat/y cat/z )", {}
-        )
-        meta = metadata_from_ebuilds(pkg, [(parse_version("1.0"), info)])
-        assert meta.versions["1.0"].dependencies == (
-            ">=cat/x-1.0",
-            "gtk? ( cat/y cat/z )",
-        )

@@ -1,0 +1,65 @@
+"""The modules of ``src/pacloud`` import one another without a cycle, so
+each can be imported on its own and no import has to hide in a function."""
+import ast
+from graphlib import CycleError, TopologicalSorter
+from pathlib import Path
+
+import pytest
+
+import pacloud
+
+PACKAGE_DIR = Path(pacloud.__file__).parent
+
+
+def module_name(path):
+    parts = ["pacloud", *path.relative_to(PACKAGE_DIR).with_suffix("").parts]
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
+def import_graph():
+    """Each module's edges to the modules its relative imports load, at
+    module level or inside a function: the module imported and each
+    package above it that the importer is not inside. A package's edges
+    to its own submodules are left out."""
+    paths = {module_name(path): path for path in PACKAGE_DIR.rglob("*.py")}
+    graph = {}
+    for name, path in paths.items():
+        package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+        targets = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom) or not node.level:
+                continue
+            parts = package.split(".")
+            parts = parts[: len(parts) + 1 - node.level]
+            base = ".".join(parts + ([node.module] if node.module else []))
+            for alias in node.names:
+                target = f"{base}.{alias.name}"
+                pieces = (target if target in paths else base).split(".")
+                targets.update(
+                    ".".join(pieces[:k]) for k in range(1, len(pieces) + 1)
+                )
+        graph[name] = {
+            target for target in targets
+            if not f"{name}.".startswith(f"{target}.")  # itself, or above it
+            and not target.startswith(f"{name}.")  # its own submodules
+        }
+    return graph
+
+
+def test_the_graph_holds_relative_imports_and_their_packages():
+    graph = import_graph()
+    # ``from .farm.clock import Clock`` loads the farm package too.
+    assert {"pacloud.farm", "pacloud.farm.clock", "pacloud.localdb"} <= (
+        graph["pacloud.client"]
+    )
+    assert "pacloud.farm.queue" not in graph["pacloud.farm"]
+    assert "pacloud" not in graph["pacloud.farm.worker"]
+
+
+def test_no_module_imports_itself_through_others():
+    try:
+        TopologicalSorter(import_graph()).prepare()
+    except CycleError as exc:
+        pytest.fail("import cycle: " + " -> ".join(exc.args[1]))

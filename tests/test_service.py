@@ -11,7 +11,7 @@ from conftest import build_sample_metadata
 
 from pacloud.client import InProcessTransport, TcpTransport, await_package
 from pacloud.core import BuildKey, PackageId, UseFlagSet, parse_version
-from pacloud.depparse import metadata_from_ebuilds, parse_atom, parse_ebuild
+from pacloud.depparse import parse_atom
 from pacloud.errors import (
     BuildFailed,
     FarmStateError,
@@ -35,7 +35,7 @@ from pacloud.farm import (
 )
 from pacloud.farm import service as service_module
 from pacloud.files import json_line
-from pacloud.localdb import DirectoryStore
+from pacloud.localdb import DirectoryStore, PackageMetadata
 from pacloud.wire import (
     Response,
     STATUS_AVAILABLE,
@@ -839,9 +839,12 @@ class TestFarmPersistence:
 
     def test_a_category_named_queue_is_served(self, make_env):
         package = PackageId.parse("queue/q")
-        ebuild = parse_ebuild('EAPI=6\nDESCRIPTION="q"\nRDEPEND=""\n', "q", "1.0")
         env = make_env(metas=build_sample_metadata() + [
-            metadata_from_ebuilds(package, [(parse_version("1.0"), ebuild)])
+            PackageMetadata.from_document({
+                "name": "queue/q",
+                "description": "q",
+                "versions": {"1.0": {"dependencies": []}},
+            })
         ])
         document = (env.farm_root / "queue.json").read_bytes()
         env.client.update()
