@@ -21,6 +21,7 @@ from .core import BuildKey, PackageId, UseFlagSet, parse_version
 from .errors import PacloudError, UnknownMachine, UnknownPackage, UsageError
 from .farm import BuildFarm, ExecutorTable, JobProfile, VirtualClock
 from .farm.stores import BUILT
+from .files import from_json
 
 
 @dataclass(frozen=True)
@@ -221,7 +222,7 @@ def _load_data() -> dict:
     text = (
         resources.files("pacloud").joinpath("data/benchmarks.json").read_text("utf-8")
     )
-    return json.loads(text)
+    return from_json(text)
 
 
 def load_device_table() -> DeviceTimeTable:
@@ -251,7 +252,7 @@ def scenario_jobs(name: str) -> tuple[int, list[JobSpec]]:
 
 
 def load_jobs_file(path: str | Path) -> list[JobSpec]:
-    docs = json.loads(Path(path).read_text(encoding="utf-8"))
+    docs = from_json(Path(path).read_text(encoding="utf-8"))
     if not isinstance(docs, list):
         raise UsageError(f"{path}: expected a JSON list of jobs")
     return [_job_from_doc(d) for d in docs]

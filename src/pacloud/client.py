@@ -33,7 +33,6 @@ package was named and the closure holds no dependency cycle, the same
 from __future__ import annotations
 
 import io
-import json
 import socket
 import tarfile
 from datetime import datetime
@@ -62,7 +61,7 @@ from .errors import (
     UnpackError,
 )
 from .farm.clock import Clock, WallClock
-from .files import prune_empty_dirs
+from .files import from_json, json_line, prune_empty_dirs
 from .localdb import DirectoryStore, LocalDb, PackageStore, SearchResult, SyncReport
 from .resolver import InstallPlan, compute_orphans, resolve_runtime_closure
 from .wire import (
@@ -70,15 +69,14 @@ from .wire import (
     STATUS_AVAILABLE,
     STATUS_FAILED,
     STATUS_PENDING,
-    decode_request,
     decode_response,
     encode_request,
-    encode_response,
 )
 
 
 class Transport(Protocol):
-    """Request/response exchanges with the build service, until ``close``."""
+    """Request/response exchanges with the build service, until ``close``:
+    a ``TcpTransport``, or in process a farm's ``RequestService``."""
 
     def exchange(self, request: dict) -> dict: ...
 
@@ -110,7 +108,7 @@ class TcpTransport:
         self._reader: io.BufferedReader | None = None
 
     def exchange(self, request: dict) -> dict:
-        payload = (json.dumps(request) + "\n").encode("utf-8")
+        payload = json_line(request)
         reused = self._sock is not None
         try:
             line = self._round_trip(payload)
@@ -124,7 +122,7 @@ class TcpTransport:
             self.close()
             raise TransportError("connection closed without a response")
         try:
-            return json.loads(line.decode("utf-8"))
+            return from_json(line)
         except ValueError as exc:
             self.close()
             raise ProtocolError(f"undecodable response body: {exc}") from exc
@@ -151,24 +149,6 @@ class TcpTransport:
             self._reader.close()
             self._sock.close()
             self._sock = self._reader = None
-
-
-class InProcessTransport:
-    """Exchange documents with an in-process request service.
-
-    Requests and responses still round-trip through the wire encoding so
-    the protocol contract stays exercised.
-    """
-
-    def __init__(self, service):
-        self.service = service
-
-    def exchange(self, request: dict) -> dict:
-        keys = decode_request(request)
-        return encode_response([self.service.handle_request(key) for key in keys])
-
-    def close(self) -> None:
-        pass
 
 
 def transport_from_url(url: str | None) -> Transport:
@@ -325,8 +305,8 @@ class Client:
     """Package-manager verbs over a database, a store and a transport.
 
     Collaborators default to what the configuration names but can be
-    injected, which is how the tests (and the in-process farm) drive the
-    client deterministically.
+    injected, which is how the tests drive the client deterministically:
+    a farm's ``RequestService`` is a ``Transport`` itself.
     """
 
     def __init__(

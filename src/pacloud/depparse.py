@@ -78,55 +78,56 @@ def parse_dep_string(text: str) -> GroupNode:
     """Parse a dependency string into its expression tree.
 
     The result is always a top-level group; an empty input yields an empty
-    group.
+    group. The open groups are kept on an explicit stack, so no depth of
+    nesting can exhaust Python's stack.
     """
     tokens = text.split()
+    # Each open group: its children so far, and for a conditional group
+    # the token, flag and negation that opened it. The top level is first.
+    stack: list[tuple[list[DependencyExpr], tuple[str, str, bool] | None]] = [
+        ([], None)
+    ]
     pos = 0
-
-    def parse_children(closed_by_paren: bool) -> tuple[DependencyExpr, ...]:
-        nonlocal pos
-        children: list[DependencyExpr] = []
-        while pos < len(tokens):
-            token = tokens[pos]
-            if token == ")":
-                if not closed_by_paren:
-                    raise UnbalancedParenthesis("unexpected ')'")
-                pos += 1
-                return tuple(children)
-            if token == "(":
-                pos += 1
-                children.append(GroupNode(parse_children(True)))
-            elif token == "||":
-                raise UnsupportedEbuildConstruct(
-                    "OR dependency groups ('|| ( ... )') are not supported"
+    while pos < len(tokens):
+        token = tokens[pos]
+        pos += 1
+        if token == ")":
+            if len(stack) == 1:
+                raise UnbalancedParenthesis("unexpected ')'")
+            children, cond = stack.pop()
+            if cond is None:
+                node: DependencyExpr = GroupNode(tuple(children))
+            elif not children:
+                raise DanglingConditional(
+                    f"conditional {cond[0]!r} has an empty group"
                 )
-            elif token.endswith("?") and len(token) > 1:
-                flag = token[:-1]
-                negated = flag.startswith("!")
-                if negated:
-                    flag = flag[1:]
-                if not _FLAG_RE.fullmatch(flag):
-                    raise MalformedAtom(f"bad USE flag in conditional: {token!r}")
-                pos += 1
-                if pos >= len(tokens) or tokens[pos] != "(":
-                    raise DanglingConditional(
-                        f"conditional {token!r} must be followed by '('"
-                    )
-                pos += 1
-                body = parse_children(True)
-                if not body:
-                    raise DanglingConditional(
-                        f"conditional {token!r} has an empty group"
-                    )
-                children.append(CondNode(flag, negated, body))
             else:
-                pos += 1
-                children.append(AtomNode(parse_atom(token)))
-        if closed_by_paren:
-            raise UnbalancedParenthesis("missing ')'")
-        return tuple(children)
-
-    return GroupNode(parse_children(False))
+                node = CondNode(cond[1], cond[2], tuple(children))
+            stack[-1][0].append(node)
+        elif token == "(":
+            stack.append(([], None))
+        elif token == "||":
+            raise UnsupportedEbuildConstruct(
+                "OR dependency groups ('|| ( ... )') are not supported"
+            )
+        elif token.endswith("?") and len(token) > 1:
+            flag = token[:-1]
+            negated = flag.startswith("!")
+            if negated:
+                flag = flag[1:]
+            if not _FLAG_RE.fullmatch(flag):
+                raise MalformedAtom(f"bad USE flag in conditional: {token!r}")
+            if pos >= len(tokens) or tokens[pos] != "(":
+                raise DanglingConditional(
+                    f"conditional {token!r} must be followed by '('"
+                )
+            pos += 1
+            stack.append(([], (token, flag, negated)))
+        else:
+            stack[-1][0].append(AtomNode(parse_atom(token)))
+    if len(stack) > 1:
+        raise UnbalancedParenthesis("missing ')'")
+    return GroupNode(tuple(stack[0][0]))
 
 
 def eval_use_conditionals(
@@ -135,20 +136,15 @@ def eval_use_conditionals(
     """Flatten the tree left to right under the given flag set.
 
     A conditional's children are included iff (flag enabled) xor negated.
-    Duplicates are preserved; deduplication is the resolver's job.
+    Duplicates are preserved; deduplication is the resolver's job. The
+    nodes still to visit are kept on an explicit stack, next one last.
     """
     out: list[DependencyAtom] = []
-
-    def walk(node: DependencyExpr) -> None:
+    stack = [expr]
+    while stack:
+        node = stack.pop()
         if isinstance(node, AtomNode):
             out.append(node.atom)
-        elif isinstance(node, GroupNode):
-            for child in node.children:
-                walk(child)
-        else:
-            if (node.flag in enabled) != node.negated:
-                for child in node.children:
-                    walk(child)
-
-    walk(expr)
+        elif isinstance(node, GroupNode) or (node.flag in enabled) != node.negated:
+            stack.extend(reversed(node.children))
     return out

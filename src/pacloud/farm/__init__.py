@@ -196,8 +196,10 @@ class BuildFarm:
 
     def next_event_time(self) -> float | None:
         with self.lock:
-            heap = self._event_heap()
-        return heap[0][0] if heap else None
+            return min(
+                (t for w in self.workers if (t := w.next_event_time()) is not None),
+                default=None,
+            )
 
     def advance_to(self, target: float) -> None:
         """Run all worker events up to the target time, then land on it."""

@@ -9,25 +9,28 @@ further requests return pending without enqueuing again. A crash between
 the two writes leaves a pending record without a message, and the farm
 that reopens the root sends it one.
 
+``RequestService.exchange`` is the one answer path: request document in,
+response document out. It makes the service a client ``Transport`` too.
+
 The socket server speaks the wire protocol (``pacloud.wire``): each
 newline-terminated JSON line on a connection is one build request,
-answered by one JSON line, and the connection stays open for the next.
-One ``selectors`` loop on the server's one thread reads every connection
-without blocking, so a connection that sends nothing holds up no other.
-Each request is answered key by key through ``handle_request``, which
-holds the farm's one lock, ``RequestService.lock``, per key; requests
-could not overlap anyway, so the thread count stays fixed whatever the
-number of connections. A connection that has sent no complete line
-within ``REQUEST_TIMEOUT`` seconds, counted from when it opened or from
-its last answered line, is closed. A request line longer than
-``MAX_REQUEST_BYTES``, or one that is not a build request naming distinct
-canonical keys, is refused whole: the server logs a warning and closes
-the connection without a response. ``FarmServer.stop`` wakes the loop at
+answered by one compact JSON line, and the connection stays open for the
+next. One ``selectors`` loop on the server's one thread reads every
+connection without blocking, so a connection that sends nothing holds up
+no other. Each line is answered through ``exchange``, key by key through
+``handle_request``, which holds the farm's one lock,
+``RequestService.lock``, per key; requests could not overlap anyway, so
+the thread count stays fixed whatever the number of connections. A
+connection that has sent no complete line within ``REQUEST_TIMEOUT``
+seconds, counted from when it opened or from its last answered line, is
+closed. A request line longer than ``MAX_REQUEST_BYTES``, one too deep to
+decode, or one that is not a build request naming distinct canonical
+keys, is refused whole: the server logs a warning and closes the
+connection without a response. ``FarmServer.stop`` wakes the loop at
 once through a socket pair.
 """
 from __future__ import annotations
 
-import json
 import logging
 import selectors
 import socket
@@ -36,7 +39,9 @@ import time
 
 from ..core import BuildKey
 from ..errors import ProtocolError
+from ..files import from_json, json_line
 from ..wire import (
+    _PLAIN,
     Response,
     STATUS_AVAILABLE,
     STATUS_FAILED,
@@ -52,11 +57,6 @@ logger = logging.getLogger("pacloud.farm")
 
 MAX_REQUEST_BYTES = 65536
 REQUEST_TIMEOUT = 5.0
-
-# Responses are frozen, so every pending or available answer can be one
-# of these.
-_PENDING = Response(STATUS_PENDING)
-_AVAILABLE = Response(STATUS_AVAILABLE)
 
 
 class RequestService:
@@ -75,6 +75,13 @@ class RequestService:
         self.clock = clock
         self.lock = threading.Lock()
 
+    def exchange(self, request: dict) -> dict:
+        keys = decode_request(request)  # ProtocolError if malformed
+        return encode_response([self.handle_request(key) for key in keys])
+
+    def close(self) -> None:
+        pass
+
     def handle_request(self, key: BuildKey) -> Response:
         canonical = key.canonical()
         with self.lock:
@@ -83,12 +90,12 @@ class RequestService:
                 now = self.clock.now()
                 self.records.create_pending(canonical, now)
                 self.queue.send(key, now)
-                return _PENDING
+                return _PLAIN[STATUS_PENDING]
             if record.status == BUILT:
-                return _AVAILABLE
+                return _PLAIN[STATUS_AVAILABLE]
             if record.status == FAILED:
                 return Response(STATUS_FAILED, error=record.error_message)
-            return _PENDING
+            return _PLAIN[STATUS_PENDING]
 
 
 class _Connection:
@@ -234,16 +241,17 @@ class FarmServer:
     def _answer(self, line: bytes) -> bytes | None:
         """The response line to one request line; None to refuse it."""
         try:
-            keys = decode_request(json.loads(line.decode("utf-8")))
-        except (ValueError, RecursionError, ProtocolError) as exc:
+            request = from_json(line)
+        except ValueError as exc:
             logger.warning("dropping malformed request: %s", exc)
             return None
         try:
-            responses = [self.service.handle_request(key) for key in keys]
+            return json_line(self.service.exchange(request))
+        except ProtocolError as exc:
+            logger.warning("dropping malformed request: %s", exc)
         except Exception:
             logger.exception("dropping a request that could not be answered")
-            return None
-        return (json.dumps(encode_response(responses)) + "\n").encode("utf-8")
+        return None
 
     def _flush(self, conn: _Connection) -> None:
         try:

@@ -33,7 +33,7 @@ from typing import Callable
 from ..core import BuildKey
 from ..errors import FarmStateError, MalformedBuildKey
 from ..files import Journal
-from ..wire import ARTIFACT_SUFFIX, artifact_file
+from ..wire import artifact_file
 
 PENDING = "pending"
 BUILT = "built"
@@ -218,13 +218,3 @@ class ArtifactStore:
             return (self._persist_dir / artifact_file(key)).read_bytes()
         except FileNotFoundError:
             return None
-
-    def stored_keys(self) -> list[str]:
-        if self._persist_dir is None:
-            return sorted(self._blobs)
-        names = os.listdir(self._persist_dir) if self._persist_dir.is_dir() else []
-        suffix = ARTIFACT_SUFFIX
-        return sorted(
-            BuildKey.from_path_token(name.removesuffix(suffix)).canonical()
-            for name in names if name.endswith(suffix)
-        )

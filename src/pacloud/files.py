@@ -16,6 +16,11 @@ it keeps a ``Journal`` instead: one JSON line per change, appended
 through a handle kept open and flushed after each line. A process crash
 loses at most the line being written. That torn last line is dropped
 when the journal is read, and cut off before the next append.
+
+Every JSON document read across a process boundary (a wire or journal
+line, a store or database document, a job file) is decoded by
+``from_json``, which raises ``ValueError`` for anything else, a document
+nested too deeply to decode included.
 """
 from __future__ import annotations
 
@@ -49,8 +54,20 @@ _COMPACT = json.JSONEncoder(separators=(",", ":"))
 
 
 def json_line(doc: Any) -> bytes:
-    """``doc`` as one compact JSON line, the form a ``Journal`` stores."""
+    """``doc`` as one compact JSON line, the form of a ``Journal``'s lines
+    and of the wire's requests and responses."""
     return (_COMPACT.encode(doc) + "\n").encode("utf-8")
+
+
+def from_json(data: str | bytes) -> Any:
+    """The one JSON document ``data`` holds, bytes read as strict UTF-8;
+    ``ValueError`` if it holds none or one nested too deeply to decode."""
+    if isinstance(data, bytes):
+        data = data.decode("utf-8")  # UnicodeDecodeError is a ValueError
+    try:
+        return json.loads(data)
+    except RecursionError:
+        raise ValueError("JSON document nested too deeply") from None
 
 
 class Journal:
@@ -83,7 +100,7 @@ class Journal:
         self.size = 0
         for number, line in enumerate(lines, 1):
             try:
-                docs.append(json.loads(line))
+                docs.append(from_json(line))
             except ValueError:
                 if number == len(lines):
                     break

@@ -55,7 +55,7 @@ from .errors import (
     UnknownPackage,
     UnknownVersion,
 )
-from .files import prune_empty_dirs, rewrite_text
+from .files import from_json, prune_empty_dirs, rewrite_text
 from .wire import ARTIFACT_DIR, ARTIFACT_SUFFIX, artifact_file
 
 METADATA_FILE = "metadata.json"
@@ -160,7 +160,7 @@ def dump_document(doc: dict) -> str:
 
 def _decode_object(text: str | bytes, source: str) -> dict:
     try:
-        doc = json.loads(text)
+        doc = from_json(text)
     except ValueError as exc:
         raise MalformedCategoryDocument(f"{source}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):

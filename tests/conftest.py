@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from pacloud.client import Client, InProcessTransport
+from pacloud.client import Client
 from pacloud.config import Config
 from pacloud.core import BuildKey
 from pacloud.farm import BuildFarm, ExecutorTable, JobProfile, VirtualClock
@@ -140,9 +140,7 @@ class ClientEnv:
             num_workers=num_workers,
         )
         self.events = []
-        self.transport = SpyTransport(
-            InProcessTransport(self.farm.service), self.events
-        )
+        self.transport = SpyTransport(self.farm.service, self.events)
         self.store = SpyStore(DirectoryStore(self.farm_root), self.events)
         self.config = Config(
             db_path=tmp_path / "db",

@@ -256,6 +256,14 @@ class TestBenchCli:
         jobs_path.write_text("[]", encoding="utf-8")
         assert main(["--jobs", str(jobs_path)]) == 2
 
+    def test_a_deeply_nested_jobs_file_exits_1(self, tmp_path, capsys):
+        jobs_path = tmp_path / "jobs.json"
+        jobs_path.write_text("[" * 100_000, encoding="utf-8")
+        assert main(["--jobs", str(jobs_path), "--workers", "2"]) == 1
+        assert "pacloud-bench: JSON document nested too deeply" in (
+            capsys.readouterr().err
+        )
+
     def test_load_jobs_file_validates(self, tmp_path):
         from pacloud.errors import UsageError
 

@@ -126,3 +126,12 @@ class TestMainAgainstSocketFarm:
 
         assert main(["--config", str(config), "-r", "sys-libs/ncurses"]) == 0
         assert "removed sys-libs/ncurses" in capsys.readouterr().out
+
+    def test_update_skips_a_deeply_nested_category(self, cli_world, capsys):
+        config, _, _ = cli_world
+        store = config.parent / "farm"
+        (store / "sys-libs.json").write_text("[" * 100_000, encoding="utf-8")
+        assert main(["--config", str(config), "-u"]) == 0
+        out = capsys.readouterr().out
+        assert "categories: 2" in out
+        assert "skipped sys-libs: category sys-libs: invalid JSON" in out

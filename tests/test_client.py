@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import requirers
+from conftest import build_sample_metadata, requirers
 from pacloud.client import (
     Client,
     await_package,
@@ -707,3 +707,19 @@ def test_a_crash_at_any_write_is_finished_by_the_same_verb(
         assert after == before, k
     # Five archives and five documents, each written or deleted once.
     assert k == len(done) == 10
+
+
+def test_a_deeply_nested_dependency_string_installs(make_env):
+    # 5000 nested groups and conditionals, deeper than Python's recursion
+    # limit, around one atom
+    deep = "( acl? ( " * 2500 + "sys-apps/acl" + " ) )" * 2500
+    env = make_env(
+        metas=build_sample_metadata() + [
+            PackageMetadata(pkg("app-misc/deep"), "d", {"1.0": VersionInfo((deep,))})
+        ],
+        use_flags=UseFlagSet.of(["acl"]),
+    )
+    env.client.update()
+    plan = env.client.install([parse_atom("app-misc/deep")])
+    assert [p.render() for p, _ in plan.steps] == ["sys-apps/acl", "app-misc/deep"]
+    assert env.client.db.validate() == []

@@ -242,3 +242,39 @@ class TestEvalUseConditionals:
         for _ in range(200):
             tree = random_tree(rng)
             assert parse_dep_string(render_dep_string(tree)) == tree
+
+
+# Deeper than Python's default recursion limit of 1000.
+DEEP = 5000
+
+
+def innermost(node, depth, kind):
+    """The node ``depth`` single-child ``kind`` nodes below ``node``,
+    walked without recursion (comparing deep trees would recurse)."""
+    for _ in range(depth):
+        assert isinstance(node, kind)
+        [node] = node.children
+    return node
+
+
+class TestDeepNesting:
+    def test_nested_groups_parse(self):
+        tree = parse_dep_string("( " * DEEP + "cat/p" + " )" * DEEP)
+        assert innermost(tree, DEEP + 1, GroupNode) == AtomNode(atom("cat/p"))
+        assert eval_use_conditionals(tree, UseFlagSet()) == [atom("cat/p")]
+
+    def test_nested_conditionals_parse(self):
+        tree = parse_dep_string("a? ( " * DEEP + "cat/p" + " )" * DEEP)
+        [node] = tree.children
+        assert innermost(node, DEEP, CondNode) == AtomNode(atom("cat/p"))
+
+    @pytest.mark.parametrize("negated", [False, True], ids=["a", "not-a"])
+    def test_a_chain_of_conditionals_evaluates(self, negated):
+        prefix = "!" if negated else ""
+        tree = parse_dep_string(
+            f"{prefix}a? ( " * DEEP + "cat/p" + " )" * DEEP + " cat/q"
+        )
+        taken = [atom("cat/p"), atom("cat/q")]
+        on = eval_use_conditionals(tree, UseFlagSet.of(["a"]))
+        off = eval_use_conditionals(tree, UseFlagSet())
+        assert (on, off) == ((taken[1:], taken) if negated else (taken, taken[1:]))

@@ -20,8 +20,18 @@ from pacloud.farm import (
 )
 from pacloud.farm.stores import BUILT, FAILED, PENDING
 from pacloud.files import json_line
+from pacloud.wire import ARTIFACT_SUFFIX
 
 KEY = BuildKey.parse("sys-libs/ncurses-6.1-r2[]")
+
+
+def stored_keys(directory):
+    """The canonical keys of the artifacts an on-disk store holds: its
+    tar files, each named by its key's path token."""
+    return sorted(
+        BuildKey.from_path_token(path.name.removesuffix(ARTIFACT_SUFFIX)).canonical()
+        for path in Path(directory).glob(f"*{ARTIFACT_SUFFIX}")
+    )
 
 
 def make_farm(profiles=None, num_workers=1, default=JobProfile(duration=10.0)):
@@ -104,7 +114,7 @@ class TestWorkerLifecycle:
         assert record.status == BUILT
         terminal = [r for r in farm.records.all_records() if r.terminal]
         assert len(terminal) == 1
-        assert farm.artifacts.stored_keys() == [KEY.canonical()]
+        assert farm.artifacts.get(KEY) == build_artifact_tar(KEY)
         assert farm.queue.depth() == 0
 
 
@@ -184,7 +194,7 @@ class TestInterruption:
         assert first.history[-1].status == "discarded"
         terminal = [r for r in farm.records.all_records() if r.terminal]
         assert len(terminal) == 1
-        assert farm.artifacts.stored_keys() == [KEY.canonical()]
+        assert farm.artifacts.get(KEY) == build_artifact_tar(KEY)
         assert puts == [KEY.canonical()]
 
     def test_interrupt_idle_worker_stops_polling(self):
@@ -235,7 +245,7 @@ class TestArtifactStore:
         reloaded = ArtifactStore(tmp_path)
         assert reloaded.get(KEY) == b"a"
         assert reloaded.get(other) == b"b"
-        assert reloaded.stored_keys() == sorted(
+        assert stored_keys(tmp_path) == sorted(
             [KEY.canonical(), other.canonical()]
         )
 
@@ -250,7 +260,7 @@ class TestArtifactStore:
 
         monkeypatch.setattr(Path, "read_bytes", counting)
         store = ArtifactStore(tmp_path)
-        assert store.stored_keys() == [KEY.canonical()]
+        assert stored_keys(tmp_path) == [KEY.canonical()]
         assert reads == []
         assert store.get(KEY) == b"bytes"
         assert reads == [f"{KEY.path_token()}.tar"]
@@ -270,7 +280,7 @@ class TestArtifactStore:
         store.put(KEY, b"full payload")
         reopened = ArtifactStore(tmp_path)
         assert reopened.get(KEY) == b"full payload"
-        assert reopened.stored_keys() == [KEY.canonical()]
+        assert stored_keys(tmp_path) == [KEY.canonical()]
 
     @pytest.mark.parametrize("index", ["index.jsonl", "index.json"])
     def test_refuses_the_index_of_earlier_versions(self, tmp_path, index):
@@ -287,9 +297,7 @@ class TestArtifactStore:
         assert {
             p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()
         } == before
-        assert ArtifactStore(tmp_path / "artifacts").stored_keys() == [
-            KEY.canonical()
-        ]
+        assert stored_keys(tmp_path / "artifacts") == [KEY.canonical()]
 
 
 class TestRecordStore:

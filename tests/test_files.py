@@ -1,6 +1,8 @@
 import os
 
-from pacloud.files import rewrite_text
+import pytest
+
+from pacloud.files import Journal, from_json, json_line, rewrite_text
 
 
 def test_rewrite_creates_a_missing_file(tmp_path):
@@ -27,3 +29,24 @@ def test_rewrite_keeps_the_file_in_place(tmp_path):
     rewrite_text(path, "new")
     assert os.stat(path).st_ino == inode
     assert path.read_bytes() == b"new"
+
+
+def test_from_json_turns_deep_nesting_into_a_value_error():
+    assert from_json(b'{"a":[1]}') == {"a": [1]}
+    with pytest.raises(ValueError, match="nested too deeply"):
+        from_json(b"[" * 100_000)
+    with pytest.raises(ValueError):
+        from_json("not json")
+    # bytes are UTF-8 with no byte order mark, as on the wire
+    with pytest.raises(ValueError):
+        from_json(b"\xef\xbb\xbf{}")
+
+
+def test_a_deeply_nested_last_journal_line_is_dropped_as_torn(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    path.write_bytes(json_line({"n": 1}) + b"[" * 100_000 + b"\n")
+    journal = Journal(path)
+    assert journal.read() == [{"n": 1}]
+    journal.append({"n": 2})
+    journal.close()
+    assert path.read_bytes() == json_line({"n": 1}) + json_line({"n": 2})

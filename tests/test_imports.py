@@ -1,5 +1,7 @@
 """The modules of ``src/pacloud`` import one another without a cycle, so
-each can be imported on its own and no import has to hide in a function."""
+each can be imported on its own and no import has to hide in a function.
+And only ``pacloud.files`` decodes JSON, so every document that crosses a
+process boundary goes through its one codec, ``from_json``."""
 import ast
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
@@ -63,3 +65,33 @@ def test_no_module_imports_itself_through_others():
         TopologicalSorter(import_graph()).prepare()
     except CycleError as exc:
         pytest.fail("import cycle: " + " -> ".join(exc.args[1]))
+
+
+JSON_DECODERS = {"load", "loads"}
+
+
+def decodes_json(path):
+    """Whether ``path`` names ``json.load`` or ``json.loads``, as an
+    attribute of ``json`` or imported from it."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in JSON_DECODERS
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "json"
+        ):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.module == "json" and any(
+            alias.name in JSON_DECODERS for alias in node.names
+        ):
+            return True
+    return False
+
+
+def test_only_the_codec_decodes_json():
+    decoders = sorted(
+        module_name(path)
+        for path in PACKAGE_DIR.rglob("*.py")
+        if module_name(path) != "pacloud.files" and decodes_json(path)
+    )
+    assert decoders == []

@@ -159,6 +159,16 @@ class TestSync:
         assert report.categories_synced == 2
         assert not db.category_path("sys-libs").exists()
 
+    def test_a_deeply_nested_category_is_skipped_and_reported(self, db, store_dir):
+        (store_dir / "sys-libs.json").write_text("[" * 100_000, encoding="utf-8")
+        report = db.sync(DirectoryStore(store_dir))
+        [(category, reason)] = report.skipped_categories
+        assert category == "sys-libs"
+        assert "nested too deeply" in reason
+        assert report.categories_synced == 2
+        assert not db.category_path("sys-libs").exists()
+        assert db.get_metadata(pkg("app-editors/vim")) is not None
+
     def test_remote_wins_for_descriptions(self, db, store_dir, tmp_path):
         db.sync(DirectoryStore(store_dir))
         metas = build_sample_metadata()

@@ -9,7 +9,7 @@ import time
 import pytest
 from conftest import build_sample_metadata
 
-from pacloud.client import InProcessTransport, TcpTransport, await_package
+from pacloud.client import TcpTransport, await_package
 from pacloud.core import BuildKey, PackageId, UseFlagSet, parse_version
 from pacloud.depparse import parse_atom
 from pacloud.errors import (
@@ -148,7 +148,7 @@ class TestDeadLetters:
 
         farm.clock.on_sleep = on_sleep
         with pytest.raises(BuildFailed) as exc_info:
-            await_package(InProcessTransport(farm.service), KEY, farm.clock)
+            await_package(farm.service, KEY, farm.clock)
         assert exc_info.value.error == DEAD_LETTER_ERROR
         assert farm.clock.now() == 60.0  # not the 7200 s timeout
 
@@ -614,6 +614,30 @@ class TestTcpTransport:
         transport.close()
         assert accepted[0] == 3
 
+    def test_a_deeply_nested_response_is_a_protocol_error(self):
+        # a bare socket stands in for a server that answers with a line of
+        # 100 000 nested '[' and then waits for the client to close
+        closed = []
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+
+            def answer():
+                conn, _ = listener.accept()
+                conn.settimeout(5.0)
+                with conn, conn.makefile("rb") as reader:
+                    reader.readline()
+                    conn.sendall(b"[" * 100_000 + b"\n")
+                    closed.append(reader.read() == b"")
+
+            thread = threading.Thread(target=answer, daemon=True)
+            thread.start()
+            host, port = listener.getsockname()[:2]
+            transport = TcpTransport(f"tcp://{host}:{port}", connect_timeout=5.0)
+            with pytest.raises(ProtocolError, match="nested too deeply"):
+                transport.exchange(encode_request([KEY]))
+            thread.join(10.0)
+        assert transport._sock is None
+        assert closed == [True]
+
     def test_a_server_that_is_gone_is_a_transport_error(self, server):
         server_obj, _ = server
         transport = TcpTransport(server_obj.address, connect_timeout=1.0)
@@ -872,6 +896,19 @@ class TestFarmPersistence:
         with pytest.raises(
             FarmStateError, match="line 1: .* is not a canonical build key"
         ):
+            BuildFarm(clock=VirtualClock(), root=tmp_path)
+        assert files_under(tmp_path) == before
+
+    def test_a_deeply_nested_journal_line_is_refused(self, tmp_path):
+        # a line that is not JSON before the last is damage, not a tear
+        (tmp_path / "records").mkdir()
+        (tmp_path / "records" / "records.jsonl").write_bytes(
+            b"[" * 100_000 + b"\n" + json_line(
+                {"key": KEY.canonical(), "status": "pending", "created_at": 0.0}
+            )
+        )
+        before = files_under(tmp_path)
+        with pytest.raises(FarmStateError, match="line 1 is not JSON"):
             BuildFarm(clock=VirtualClock(), root=tmp_path)
         assert files_under(tmp_path) == before
 
