@@ -252,7 +252,10 @@ def scenario_jobs(name: str) -> tuple[int, list[JobSpec]]:
 
 
 def load_jobs_file(path: str | Path) -> list[JobSpec]:
-    docs = from_json(Path(path).read_text(encoding="utf-8"))
+    try:
+        docs = from_json(Path(path).read_bytes())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(docs, list):
         raise UsageError(f"{path}: expected a JSON list of jobs")
     return [_job_from_doc(d) for d in docs]

@@ -65,6 +65,7 @@ from .files import from_json, json_line, prune_empty_dirs
 from .localdb import DirectoryStore, LocalDb, PackageStore, SearchResult, SyncReport
 from .resolver import InstallPlan, compute_orphans, resolve_runtime_closure
 from .wire import (
+    MAX_RESPONSE_BYTES,
     Response,
     STATUS_AVAILABLE,
     STATUS_FAILED,
@@ -90,7 +91,9 @@ class TcpTransport:
     reused connection that gives no response at all, as one the server
     closed for idleness does, is replaced once and the request sent
     again. That is safe because a build request is idempotent: it creates
-    a key's pending record once, and a resend only reads it.
+    a key's pending record once, and a resend only reads it. A response
+    line is read up to ``MAX_RESPONSE_BYTES``: a longer one is a
+    ``ProtocolError``.
     """
 
     def __init__(self, url: str, connect_timeout: float = 30.0):
@@ -118,6 +121,11 @@ class TcpTransport:
         except OSError as exc:
             self.close()
             raise TransportError(f"cannot reach {self.host}:{self.port}: {exc}") from exc
+        if len(line) > MAX_RESPONSE_BYTES:
+            self.close()
+            raise ProtocolError(
+                f"response line longer than {MAX_RESPONSE_BYTES} bytes"
+            )
         if not line.endswith(b"\n"):
             self.close()
             raise TransportError("connection closed without a response")
@@ -139,7 +147,7 @@ class TcpTransport:
         assert self._reader is not None
         try:
             self._sock.sendall(payload)
-            return self._reader.readline()
+            return self._reader.readline(MAX_RESPONSE_BYTES + 1)
         except ConnectionError:  # reset by the server, or closed under a send
             return b""
 

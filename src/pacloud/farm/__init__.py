@@ -53,7 +53,6 @@ from .stores import (
 from .worker import (
     DEFAULT_POLL_INTERVAL,
     BuildEvent,
-    ExecutionResult,
     ExecutorFactory,
     ExecutorTable,
     JobProfile,
@@ -72,7 +71,6 @@ __all__ = [
     "Clock",
     "CompileQueue",
     "DEAD_LETTER_ERROR",
-    "ExecutionResult",
     "ExecutorFactory",
     "ExecutorTable",
     "FAILED",

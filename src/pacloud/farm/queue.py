@@ -22,6 +22,20 @@ it goes stale as soon as the message is redelivered elsewhere, deleted or
 dead-lettered; renewing, holding, lapsing or deleting through a stale
 handle is a no-op that reports the staleness.
 
+A delivery reads no held message, however many the queue holds (a farm
+holds one per busy worker). Beside its map of every queued message, the
+queue keeps the messages not held in their own send-ordered index, an
+``OrderedDict``, whose front is found without walking the slots that
+earlier deletions left, as a plain dict's would be. ``receive`` walks
+only that index from its front, and ``next_visible_at`` reads only it.
+``hold`` takes a message out of the index; ``delete`` and dead-lettering
+take it out of the queue. ``lapse`` rebuilds the index to put the
+message back at its send position, which is rare: only hibernations and
+crashes lapse a hold. The queue also maps each current handle to its
+message, so a handle is found with one dict lookup and never parsed; a
+redelivery, a deletion or a dead-lettering drops the message's old
+handle from that map.
+
 The queue lives in memory only. Which keys still need a build is stored
 once, as the pending records of the record store; a farm that opens a
 root sends one message for each of their keys.
@@ -31,6 +45,7 @@ farm that owns it serialises every call under ``BuildFarm.lock``.
 """
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,7 +57,7 @@ MAX_DELIVERIES = 3
 DEAD_LETTER_ERROR = f"dead-lettered after {MAX_DELIVERIES} deliveries"
 
 
-@dataclass
+@dataclass(slots=True)
 class _Message:
     id: str
     body: BuildKey
@@ -66,8 +81,12 @@ class CompileQueue:
     def __init__(
         self, on_dead_letter: Callable[[BuildKey, float], None] | None = None
     ):
-        # id -> message, in send order; delivery scans it front to back
+        # id -> message, every queued one, in send order
         self._messages: dict[str, _Message] = {}
+        # id -> message, the queued ones not held, in send order
+        self._deliverable: OrderedDict[str, _Message] = OrderedDict()
+        # current handle -> its message
+        self._handles: dict[str, _Message] = {}
         self._dead: list[_Message] = []
         self._seq = 0
         self.on_dead_letter = on_dead_letter
@@ -75,7 +94,7 @@ class CompileQueue:
     def send(self, body: BuildKey, now: float) -> str:
         self._seq += 1
         message = _Message(id=f"m{self._seq}", body=body, visible_at=now)
-        self._messages[message.id] = message
+        self._messages[message.id] = self._deliverable[message.id] = message
         return message.id
 
     def receive(self, now: float) -> tuple[ReceivedMessage, str] | None:
@@ -88,24 +107,25 @@ class CompileQueue:
         """
         dead: list[_Message] = []
         result = None
-        for message in self._messages.values():
-            if message.held or now < message.visible_at:
+        for message in self._deliverable.values():
+            if now < message.visible_at:
                 continue
             if message.receive_count >= MAX_DELIVERIES:
                 dead.append(message)
                 continue
+            if message.receive_count:
+                del self._handles[message.handle]
             message.receive_count += 1
             message.visible_at = now + VISIBILITY_TIMEOUT
-            message.handle = f"{message.id}#{message.receive_count}"
+            message.handle = handle = f"{message.id}#{message.receive_count}"
+            self._handles[handle] = message
             result = (
-                ReceivedMessage(
-                    message.id, message.body, message.receive_count
-                ),
-                message.handle,
+                ReceivedMessage(message.id, message.body, message.receive_count),
+                handle,
             )
             break
         for message in dead:
-            del self._messages[message.id]
+            self._remove(message)
             self._dead.append(message)
         if self.on_dead_letter is not None:
             for message in dead:
@@ -114,7 +134,7 @@ class CompileQueue:
 
     def renew(self, handle: str, now: float) -> bool:
         """Extend the visibility window; False if the handle went stale."""
-        message = self._message_for(handle)
+        message = self._handles.get(handle)
         if message is None:
             return False
         message.visible_at = now + VISIBILITY_TIMEOUT
@@ -123,27 +143,33 @@ class CompileQueue:
     def hold(self, handle: str) -> bool:
         """Keep the message from delivery until ``lapse``; False if the
         handle went stale."""
-        message = self._message_for(handle)
+        message = self._handles.get(handle)
         if message is None:
             return False
-        message.held = True
+        if not message.held:
+            message.held = True
+            del self._deliverable[message.id]
         return True
 
     def lapse(self, handle: str) -> bool:
         """End a hold: the message is visible again from the end of its
         current window; False if the handle went stale."""
-        message = self._message_for(handle)
+        message = self._handles.get(handle)
         if message is None:
             return False
-        message.held = False
+        if message.held:
+            message.held = False
+            self._deliverable = OrderedDict(
+                (m.id, m) for m in self._messages.values() if not m.held
+            )
         return True
 
     def delete(self, handle: str) -> bool:
         """Remove the message permanently; False if the handle went stale."""
-        message = self._message_for(handle)
+        message = self._handles.get(handle)
         if message is None:
             return False
-        del self._messages[message.id]
+        self._remove(message)
         return True
 
     def depth(self) -> int:
@@ -153,8 +179,7 @@ class CompileQueue:
         """The earliest time a receive can find or dead-letter a message;
         None while every queued message is held, or none is queued."""
         return min(
-            (m.visible_at for m in self._messages.values() if not m.held),
-            default=None,
+            (m.visible_at for m in self._deliverable.values()), default=None
         )
 
     def dead_letters(self) -> list[ReceivedMessage]:
@@ -163,6 +188,10 @@ class CompileQueue:
             for m in self._dead
         ]
 
-    def _message_for(self, handle: str) -> _Message | None:
-        message = self._messages.get(handle.partition("#")[0])
-        return message if message and message.handle == handle else None
+    def _remove(self, message: _Message) -> None:
+        """Take a delivered message out of the queue and its handle out of
+        use."""
+        del self._messages[message.id]
+        if not message.held:
+            del self._deliverable[message.id]
+        del self._handles[message.handle]

@@ -42,6 +42,7 @@ from ..errors import ProtocolError
 from ..files import from_json, json_line
 from ..wire import (
     _PLAIN,
+    MAX_REQUEST_BYTES,
     Response,
     STATUS_AVAILABLE,
     STATUS_FAILED,
@@ -55,7 +56,6 @@ from .stores import BUILT, FAILED, BuildRecordStore
 
 logger = logging.getLogger("pacloud.farm")
 
-MAX_REQUEST_BYTES = 65536
 REQUEST_TIMEOUT = 5.0
 
 

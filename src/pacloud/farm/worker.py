@@ -1,12 +1,14 @@
 """Simulated spot workers: polling, building, interruption and hibernation.
 
 An idle worker polls the queue on its own chain of ticks, ``poll_interval``
-apart. On a message it calls its executor once for that delivery, builds
-for the duration the call returns, and holds the message in the queue
-meanwhile, so no other worker receives it. On completion it
-stores the artifact, finalizes the build record (preserving an
-executor's error text verbatim on failure), deletes the message and
-polls again at once. Failures delete the message too and store nothing.
+apart. On a message it calls its executor once for that delivery, which
+returns the key's ``JobProfile``: it builds for the profile's duration,
+and holds the message in the queue meanwhile, so no other worker
+receives it. On completion it stores the artifact, a function that
+builds the key's tar when the store first needs its bytes, finalizes the
+build record (preserving the profile's error text verbatim on failure),
+deletes the message and polls again at once. Failures delete the message
+too and store nothing.
 A poll that finds nothing makes the worker wait: its next event is the
 first tick of its chain at or after the queue's earliest visible time,
 and it has none while the queue holds nothing it can deliver. The ticks
@@ -43,7 +45,6 @@ import tarfile
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable
 
 from ..core import BuildKey
 from .queue import RENEWAL_INTERVAL, CompileQueue
@@ -106,38 +107,17 @@ class ExecutorTable:
         return self.profiles.get(key.canonical(), self.default)
 
 
-@dataclass(frozen=True)
-class ExecutionResult:
-    """What one build produced: its duration, and either an artifact or an
-    error. The artifact is the tar's bytes or a function that builds them,
-    which ``ArtifactStore.put`` calls only when something needs the bytes.
-    """
-
-    duration: float
-    artifact: bytes | Callable[[], bytes] | None = None
-    error: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.artifact is not None
-
-
 class ExecutorFactory:
-    """Runs one simulated build per delivery and counts the calls."""
+    """Runs one simulated build per delivery, returning the key's
+    profile, and counts the calls."""
 
     def __init__(self, table: ExecutorTable | None = None):
         self.table = table or ExecutorTable()
         self.created = 0
 
-    def __call__(self, key: BuildKey) -> ExecutionResult:
+    def __call__(self, key: BuildKey) -> JobProfile:
         self.created += 1
-        profile = self.table.profile_for(key)
-        if profile.error is not None:
-            return ExecutionResult(profile.duration, error=profile.error)
-        # The tar depends only on the key: build it when it is read.
-        return ExecutionResult(
-            profile.duration, artifact=partial(build_artifact_tar, key)
-        )
+        return self.table.profile_for(key)
 
 
 class WorkerMode(Enum):
@@ -162,7 +142,7 @@ class _Build:
 
     handle: str
     key: BuildKey
-    result: ExecutionResult
+    profile: JobProfile
     started_at: float
     segment_started: float
     completion_at: float
@@ -260,15 +240,15 @@ class Worker:
             self.next_poll_at = t + self.poll_interval
             return
         message, handle = received
-        result = self.executor_factory(message.body)
+        profile = self.executor_factory(message.body)
         self.mode = WorkerMode.BUILDING
         self._build = _Build(
             handle,
             message.body,
-            result,
+            profile,
             started_at=t,
             segment_started=t,
-            completion_at=t + result.duration,
+            completion_at=t + profile.duration,
             next_renewal_at=t + RENEWAL_INTERVAL,
             leased=self.queue.hold(handle),
         )
@@ -314,12 +294,13 @@ class Worker:
         if record is not None and record.terminal:
             # Someone else finished this key while we were hibernated.
             status = DISCARDED
-        elif build.result.ok:
-            self.artifacts.put(build.key, build.result.artifact)
+        elif build.profile.error is None:
+            # The tar depends only on the key: build it when it is read.
+            self.artifacts.put(build.key, partial(build_artifact_tar, build.key))
             self.records.finalize_built(canonical, t)
             status = BUILT
         else:
-            self.records.finalize_failed(canonical, build.result.error, t)
+            self.records.finalize_failed(canonical, build.profile.error, t)
             status = FAILED
         self.queue.delete(build.handle)
         self.history.append(BuildEvent(canonical, build.started_at, t, status))

@@ -15,6 +15,17 @@ more distinct keys, each by its canonical string: ``cat/p-1[b,a]`` or
 A status is refused unless it is a closed-vocabulary ``status`` with an
 ``error`` text exactly when it failed. No response says where an artifact
 is: a client reads the file ``artifact_file`` of the key it asked for.
+
+Both ends bound the lines they read. The server refuses a request line
+longer than ``MAX_REQUEST_BYTES``, and a client refuses a response line
+longer than ``MAX_RESPONSE_BYTES``. The response cap is derived from the
+request cap, and the server caps the error text it sends, so that every
+response the server gives to a request it accepts fits: a response sends
+a failed key's error cut to its first ``MAX_ERROR_CHARS`` characters
+(the record keeps all of it). An accepted request names at most one key
+per ten bytes of its line (``"a/b-1[]",`` is the shortest), and a status
+takes at most ``_MAX_STATUS_BYTES``, counting each error character as the
+twelve bytes of an escaped surrogate pair, so the cap is about 16 MB.
 """
 from __future__ import annotations
 
@@ -29,6 +40,15 @@ REQUEST_BUILD = "build"
 STATUS_AVAILABLE = "available"
 STATUS_PENDING = "pending"
 STATUS_FAILED = "failed"
+
+# The longest request and response lines, each with its newline; the
+# module docstring derives the second.
+MAX_REQUEST_BYTES = 65536
+MAX_ERROR_CHARS = 200
+_MAX_STATUS_BYTES = len('{"status":"failed","error":""},') + 12 * MAX_ERROR_CHARS
+MAX_RESPONSE_BYTES = len('{"statuses":[]}\n') + (
+    MAX_REQUEST_BYTES // 10 * _MAX_STATUS_BYTES
+)
 
 # The store directory that holds each artifact as its ``artifact_file``.
 ARTIFACT_DIR = "artifacts"
@@ -79,7 +99,7 @@ def encode_response(responses: Sequence[Response]) -> dict:
     for response in responses:
         doc: dict = {"status": response.status}
         if response.error is not None:
-            doc["error"] = response.error
+            doc["error"] = response.error[:MAX_ERROR_CHARS]
         statuses.append(doc)
     return {"statuses": statuses}
 

@@ -14,6 +14,8 @@ one of them.
 """
 from __future__ import annotations
 
+from functools import partial
+
 import pacloud.farm
 from pacloud.core import BuildKey
 from pacloud.farm.queue import RENEWAL_INTERVAL, CompileQueue
@@ -22,9 +24,10 @@ from pacloud.farm.worker import (
     DEFAULT_NOTICE_SECONDS,
     DEFAULT_POLL_INTERVAL,
     BuildEvent,
-    ExecutionResult,
     ExecutorFactory,
+    JobProfile,
     WorkerMode,
+    build_artifact_tar,
 )
 
 
@@ -53,7 +56,7 @@ class ReferenceWorker:
         # in-flight build state
         self._handle: str | None = None
         self._key: BuildKey | None = None
-        self._result: ExecutionResult | None = None
+        self._profile: JobProfile | None = None
         self._started_at = 0.0
         self._segment_started = 0.0
         self._completion_at = 0.0
@@ -122,17 +125,17 @@ class ReferenceWorker:
             return
         message, handle = received
         key = message.body
-        result = self.executor_factory(key)
+        profile = self.executor_factory(key)
         self.mode = WorkerMode.BUILDING
         self._handle = handle
         self._key = key
-        self._result = result
+        self._profile = profile
         self._started_at = t
         self._segment_started = t
-        self._completion_at = t + result.duration
+        self._completion_at = t + profile.duration
         self._next_renewal_at = t + RENEWAL_INTERVAL
         self._hibernate_at = None
-        self._remaining = result.duration
+        self._remaining = profile.duration
         self._resumed = False
         self._stop_after_build = False
 
@@ -148,7 +151,7 @@ class ReferenceWorker:
         self.mode = WorkerMode.HIBERNATED
 
     def _complete(self, t: float) -> None:
-        assert self._key is not None and self._result is not None
+        assert self._key is not None and self._profile is not None
         assert self._handle is not None
         self.busy_seconds += t - self._segment_started
         canonical = self._key.canonical()
@@ -158,14 +161,12 @@ class ReferenceWorker:
             self.queue.delete(self._handle)
             status = "discarded"
         else:
-            if self._result.ok:
-                assert self._result.artifact is not None
-                self.artifacts.put(self._key, self._result.artifact)
+            if self._profile.error is None:
+                self.artifacts.put(self._key, partial(build_artifact_tar, self._key))
                 self.records.finalize_built(canonical, t)
                 status = "built"
             else:
-                assert self._result.error is not None
-                self.records.finalize_failed(canonical, self._result.error, t)
+                self.records.finalize_failed(canonical, self._profile.error, t)
                 status = "failed"
             self.queue.delete(self._handle)
         self.history.append(BuildEvent(canonical, self._started_at, t, status))
@@ -179,7 +180,7 @@ class ReferenceWorker:
     def _clear_build(self) -> None:
         self._handle = None
         self._key = None
-        self._result = None
+        self._profile = None
         self._hibernate_at = None
         self._resumed = False
 

@@ -117,12 +117,13 @@ class TestRunMakespan:
             assert 0.0 <= value <= 1.0
 
 
-def lognormal_jobs():
-    """200 jobs on 32 workers; log-normal durations around 120 s, to the ms."""
+def lognormal_jobs(count=200, workers=32):
+    """``count`` jobs on ``workers`` workers; log-normal durations around
+    120 s, to the ms."""
     rng = random.Random(20261018)
-    return 32, [
+    return workers, [
         job(f"p{i}", round(rng.lognormvariate(math.log(120.0), 0.6), 3))
-        for i in range(200)
+        for i in range(count)
     ]
 
 
@@ -140,8 +141,12 @@ def lognormal_jobs():
             lognormal_jobs,
             "5f3d9e38f33f99db4c8ea935f8fce8f121b57fe787ed106446f7e2beaaa85954",
         ),
+        (
+            lambda: lognormal_jobs(2000, 320),
+            "7ab8b4f7c57b768683afd7024a9956ca0b11eeab49b12ef5fddfc57246e8cbf0",
+        ),
     ],
-    ids=["fig13", "lognormal-200x32"],
+    ids=["fig13", "lognormal-200x32", "lognormal-2000x320"],
 )
 def test_report_digest_is_pinned(make, digest):
     workers, jobs = make()
@@ -260,7 +265,15 @@ class TestBenchCli:
         jobs_path = tmp_path / "jobs.json"
         jobs_path.write_text("[" * 100_000, encoding="utf-8")
         assert main(["--jobs", str(jobs_path), "--workers", "2"]) == 1
-        assert "pacloud-bench: JSON document nested too deeply" in (
+        assert f"pacloud-bench: {jobs_path}: JSON document nested too deeply" in (
+            capsys.readouterr().err
+        )
+
+    def test_an_undecodable_jobs_file_exits_1_naming_it(self, tmp_path, capsys):
+        jobs_path = tmp_path / "jobs.json"
+        jobs_path.write_text("{bad", encoding="utf-8")
+        assert main(["--jobs", str(jobs_path), "--workers", "2"]) == 1
+        assert f"pacloud-bench: {jobs_path}: Expecting property name" in (
             capsys.readouterr().err
         )
 

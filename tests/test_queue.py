@@ -1,4 +1,7 @@
 import random
+from collections import Counter
+
+from reference_queue import ReferenceQueue
 
 from pacloud.core import BuildKey
 from pacloud.farm.queue import (
@@ -263,3 +266,69 @@ class TestHolds:
         message, _ = q.receive(now=VISIBILITY_TIMEOUT)
         assert message.receive_count == 2
         assert q.hold(handle) is False
+
+
+
+def drive_both(seed, steps, tally):
+    """Make the same random calls on a queue and on the scan queue, and
+    check that they answer each alike."""
+    rng = random.Random(seed)
+    heard, heard_reference = [], []
+    queue = CompileQueue(on_dead_letter=lambda body, now: heard.append((body, now)))
+    reference = ReferenceQueue(
+        on_dead_letter=lambda body, now: heard_reference.append((body, now))
+    )
+    # every handle the queues gave out, and some they never could
+    handles = ["", "m1", "m1#0", "m1#4", "m99#1", "#1"]
+    now = 0.0
+    for step in range(steps):
+        roll = rng.random()
+        if roll < 0.1:
+            now -= rng.choice((0.5, 1.0, VISIBILITY_TIMEOUT, 40.0))
+            tally["earlier"] += 1
+        elif roll < 0.6:
+            now += rng.choice((0.0, 0.5, 1.0, RENEWAL_INTERVAL, VISIBILITY_TIMEOUT))
+        op = rng.choices(
+            ("send", "receive", "hold", "renew", "lapse", "delete"),
+            weights=(2, 4, 2, 1, 2, 1),
+        )[0]
+        where = f"seed {seed}, step {step}: {op}"
+        if op == "send":
+            body = f"cat/p{step}-1[]"
+            assert queue.send(body, now) == reference.send(body, now), where
+        elif op == "receive":
+            got = queue.receive(now)
+            assert got == reference.receive(now), where
+            if got is None:
+                tally["empty"] += 1
+            else:
+                handles.append(got[1])
+                tally["redelivered"] += got[0].receive_count > 1
+        else:
+            handle = rng.choice(handles)
+            if op == "renew":
+                got = queue.renew(handle, now)
+                assert got == reference.renew(handle, now), where
+            else:
+                got = getattr(queue, op)(handle)
+                assert got == getattr(reference, op)(handle), where
+            tally[f"{op} {got}"] += 1
+        assert queue.depth() == reference.depth(), where
+        assert queue.next_visible_at() == reference.next_visible_at(), where
+        assert queue.dead_letters() == reference.dead_letters(), where
+        assert heard == heard_reference, where
+    tally["dead"] += len(heard)
+
+
+def test_every_answer_matches_the_scan_queue():
+    tally = Counter()
+    for seed in range(300):
+        drive_both(seed, 80, tally)
+    # the calls reached every rule: stale handles, holds that lapse,
+    # redeliveries, dead letters and a clock that goes back
+    for case in (
+        "earlier", "empty", "redelivered", "dead", "hold True", "hold False",
+        "lapse True", "lapse False", "renew True", "renew False",
+        "delete True", "delete False",
+    ):
+        assert tally[case] > 0, case

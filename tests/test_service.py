@@ -2,6 +2,7 @@ import json
 import logging
 import os
 import socket
+import string
 import sys
 import threading
 import time
@@ -34,9 +35,12 @@ from pacloud.farm import (
     generate_emerge_commands,
 )
 from pacloud.farm import service as service_module
-from pacloud.files import json_line
+from pacloud.files import from_json, json_line
 from pacloud.localdb import DirectoryStore, PackageMetadata
 from pacloud.wire import (
+    MAX_ERROR_CHARS,
+    MAX_REQUEST_BYTES,
+    MAX_RESPONSE_BYTES,
     Response,
     STATUS_AVAILABLE,
     STATUS_FAILED,
@@ -275,6 +279,32 @@ class TestWireDocuments:
         for text in ("noslash-1[]", "a/b-x[]", "a/b-1[x"):
             with pytest.raises(ProtocolError):
                 decode_request({"type": "build", "keys": [text]})
+
+    def test_every_response_to_an_accepted_request_fits_the_cap(self):
+        # as many of the shortest keys as a request line holds, each failed
+        # with an error longer than the cap, of characters that escape to
+        # surrogate pairs
+        texts = [
+            f"{category}/{name}-{version}[]"
+            for category in string.ascii_lowercase
+            for name in string.ascii_lowercase
+            for version in range(10)
+        ]
+        keys = [BuildKey.from_canonical(text) for text in texts]
+        # ten bytes a key, '"a/b-1[]",', but the last has no comma
+        count = (MAX_REQUEST_BYTES - len(json_line(encode_request([]))) + 1) // 10
+        request = json_line(encode_request(keys[:count]))
+        assert len(request) <= MAX_REQUEST_BYTES
+        assert len(json_line(encode_request(keys[: count + 1]))) > MAX_REQUEST_BYTES
+        assert decode_request(from_json(request)) == keys[:count]
+        error = "\U0001F600" * (MAX_ERROR_CHARS + 1)
+        response = json_line(
+            encode_response([Response(STATUS_FAILED, error=error)] * count)
+        )
+        assert len(response) <= MAX_RESPONSE_BYTES
+        assert decode_response(from_json(response), count)[0] == Response(
+            STATUS_FAILED, error=error[:MAX_ERROR_CHARS]
+        )
 
 
 def tcp_exchange(address: str, payload: bytes) -> bytes:
@@ -637,6 +667,33 @@ class TestTcpTransport:
             thread.join(10.0)
         assert transport._sock is None
         assert closed == [True]
+
+    def test_a_response_line_past_the_cap_is_a_protocol_error(self):
+        # a bare socket stands in for a server that answers with a valid
+        # response padded with blanks past the cap, which JSON alone would
+        # accept
+        line = json_line(encode_response([Response(STATUS_PENDING)]))
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+
+            def answer():
+                conn, _ = listener.accept()
+                conn.settimeout(5.0)
+                with conn, conn.makefile("rb") as reader:
+                    reader.readline()
+                    try:
+                        conn.sendall(line[:-1] + b" " * MAX_RESPONSE_BYTES + b"\n")
+                    except OSError:  # the client closed before reading it all
+                        pass
+
+            thread = threading.Thread(target=answer, daemon=True)
+            thread.start()
+            host, port = listener.getsockname()[:2]
+            transport = TcpTransport(f"tcp://{host}:{port}", connect_timeout=5.0)
+            with pytest.raises(ProtocolError, match="longer than"):
+                transport.exchange(encode_request([KEY]))
+            thread.join(10.0)
+        assert not thread.is_alive()
+        assert transport._sock is None
 
     def test_a_server_that_is_gone_is_a_transport_error(self, server):
         server_obj, _ = server
