@@ -2,15 +2,22 @@
 
 The makespan runner drives the real build-farm machinery under a virtual
 clock: every job is requested at t=0, workers pull greedily from the
-queue, and the report is derived from the resulting build records and
-worker histories, so totals are bit-reproducible across runs. Device
-build times ship as a checked-in table (machine x package, in seconds);
-the harness never pretends to measure a real compile.
+queue, and once no record is pending the report is read from the
+workers' histories alone, each job's start and end from its one
+``BUILT`` event, so totals are bit-reproducible across runs. A job list
+read from a file is checked at that boundary: each entry needs string
+``package`` and ``version``, a positive finite ``duration`` (seconds, or
+``[HH:]MM:SS[.ss]``) and, if present, a list of string ``useflags``.
+
+Device build times ship as a checked-in table (machine x package, in
+seconds), and ``device_percent`` is the one ratio read from it; the
+harness never pretends to measure a real compile.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -30,8 +37,10 @@ class JobSpec:
     duration: float
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive: {self.duration}")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(
+                f"duration must be positive and finite: {self.duration}"
+            )
 
 
 @dataclass(frozen=True)
@@ -104,23 +113,14 @@ def run_makespan(num_workers: int, jobs: list[JobSpec]) -> MakespanReport:
     unfinished = farm.records.pending_keys()
     if unfinished:
         raise RuntimeError(f"jobs never finished: {unfinished}")
-    completed = {
-        record.key: record.completed_at for record in farm.records.all_records()
+    timings = {
+        event.key: JobTiming(event.started_at, event.finished_at)
+        for worker in farm.workers
+        for event in worker.history
+        if event.status == BUILT
     }
-    timings: dict[str, JobTiming] = {}
-    utilization: dict[str, float] = {}
-    total = 0.0
-    for worker in farm.workers:
-        for event in worker.history:
-            if event.status == BUILT:
-                end = completed[event.key]
-                assert end == event.finished_at
-                timings[event.key] = JobTiming(event.started_at, end)
-                total = max(total, end)
-    for worker in farm.workers:
-        utilization[worker.name] = (
-            worker.busy_seconds / total if total > 0 else 0.0
-        )
+    total = max(timing.end for timing in timings.values())
+    utilization = {worker.name: worker.busy_seconds / total for worker in farm.workers}
     return MakespanReport(
         total=total,
         num_workers=num_workers,
@@ -146,76 +146,13 @@ def parse_duration(text: str) -> float:
     seconds = float(parts[-1])
     minutes = int(parts[-2]) if len(parts) >= 2 else 0
     hours = int(parts[-3]) if len(parts) == 3 else 0
-    if seconds < 0 or minutes < 0 or hours < 0:
+    if not 0 <= seconds < math.inf or minutes < 0 or hours < 0:
         raise ValueError(f"bad duration: {text!r}")
     if len(parts) >= 2 and seconds >= 60:
         raise ValueError(f"seconds out of range in {text!r}")
     if len(parts) == 3 and minutes >= 60:
         raise ValueError(f"minutes out of range in {text!r}")
     return hours * 3600 + minutes * 60 + seconds
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    package: str
-    baseline_machine: str
-    target_machine: str
-    baseline_seconds: float
-    target_seconds: float
-
-    @property
-    def percent(self) -> float:
-        return 100.0 * self.target_seconds / self.baseline_seconds
-
-    def summary(self) -> str:
-        return (
-            f"{self.package}: {self.target_machine} takes "
-            f"{self.percent:.2f}% of the {self.baseline_machine} time "
-            f"({self.target_seconds:g} s vs {self.baseline_seconds:g} s)"
-        )
-
-
-class DeviceTimeTable:
-    """Per-package build durations by machine, in seconds."""
-
-    def __init__(self, durations: dict[str, dict[str, float]]):
-        for package, by_machine in durations.items():
-            for machine, seconds in by_machine.items():
-                if seconds <= 0:
-                    raise ValueError(
-                        f"{package} on {machine}: non-positive duration"
-                    )
-        self.durations = durations
-
-    def packages(self) -> list[str]:
-        return sorted(self.durations)
-
-    def machines(self, package: str) -> list[str]:
-        return sorted(self._package(package))
-
-    def duration(self, package: str, machine: str) -> float:
-        by_machine = self._package(package)
-        if machine not in by_machine:
-            raise UnknownMachine(f"no duration for {package} on {machine}")
-        return by_machine[machine]
-
-    def _package(self, package: str) -> dict[str, float]:
-        if package not in self.durations:
-            raise UnknownPackage(f"no durations for package {package}")
-        return self.durations[package]
-
-
-def device_comparison(
-    table: DeviceTimeTable, package: str, baseline: str, target: str
-) -> ComparisonReport:
-    """How much of the baseline machine's time the target machine needs."""
-    return ComparisonReport(
-        package=package,
-        baseline_machine=baseline,
-        target_machine=target,
-        baseline_seconds=table.duration(package, baseline),
-        target_seconds=table.duration(package, target),
-    )
 
 
 def _load_data() -> dict:
@@ -225,19 +162,39 @@ def _load_data() -> dict:
     return from_json(text)
 
 
-def load_device_table() -> DeviceTimeTable:
-    return DeviceTimeTable(_load_data()["device_times"])
+def device_percent(package: str, baseline: str, target: str) -> float:
+    """How much of the baseline machine's time to build ``package`` the
+    target machine needs, in percent, from the checked-in device table."""
+    by_machine = _load_data()["device_times"].get(package)
+    if by_machine is None:
+        raise UnknownPackage(f"no durations for package {package}")
+    for machine in (baseline, target):
+        if machine not in by_machine:
+            raise UnknownMachine(f"no duration for {package} on {machine}")
+    return 100.0 * by_machine[target] / by_machine[baseline]
 
 
-def _job_from_doc(doc: dict) -> JobSpec:
-    key = BuildKey(
-        PackageId.parse(doc["package"]),
-        parse_version(doc["version"]),
-        UseFlagSet.of(doc.get("useflags", [])),
-    )
-    duration = doc["duration"]
+def _job_from_doc(doc: object) -> JobSpec:
+    """One job of a job list; ``ValueError`` (or a ``PacloudError`` for a
+    bad name, version or flag) saying what is wrong with it."""
+    if not isinstance(doc, dict):
+        raise ValueError("not a JSON object")
+    package, version = doc.get("package"), doc.get("version")
+    if not isinstance(package, str) or not isinstance(version, str):
+        raise ValueError("package and version must be strings")
+    useflags = doc.get("useflags", [])
+    if not isinstance(useflags, list) or not all(
+        isinstance(flag, str) for flag in useflags
+    ):
+        raise ValueError("useflags must be a list of strings")
+    duration = doc.get("duration")
     if isinstance(duration, str):
         duration = parse_duration(duration)
+    elif isinstance(duration, bool) or not isinstance(duration, (int, float)):
+        raise ValueError("duration must be a number of seconds or [HH:]MM:SS")
+    key = BuildKey(
+        PackageId.parse(package), parse_version(version), UseFlagSet.of(useflags)
+    )
     return JobSpec(key, float(duration))
 
 
@@ -258,7 +215,13 @@ def load_jobs_file(path: str | Path) -> list[JobSpec]:
         raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(docs, list):
         raise UsageError(f"{path}: expected a JSON list of jobs")
-    return [_job_from_doc(d) for d in docs]
+    jobs = []
+    for number, doc in enumerate(docs, start=1):
+        try:
+            jobs.append(_job_from_doc(doc))
+        except (PacloudError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: job {number}: {exc}") from exc
+    return jobs
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -274,14 +237,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if (ns.jobs is None) == (ns.scenario is None):
             raise UsageError("exactly one of --jobs or --scenario is required")
+        if ns.jobs is not None and ns.workers is None:
+            raise UsageError("--workers is required with --jobs")
+        if ns.workers is not None and ns.workers < 1:
+            raise UsageError("--workers must be at least 1")
         if ns.scenario is not None:
             default_workers, jobs = scenario_jobs(ns.scenario)
-            workers = ns.workers or default_workers
         else:
-            jobs = load_jobs_file(ns.jobs)
-            if not ns.workers:
-                raise UsageError("--workers is required with --jobs")
-            workers = ns.workers
+            default_workers, jobs = None, load_jobs_file(ns.jobs)
+        workers = ns.workers or default_workers
         started = time.monotonic()
         report = run_makespan(workers, jobs)
         elapsed = time.monotonic() - started

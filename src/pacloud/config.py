@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import logging
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,6 +41,9 @@ class Config:
     timeout: float = DEFAULT_TIMEOUT
 
     def validate(self) -> None:
+        for key in ("poll_interval", "timeout"):
+            if not math.isfinite(getattr(self, key)):
+                raise MalformedConfigValue(f"client.{key} must be a finite number")
         if self.poll_interval <= 0:
             raise MalformedConfigValue("client.poll_interval must be positive")
         if self.timeout < self.poll_interval:

@@ -20,14 +20,15 @@ when the journal is read, and cut off before the next append.
 Every JSON document read across a process boundary (a wire or journal
 line, a store or database document, a job file) is decoded by
 ``from_json``, which raises ``ValueError`` for anything else, a document
-nested too deeply to decode included.
+nested too deeply to decode and the non-JSON constants ``NaN`` and
+``Infinity`` included.
 """
 from __future__ import annotations
 
 import json
 import os
 from pathlib import Path
-from typing import Any
+from typing import Any, NoReturn
 
 from .errors import FarmStateError
 
@@ -53,6 +54,14 @@ def prune_empty_dirs(directory: Path, root: Path) -> None:
 _COMPACT = json.JSONEncoder(separators=(",", ":"))
 
 
+def _refuse_constant(name: str) -> NoReturn:
+    raise ValueError(f"{name} is not JSON")
+
+
+# Built once: ``json.loads`` with any keyword builds a decoder per call.
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 def json_line(doc: Any) -> bytes:
     """``doc`` as one compact JSON line, the form of a ``Journal``'s lines
     and of the wire's requests and responses."""
@@ -61,11 +70,12 @@ def json_line(doc: Any) -> bytes:
 
 def from_json(data: str | bytes) -> Any:
     """The one JSON document ``data`` holds, bytes read as strict UTF-8;
-    ``ValueError`` if it holds none or one nested too deeply to decode."""
+    ``ValueError`` if it holds none, one nested too deeply to decode, or
+    ``NaN``, ``Infinity`` or ``-Infinity``, which are not JSON."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")  # UnicodeDecodeError is a ValueError
     try:
-        return json.loads(data)
+        return _DECODER.decode(data)
     except RecursionError:
         raise ValueError("JSON document nested too deeply") from None
 

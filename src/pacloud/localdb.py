@@ -72,6 +72,13 @@ class VersionInfo:
     dependencies: tuple[str, ...] = ()
 
 
+def _strings(value: object, field: str) -> list[str]:
+    """``value`` if it is a list of strings; a string is not one."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError(f"{field} must be a list of strings")
+    return value
+
+
 @dataclass
 class PackageMetadata:
     """One package's metadata document plus its local install state."""
@@ -134,9 +141,7 @@ class PackageMetadata:
             versions = {}
             for rendered, info in doc["versions"].items():
                 parse_version(rendered)
-                deps = info.get("dependencies", [])
-                if not all(isinstance(d, str) for d in deps):
-                    raise TypeError("dependencies must be strings")
+                deps = _strings(info.get("dependencies", []), "dependencies")
                 versions[rendered] = VersionInfo(tuple(deps))
             files, depends = doc.get("files"), doc.get("depends")
             return cls(
@@ -145,8 +150,10 @@ class PackageMetadata:
                 versions=versions,
                 installed=doc.get("installed"),
                 explicit=bool(doc.get("explicit", False)),
-                files=list(files) if files is not None else None,
-                depends=None if depends is None else [*map(PackageId.parse, depends)],
+                files=None if files is None else list(_strings(files, "files")),
+                depends=None if depends is None else [
+                    *map(PackageId.parse, _strings(depends, "depends"))
+                ],
             )
         except (KeyError, TypeError, AttributeError, MalformedPackageId,
                 MalformedVersion) as exc:

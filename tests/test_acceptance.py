@@ -10,9 +10,8 @@ import pytest
 
 from pacloud.bench import (
     JobSpec,
-    device_comparison,
+    device_percent,
     estimate_storage_cost,
-    load_device_table,
     run_makespan,
     scenario_jobs,
 )
@@ -73,17 +72,14 @@ def test_criterion_01_parallel_makespan():
 
 
 def test_criterion_02_device_speedup_ratios():
-    table = load_device_table()
-    gcc = device_comparison(table, "gcc-6.4.0-r1", "Raspberry Pi 2", "c5.9xlarge")
-    ncurses = device_comparison(
-        table, "ncurses-6.1-r2", "Raspberry Pi 2", "c5.9xlarge"
-    )
-    assert gcc.percent == pytest.approx(5.05, abs=0.1)
-    assert ncurses.percent == pytest.approx(7.87, abs=0.1)
+    gcc = device_percent("gcc-6.4.0-r1", "Raspberry Pi 2", "c5.9xlarge")
+    ncurses = device_percent("ncurses-6.1-r2", "Raspberry Pi 2", "c5.9xlarge")
+    assert gcc == pytest.approx(5.05, abs=0.1)
+    assert ncurses == pytest.approx(7.87, abs=0.1)
     passed(
         2,
-        f"largest instance needs {gcc.percent:.2f}% of the single-board "
-        f"gcc time and {ncurses.percent:.2f}% for ncurses",
+        f"largest instance needs {gcc:.2f}% of the single-board "
+        f"gcc time and {ncurses:.2f}% for ncurses",
     )
 
 

@@ -2,14 +2,17 @@ import hashlib
 import json
 import math
 import random
+import re
+from importlib import resources
 
 import pytest
 
+import pacloud.bench
 from pacloud.bench import (
     JobSpec,
-    device_comparison,
+    JobTiming,
+    device_percent,
     estimate_storage_cost,
-    load_device_table,
     load_jobs_file,
     main,
     parse_duration,
@@ -18,6 +21,8 @@ from pacloud.bench import (
 )
 from pacloud.core import BuildKey
 from pacloud.errors import UnknownMachine, UnknownPackage
+from pacloud.farm import BuildFarm
+from pacloud.farm.stores import BUILT, BuildRecordStore
 
 
 def job(name, duration):
@@ -42,7 +47,9 @@ class TestParseDuration:
     def test_conversions(self, text, expected):
         assert parse_duration(text) == pytest.approx(expected, abs=1e-9)
 
-    @pytest.mark.parametrize("text", ["", ":", "1:2:3:4", "1:61.0", "61:00:00x"])
+    @pytest.mark.parametrize(
+        "text", ["", ":", "1:2:3:4", "1:61.0", "61:00:00x", "nan", "inf", "1:nan"]
+    )
     def test_malformed(self, text):
         with pytest.raises(ValueError):
             parse_duration(text)
@@ -111,6 +118,11 @@ class TestRunMakespan:
         with pytest.raises(ValueError):
             JobSpec(BuildKey.parse("a/b-1[]"), 0.0)
 
+    @pytest.mark.parametrize("duration", [math.inf, math.nan])
+    def test_a_non_finite_duration_is_refused(self, duration):
+        with pytest.raises(ValueError, match="finite"):
+            JobSpec(BuildKey.parse("a/b-1[]"), duration)
+
     def test_utilization_bounded(self):
         report = run_makespan(2, [job("a", 10.0), job("b", 10.0), job("c", 10.0)])
         for value in report.worker_utilization.values():
@@ -155,6 +167,51 @@ def test_report_digest_is_pinned(make, digest):
     assert hashlib.sha256(text).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: scenario_jobs("fig13"), lognormal_jobs, lambda: lognormal_jobs(2000, 320)],
+    ids=["fig13", "lognormal-200x32", "lognormal-2000x320"],
+)
+def test_each_timing_is_the_one_built_event_its_record_agrees_with(
+    make, monkeypatch
+):
+    farms = []
+
+    class KeptFarm(BuildFarm):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            farms.append(self)
+
+    monkeypatch.setattr(pacloud.bench, "BuildFarm", KeptFarm)
+    read = []
+    real_all_records = BuildRecordStore.all_records
+    monkeypatch.setattr(
+        BuildRecordStore,
+        "all_records",
+        lambda self: read.append(1) or real_all_records(self),
+    )
+    workers, jobs = make()
+    report = run_makespan(workers, jobs)
+    assert read == []  # the report is read from the worker histories alone
+    (farm,) = farms
+    built = [
+        event
+        for worker in farm.workers
+        for event in worker.history
+        if event.status == BUILT
+    ]
+    assert sorted(event.key for event in built) == sorted(report.jobs)
+    completed = {
+        record.key: record.completed_at
+        for record in real_all_records(farm.records)
+    }
+    for event in built:
+        assert completed[event.key] == event.finished_at
+        assert report.jobs[event.key] == JobTiming(
+            event.started_at, event.finished_at
+        )
+
+
 class TestStorageCost:
     def test_paper_scale_figure(self):
         assert estimate_storage_cost(20000, 2, 1.0) == pytest.approx(39.06, abs=0.01)
@@ -175,40 +232,34 @@ class TestStorageCost:
 
 class TestDeviceTable:
     def test_embedded_tables_complete(self):
-        table = load_device_table()
-        assert table.packages() == ["gcc-6.4.0-r1", "ncurses-6.1-r2"]
-        for package in table.packages():
-            assert len(table.machines(package)) == 10
-            for machine in table.machines(package):
-                assert table.duration(package, machine) > 0
+        data = resources.files("pacloud").joinpath("data/benchmarks.json")
+        table = json.loads(data.read_text("utf-8"))["device_times"]
+        assert sorted(table) == ["gcc-6.4.0-r1", "ncurses-6.1-r2"]
+        for package, by_machine in table.items():
+            assert len(by_machine) == 10
+            for machine, seconds in by_machine.items():
+                assert seconds > 0
+                assert device_percent(package, "Raspberry Pi 2", machine) > 0
 
     def test_gcc_ratio(self):
-        table = load_device_table()
-        report = device_comparison(
-            table, "gcc-6.4.0-r1", "Raspberry Pi 2", "c5.9xlarge"
-        )
-        assert report.percent == pytest.approx(5.05, abs=0.1)
+        percent = device_percent("gcc-6.4.0-r1", "Raspberry Pi 2", "c5.9xlarge")
+        assert percent == pytest.approx(5.05, abs=0.1)
 
     def test_ncurses_ratio(self):
-        table = load_device_table()
-        report = device_comparison(
-            table, "ncurses-6.1-r2", "Raspberry Pi 2", "c5.9xlarge"
-        )
-        assert report.percent == pytest.approx(7.87, abs=0.1)
+        percent = device_percent("ncurses-6.1-r2", "Raspberry Pi 2", "c5.9xlarge")
+        assert percent == pytest.approx(7.87, abs=0.1)
 
     def test_same_machine_is_hundred_percent(self):
-        table = load_device_table()
-        report = device_comparison(
-            table, "gcc-6.4.0-r1", "c5.2xlarge", "c5.2xlarge"
-        )
-        assert report.percent == pytest.approx(100.0)
+        percent = device_percent("gcc-6.4.0-r1", "c5.2xlarge", "c5.2xlarge")
+        assert percent == pytest.approx(100.0)
 
     def test_unknown_names(self):
-        table = load_device_table()
         with pytest.raises(UnknownMachine):
-            device_comparison(table, "gcc-6.4.0-r1", "Raspberry Pi 2", "abacus")
+            device_percent("gcc-6.4.0-r1", "Raspberry Pi 2", "abacus")
+        with pytest.raises(UnknownMachine):
+            device_percent("gcc-6.4.0-r1", "abacus", "Raspberry Pi 2")
         with pytest.raises(UnknownPackage):
-            device_comparison(table, "hello-1.0", "Raspberry Pi 2", "c5.large")
+            device_percent("hello-1.0", "Raspberry Pi 2", "c5.large")
 
 
 class TestScenario:
@@ -284,3 +335,69 @@ class TestBenchCli:
         path.write_text('{"not": "a list"}', encoding="utf-8")
         with pytest.raises(UsageError):
             load_jobs_file(path)
+
+    @pytest.mark.parametrize(
+        "entry,reason",
+        [
+            ("1", "not a JSON object"),
+            ('{"package": "cat/b", "duration": 5}', "package and version"),
+            (
+                '{"package": "cat/b", "version": "1.0", "duration": "nan"}',
+                "bad duration: 'nan'",
+            ),
+            (
+                '{"package": "cat/b", "version": "1.0", "duration": true}',
+                "duration must be a number",
+            ),
+            (
+                '{"package": "cat/b", "version": "1.0", "duration": 5, '
+                '"useflags": "ab"}',
+                "useflags must be a list of strings",
+            ),
+        ],
+        ids=["not-an-object", "no-version", "nan-text", "bool", "flags-string"],
+    )
+    def test_a_bad_job_exits_1_naming_the_file_and_the_job(
+        self, tmp_path, capsys, entry, reason
+    ):
+        jobs_path = tmp_path / "jobs.json"
+        good = '{"package": "cat/a", "version": "1.0", "duration": 5}'
+        jobs_path.write_text(f"[{good}, {entry}]", encoding="utf-8")
+        assert main(["--jobs", str(jobs_path), "--workers", "2"]) == 1
+        err = capsys.readouterr().err
+        assert f"pacloud-bench: {jobs_path}: job 2: {reason}" in err
+
+    # Never run through main(): before these were refused, a replay of an
+    # infinite duration did not return.
+    @pytest.mark.parametrize(
+        "duration",
+        ["Infinity", "-Infinity", "NaN", "1e400", '"inf"', "1" + "0" * 400],
+        ids=["Infinity", "-Infinity", "NaN", "1e400", "inf-text", "int-10e400"],
+    )
+    def test_load_jobs_file_refuses_a_non_finite_duration(self, tmp_path, duration):
+        path = tmp_path / "jobs.json"
+        path.write_text(
+            f'[{{"package": "cat/a", "version": "1.0", "duration": {duration}}}]',
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            load_jobs_file(path)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--scenario", "fig13", "--workers", "0"],
+            ["--scenario", "fig13", "--workers", "-1"],
+            ["--jobs", "JOBS", "--workers", "-1"],
+        ],
+        ids=["scenario-0", "scenario-minus-1", "jobs-minus-1"],
+    )
+    def test_fewer_than_one_worker_is_a_usage_error(self, tmp_path, capsys, args):
+        jobs_path = tmp_path / "jobs.json"
+        jobs_path.write_text(
+            '[{"package": "cat/a", "version": "1.0", "duration": 5}]',
+            encoding="utf-8",
+        )
+        argv = [str(jobs_path) if arg == "JOBS" else arg for arg in args]
+        assert main(argv) == 2
+        assert "--workers must be at least 1" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from conftest import build_sample_metadata
@@ -135,3 +137,16 @@ class TestMainAgainstSocketFarm:
         out = capsys.readouterr().out
         assert "categories: 2" in out
         assert "skipped sys-libs: category sys-libs: invalid JSON" in out
+
+    def test_update_skips_a_category_whose_dependencies_are_a_string(
+        self, cli_world, capsys
+    ):
+        config, _, _ = cli_world
+        path = config.parent / "farm" / "app-editors.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["vim"]["versions"]["8.1"]["dependencies"] = "sys-libs/ncurses"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["--config", str(config), "-u"]) == 0
+        out = capsys.readouterr().out
+        assert "categories: 2" in out
+        assert "skipped app-editors: bad metadata document: dependencies" in out

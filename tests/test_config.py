@@ -107,6 +107,19 @@ class TestValidation:
         with pytest.raises(MalformedConfigValue):
             load_config(write(tmp_path, "[client]\npoll_interval = 0\n"))
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "poll_interval = nan\n",
+            "poll_interval = inf\ntimeout = inf\n",
+            "timeout = nan\n",
+            "timeout = inf\n",
+        ],
+    )
+    def test_a_non_finite_interval_or_timeout_is_refused(self, tmp_path, text):
+        with pytest.raises(MalformedConfigValue, match="must be a finite number"):
+            load_config(write(tmp_path, "[client]\n" + text))
+
     def test_timeout_at_least_interval(self, tmp_path):
         with pytest.raises(MalformedConfigValue):
             load_config(

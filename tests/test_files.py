@@ -40,6 +40,10 @@ def test_from_json_turns_deep_nesting_into_a_value_error():
     # bytes are UTF-8 with no byte order mark, as on the wire
     with pytest.raises(ValueError):
         from_json(b"\xef\xbb\xbf{}")
+    # constants Python's json accepts that are not JSON
+    for constant in ("NaN", "Infinity", "-Infinity"):
+        with pytest.raises(ValueError, match=f"{constant} is not JSON"):
+            from_json(f'{{"duration": [{constant}]}}')
 
 
 def test_a_deeply_nested_last_journal_line_is_dropped_as_torn(tmp_path):

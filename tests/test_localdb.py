@@ -709,8 +709,15 @@ DAMAGE = {
     "local": tear,
     "category": tear,
     "local-depends": reshape(lambda doc: doc.update(depends=[5])),
+    # A string is not a list of strings: each character would be a path.
+    "local-files": reshape(lambda doc: doc.update(files="usr")),
     "category-version": reshape(
         lambda doc: doc["vim"]["versions"].update({"not a version": {}})
+    ),
+    "category-dependencies": reshape(
+        lambda doc: doc["vim"]["versions"]["8.1"].update(
+            dependencies="sys-libs/ncurses"
+        )
     ),
 }
 
