@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -138,21 +139,24 @@ def estimate_storage_cost(
     return n_packages * avg_package_mb / 1024.0 * price_per_gb_month
 
 
+# [HH:]MM:SS[.ss] or plain seconds, in ASCII digits alone
+_DURATION_RE = re.compile(r"(?:(?:([0-9]+):)?([0-9]+):)?([0-9]+(?:\.[0-9]+)?)")
+
+
 def parse_duration(text: str) -> float:
     """Parse ``[HH:]MM:SS[.ss]`` or plain seconds into seconds."""
-    parts = text.split(":")
-    if not 1 <= len(parts) <= 3 or not all(p.strip() for p in parts):
+    match = _DURATION_RE.fullmatch(text)
+    if match is None:
         raise ValueError(f"bad duration: {text!r}")
-    seconds = float(parts[-1])
-    minutes = int(parts[-2]) if len(parts) >= 2 else 0
-    hours = int(parts[-3]) if len(parts) == 3 else 0
-    if not 0 <= seconds < math.inf or minutes < 0 or hours < 0:
-        raise ValueError(f"bad duration: {text!r}")
-    if len(parts) >= 2 and seconds >= 60:
+    hours, minutes, seconds = (float(part or 0) for part in match.groups())
+    if match[2] and seconds >= 60:
         raise ValueError(f"seconds out of range in {text!r}")
-    if len(parts) == 3 and minutes >= 60:
+    if match[1] and minutes >= 60:
         raise ValueError(f"minutes out of range in {text!r}")
-    return hours * 3600 + minutes * 60 + seconds
+    total = hours * 3600 + minutes * 60 + seconds
+    if total == math.inf:
+        raise ValueError(f"bad duration: {text!r}")
+    return total
 
 
 def _load_data() -> dict:
@@ -192,10 +196,14 @@ def _job_from_doc(doc: object) -> JobSpec:
         duration = parse_duration(duration)
     elif isinstance(duration, bool) or not isinstance(duration, (int, float)):
         raise ValueError("duration must be a number of seconds or [HH:]MM:SS")
+    try:
+        seconds = float(duration)
+    except OverflowError:
+        raise ValueError("duration too large for a float") from None
     key = BuildKey(
         PackageId.parse(package), parse_version(version), UseFlagSet.of(useflags)
     )
-    return JobSpec(key, float(duration))
+    return JobSpec(key, seconds)
 
 
 def scenario_jobs(name: str) -> tuple[int, list[JobSpec]]:
@@ -219,7 +227,7 @@ def load_jobs_file(path: str | Path) -> list[JobSpec]:
     for number, doc in enumerate(docs, start=1):
         try:
             jobs.append(_job_from_doc(doc))
-        except (PacloudError, ValueError, OverflowError) as exc:
+        except (PacloudError, ValueError) as exc:
             raise ValueError(f"{path}: job {number}: {exc}") from exc
     return jobs
 

@@ -4,8 +4,8 @@ Packages are identified as ``category/name``. A version is a dot-joined
 run of integers with an optional single trailing letter and an optional
 ``-rN`` revision. A binary is unique per (package, version, USE-flag set);
 that triple is a BuildKey. Queue bodies carry the BuildKey itself; its
-canonical string is its one text form, in wire requests, artifact URLs,
-the farm's record journal and (percent-encoded) file names.
+canonical string is its one text form, in wire requests, the farm's
+record journal and (percent-encoded) file names.
 """
 from __future__ import annotations
 

@@ -25,6 +25,7 @@ thread reads a farm's stores only while it holds that lock.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -78,11 +79,26 @@ class BuildRecord:
             created_at=doc.get("created_at", 0.0),
             completed_at=doc.get("completed_at"),
         )
-        # a failed record must carry its error text; an unknown status has none
-        text = {PENDING: "", BUILT: "", FAILED: record.error_message}
-        if not all(isinstance(s, str) for s in (record.key, text.get(record.status))):
+        # a failed record carries its error text and no other does; an
+        # unknown status allows no text at all
+        text = {PENDING: type(None), BUILT: type(None), FAILED: str}
+        times = [record.created_at]
+        if record.completed_at is not None:
+            times.append(record.completed_at)
+        if not (
+            isinstance(record.key, str)
+            and isinstance(record.error_message, text.get(record.status, ()))
+            and all(_is_time(t) for t in times)
+        ):
             raise ValueError(f"not a build record: {doc!r}")
         return record
+
+
+def _is_time(value: object) -> bool:
+    """Whether ``value`` is a finite number, as the store writes a time."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return -math.inf < value < math.inf  # math.isfinite overflows on a huge int
 
 
 class BuildRecordStore:

@@ -144,12 +144,16 @@ class PackageMetadata:
                 deps = _strings(info.get("dependencies", []), "dependencies")
                 versions[rendered] = VersionInfo(tuple(deps))
             files, depends = doc.get("files"), doc.get("depends")
+            description = doc.get("description", "")
+            explicit = doc.get("explicit", False)
+            if not isinstance(description, str) or not isinstance(explicit, bool):
+                raise TypeError("description must be a string, explicit a bool")
             return cls(
                 name=name,
-                description=str(doc.get("description", "")),
+                description=description,
                 versions=versions,
                 installed=doc.get("installed"),
-                explicit=bool(doc.get("explicit", False)),
+                explicit=explicit,
                 files=None if files is None else list(_strings(files, "files")),
                 depends=None if depends is None else [
                     *map(PackageId.parse, _strings(depends, "depends"))
@@ -375,11 +379,20 @@ class LocalDb:
         return self._categories[category][1]
 
     def get_metadata(self, package: PackageId) -> PackageMetadata | None:
-        entry = self._category(package.category).get(package.name)
+        category = self._category(package.category)
         local = _read_document(self.metadata_path(package))
-        if entry is None and local is None:
+        if package.name not in category and local is None:
             return None
-        entry, local = entry or {}, local or {}
+        entry, local = category.get(package.name, {}), local or {}
+        # The merge below needs two objects, each with an object of versions.
+        for doc, path in ((entry, self.category_path(package.category)),
+                          (local, self.metadata_path(package))):
+            if not (isinstance(doc, dict)
+                    and isinstance(doc.get("versions", {}), dict)):
+                raise MalformedCategoryDocument(
+                    f"{path}: the entry of {package} is not an object with an"
+                    f" object of versions"
+                )
         name = package.render()
         try:
             return PackageMetadata.from_document({

@@ -1,12 +1,16 @@
 """Runtime-dependency closure, install ordering and orphan computation.
 
-Resolution accumulates every atom seen for a package (targets plus atoms
-arising from chosen versions' dependency lists) and re-walks from the
-targets until the constraint set is stable. All atoms on a package must be
-satisfied by a single version; an empty intersection is a hard error
-rather than a silent latest-wins pick. Install order is a topological
-order of the dependency graph; strongly connected components are broken
-deterministically, smallest canonical package string first.
+Resolution keeps one map for its whole run: each package's list of the
+atoms known on it, the targets' and those in the dependency lists of
+chosen versions, in the order first met. It re-walks from the targets
+until a walk adds no atom to the map. That walk comes: each walk before it
+adds at least one atom, and the atoms are drawn from the targets and the
+dependency strings of known packages, which are finite in number. All
+atoms on a package must be satisfied by a single version; an empty
+intersection is a hard error rather than a silent latest-wins pick.
+Install order is a topological order of the dependency graph; strongly
+connected components are broken deterministically, smallest canonical
+package string first.
 
 Packages already installed at a satisfying version are skipped, never
 upgraded implicitly; explicitly named targets are always planned, which is
@@ -18,7 +22,7 @@ import functools
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 from .core import (
     DependencyAtom,
@@ -36,9 +40,6 @@ from .errors import (
     StillRequired,
 )
 from .localdb import PackageMetadata
-
-_MAX_PASSES = 1000
-
 
 class MetadataSource(Protocol):
     def get_metadata(self, package: PackageId) -> PackageMetadata | None: ...
@@ -67,156 +68,115 @@ def resolve_runtime_closure(
     db: MetadataSource,
     flags: UseFlagSet,
 ) -> InstallPlan:
-    """Expand runtime dependencies of the targets into an install plan."""
+    """Expand runtime dependencies of the targets into an install plan.
+
+    Each pass walks depth first from the targets and chooses a version of
+    every package it reaches under all the atoms known on it, appending
+    each atom it meets that ``atoms`` does not hold yet. A pass that
+    appends none returns its choices as the plan. So the loop ends: every
+    other pass appends at least one atom, and each atom comes from the
+    targets or from the dependency strings of known packages, which are
+    finite in number.
+    """
     target_pkgs = {a.package for a in targets}
-    accumulated: dict[PackageId, list[DependencyAtom]] = {}
     # Every pass re-walks the closure: read each package's metadata and
     # evaluate each dependency string once per resolution, not per pass.
+    # An atom met again is then the same object, which ``in`` on a list
+    # matches by identity before it compares the fields.
     get_metadata = functools.cache(db.get_metadata)
     dep_atoms = functools.cache(
         lambda text: tuple(eval_use_conditionals(parse_dep_string(text), flags))
     )
+    atoms: dict[PackageId, list[DependencyAtom]] = {}
 
-    for _ in range(_MAX_PASSES):
-        walk = _ClosureWalk(get_metadata, dep_atoms, target_pkgs, accumulated)
-        walk.run(targets)
-        if walk.is_stable():
-            return _plan_from_walk(walk)
-        for pkg, atoms in walk.found.items():
-            merged = accumulated.setdefault(pkg, [])
-            for atom in atoms:
-                if atom not in merged:
-                    merged.append(atom)
-    raise RuntimeError("dependency resolution did not converge")
-
-
-class _ClosureWalk:
-    """One depth-first pass from the targets under the known constraints."""
-
-    def __init__(
-        self,
-        get_metadata: Callable[[PackageId], PackageMetadata | None],
-        dep_atoms: Callable[[str], tuple[DependencyAtom, ...]],
-        target_pkgs: set[PackageId],
-        accumulated: dict[PackageId, list[DependencyAtom]],
-    ):
-        self.get_metadata = get_metadata
-        self.dep_atoms = dep_atoms
-        self.target_pkgs = target_pkgs
-        self.accumulated = accumulated
-        self.found: dict[PackageId, list[DependencyAtom]] = {}
-        self.chosen: dict[PackageId, Version] = {}
-        self.dep_map: dict[PackageId, list[PackageId]] = {}
-        self._visited: set[PackageId] = set()
-
-    def run(self, targets: Sequence[DependencyAtom]) -> None:
-        for atom in targets:
-            self._require_known(atom)
-            self._note(atom)
-        for atom in targets:
-            self._visit(atom.package)
-
-    def is_stable(self) -> bool:
-        return all(
-            atom in self.accumulated.get(pkg, [])
-            for pkg, atoms in self.found.items()
-            for atom in atoms
-        )
-
-    def _require_known(self, atom: DependencyAtom) -> PackageMetadata:
-        meta = self.get_metadata(atom.package)
-        if meta is None:
+    def learn(atom: DependencyAtom) -> None:
+        nonlocal grew
+        if get_metadata(atom.package) is None:
             raise MissingPackage(f"{atom} names unknown package {atom.package}")
-        return meta
+        known = atoms.setdefault(atom.package, [])
+        if atom not in known:
+            known.append(atom)
+            grew = True
 
-    def _note(self, atom: DependencyAtom) -> None:
-        atoms = self.found.setdefault(atom.package, [])
-        if atom not in atoms:
-            atoms.append(atom)
-
-    def _constraints(self, pkg: PackageId) -> list[DependencyAtom]:
-        atoms: list[DependencyAtom] = []
-        for atom in self.accumulated.get(pkg, []) + self.found.get(pkg, []):
-            if atom not in atoms:
-                atoms.append(atom)
-        return atoms
-
-    def _visit(self, root: PackageId) -> None:
-        """Depth-first walk from root, on an explicit stack of expansions
-        so that deep dependency chains cannot exhaust Python's stack."""
-        stack = [self._expand(root)]
-        while stack:
-            child = next(stack[-1], None)
-            if child is None:
-                stack.pop()
-            else:
-                stack.append(self._expand(child))
-
-    def _expand(self, pkg: PackageId) -> Iterator[PackageId]:
+    def expand(pkg: PackageId) -> Iterator[PackageId]:
         """Visit one package, yielding each dependency to walk before the
         next one is examined (the order a recursive walk would take)."""
-        if pkg in self._visited:
+        if pkg in visited:
             return
-        self._visited.add(pkg)
-        meta = self.get_metadata(pkg)
+        visited.add(pkg)
+        meta = get_metadata(pkg)
         assert meta is not None
-        atoms = self._constraints(pkg)
-        available = meta.known_versions()
-        viable = [
-            v for v in available if all(atom_matches(a, v) for a in atoms)
-        ]
-        if not viable:
-            for atom in atoms:
-                if not any(atom_matches(atom, v) for v in available):
-                    raise NoMatchingVersion(
-                        f"{atom}: no match among "
-                        f"{', '.join(str(v) for v in available)}"
-                    )
-            raise ConflictingAtoms(
-                f"{pkg}: no single version satisfies "
-                f"{', '.join(str(a) for a in atoms)}"
-            )
-        if pkg not in self.target_pkgs and meta.installed is not None:
-            inst = meta.installed_version()
-            assert inst is not None
-            if all(atom_matches(a, inst) for a in atoms):
-                return
-            raise ConflictingAtoms(
-                f"{pkg}: installed version {inst} does not satisfy "
-                f"{', '.join(str(a) for a in atoms)} and implicit upgrades "
-                f"are not performed"
-            )
-        version = max(viable, key=Version.sort_key)
-        self.chosen[pkg] = version
-        dep_atoms: list[DependencyAtom] = []
-        for dep_string in meta.versions[version.render()].dependencies:
-            dep_atoms.extend(self.dep_atoms(dep_string))
-        deps = self.dep_map.setdefault(pkg, [])
-        for atom in dep_atoms:
-            dep_pkg = atom.package
-            if dep_pkg == pkg:
-                continue
-            self._require_known(atom)
-            self._note(atom)
-            if dep_pkg not in deps:
-                deps.append(dep_pkg)
-            yield dep_pkg
+        version = _choose(pkg, meta, atoms[pkg], pkg in target_pkgs)
+        if version is None:
+            return
+        chosen[pkg] = version
+        deps = dep_map[pkg] = []
+        info = meta.versions[version.render()]
+        for atom in [a for text in info.dependencies for a in dep_atoms(text)]:
+            if atom.package != pkg:
+                learn(atom)
+                if atom.package not in deps:
+                    deps.append(atom.package)
+                yield atom.package
 
-
-def _plan_from_walk(walk: _ClosureWalk) -> InstallPlan:
+    while True:
+        grew = False
+        visited: set[PackageId] = set()
+        chosen: dict[PackageId, Version] = {}
+        dep_map: dict[PackageId, list[PackageId]] = {}
+        for atom in targets:
+            learn(atom)
+        for atom in targets:
+            # An explicit stack of expansions, so that deep dependency
+            # chains cannot exhaust Python's stack.
+            stack = [expand(atom.package)]
+            while stack:
+                child = next(stack[-1], None)
+                if child is None:
+                    stack.pop()
+                else:
+                    stack.append(expand(child))
+        if not grew:
+            break
     # Order over the planned packages only: a dependency already
     # installed is in dep_map but not planned.
-    edges = {
-        pkg: [d for d in deps if d in walk.chosen]
-        for pkg, deps in walk.dep_map.items()
-    }
+    edges = {pkg: [d for d in deps if d in chosen] for pkg, deps in dep_map.items()}
     return InstallPlan(
         steps=tuple(
-            (pkg, walk.chosen[pkg])
-            for component in ordered_components(sorted(walk.chosen), edges)
+            (pkg, chosen[pkg])
+            for component in ordered_components(sorted(chosen), edges)
             for pkg in component
         ),
-        dependencies={pkg: tuple(deps) for pkg, deps in walk.dep_map.items()},
+        dependencies={pkg: tuple(deps) for pkg, deps in dep_map.items()},
+    )
+
+
+def _choose(
+    pkg: PackageId, meta: PackageMetadata, atoms: list[DependencyAtom], target: bool
+) -> Version | None:
+    """The newest version of ``pkg`` that satisfies every atom; None when
+    ``pkg`` is not a target and its installed version satisfies them."""
+    available = meta.known_versions()
+    viable = [v for v in available if all(atom_matches(a, v) for a in atoms)]
+    if not viable:
+        for atom in atoms:
+            if not any(atom_matches(atom, v) for v in available):
+                raise NoMatchingVersion(
+                    f"{atom}: no match among {', '.join(str(v) for v in available)}"
+                )
+        raise ConflictingAtoms(
+            f"{pkg}: no single version satisfies {', '.join(str(a) for a in atoms)}"
+        )
+    if target or meta.installed is None:
+        return max(viable, key=Version.sort_key)
+    inst = meta.installed_version()
+    assert inst is not None
+    if all(atom_matches(a, inst) for a in atoms):
+        return None
+    raise ConflictingAtoms(
+        f"{pkg}: installed version {inst} does not satisfy "
+        f"{', '.join(str(a) for a in atoms)} and implicit upgrades "
+        f"are not performed"
     )
 
 

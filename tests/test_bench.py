@@ -48,7 +48,13 @@ class TestParseDuration:
         assert parse_duration(text) == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize(
-        "text", ["", ":", "1:2:3:4", "1:61.0", "61:00:00x", "nan", "inf", "1:nan"]
+        "text",
+        [
+            "", ":", "1:2:3:4", "1:61.0", "61:00:00x", "nan", "inf", "1:nan",
+            # ASCII digits only: int() and float() take these too
+            "1_0:00", "\u0663", "1e3", " 45", "+5",
+            pytest.param("9" * 400 + ":00:00", id="hours-past-a-float"),
+        ],
     )
     def test_malformed(self, text):
         with pytest.raises(ValueError):
@@ -382,6 +388,11 @@ class TestBenchCli:
         )
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             load_jobs_file(path)
+
+    def test_a_duration_too_large_for_a_float_is_a_value_error(self):
+        doc = {"package": "cat/a", "version": "1.0", "duration": 10**400}
+        with pytest.raises(ValueError, match="too large"):
+            pacloud.bench._job_from_doc(doc)
 
     @pytest.mark.parametrize(
         "args",

@@ -394,11 +394,23 @@ class TestRecordStore:
         {"key": ["cat/p-1[]"], "status": PENDING},
         {"key": "cat/p-1[]", "status": FAILED},
         {"key": "cat/p-1[]", "status": FAILED, "error_message": None},
+        {"key": "cat/p-1[]", "status": PENDING, "created_at": "yesterday"},
+        {"key": "cat/p-1[]", "status": PENDING, "created_at": True},
+        # JSON text, which reads 1e400 as infinity; json_line would not
+        '{"key": "cat/p-1[]", "status": "pending", "created_at": 1e400}',
+        {"key": "cat/p-1[]", "status": BUILT, "created_at": 0.0,
+         "completed_at": [1]},
+        {"key": "cat/p-1[]", "status": BUILT, "created_at": 0.0,
+         "completed_at": 1.0, "error_message": 5},
+        {"key": "cat/p-1[]", "status": BUILT, "created_at": 0.0,
+         "completed_at": 1.0, "error_message": "boom"},
     ], ids=["unknown-status", "list-status", "list-key", "failed-without-error",
-            "failed-null-error"])
+            "failed-null-error", "text-time", "bool-time", "infinite-time",
+            "list-time", "built-number-error", "built-with-error"])
     def test_refuses_a_document_no_store_writes(self, tmp_path, doc):
         good = {"key": "cat/q-1[]", "status": PENDING, "created_at": 0.0}
-        (tmp_path / "records.jsonl").write_bytes(json_line(good) + json_line(doc))
+        line = f"{doc}\n".encode() if isinstance(doc, str) else json_line(doc)
+        (tmp_path / "records.jsonl").write_bytes(json_line(good) + line)
         with pytest.raises(FarmStateError, match="line 2: not a build record"):
             BuildRecordStore(tmp_path)
 

@@ -1,8 +1,11 @@
 """The modules of ``src/pacloud`` import one another without a cycle, so
 each can be imported on its own and no import has to hide in a function.
 And only ``pacloud.files`` decodes JSON, so every document that crosses a
-process boundary goes through its one codec, ``from_json``."""
+process boundary goes through its one codec, ``from_json``. And every
+function, class and method is named by other code in ``src/pacloud``, or
+listed with the reason it stays."""
 import ast
+from collections import Counter
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -95,3 +98,69 @@ def test_only_the_codec_decodes_json():
         if module_name(path) != "pacloud.files" and decodes_json(path)
     )
     assert decoders == []
+
+
+# What no code in src/pacloud names, each with why it stays (ROADMAP item 11).
+UNREFERENCED = {
+    "cli.run": "the pacloud console script in pyproject.toml",
+    "bench.run": "the pacloud-bench console script in pyproject.toml",
+    "bench.estimate_storage_cost": "the paper's storage cost; acceptance suite",
+    "bench.device_percent": "the paper's device ratios; acceptance suite",
+    "localdb.write_store": "publishes a store; the README and perfbench",
+    "localdb.LocalDb.iter_packages": "perfbench counts its calls",
+    "client.request_package": "perfbench wraps it",
+    "client.await_package": "perfbench wraps it",
+    "farm.BuildFarm.start_service": "the README's farm snippet",
+    "farm.service.FarmServer.address": "perfbench reads the bound address",
+    "farm.queue.CompileQueue.dead_letters": "perfbench reads the count",
+    "farm.stores.BuildRecordStore.all_records": "read by tests alone",
+    "farm.commands.generate_emerge_commands": "exported by pacloud.farm",
+    "farm.worker.Worker.interrupt": "a spot interruption; tests drive it",
+    "farm.worker.Worker.resume": "a spot interruption's end; tests drive it",
+    "farm.worker.Worker.crash": "a worker lost mid-build; tests drive it",
+    "core.BuildKey.from_path_token": "the checked inverse of path_token",
+}
+
+
+def definitions(tree, module):
+    """Each module-level function and class of ``tree``, and each method
+    of its classes, as (qualified name, node)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{module}.{node.name}.{member.name}", member
+
+
+def referenced_names(tree):
+    """Every name ``tree`` reads or writes as a ``Name`` or an attribute;
+    a docstring or a comment that mentions one does not count."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_every_definition_is_referenced_or_listed():
+    trees = {
+        module_name(path).removeprefix("pacloud."): ast.parse(
+            path.read_text(encoding="utf-8")
+        )
+        for path in PACKAGE_DIR.rglob("*.py")
+    }
+    uses = Counter(
+        name for tree in trees.values() for name in referenced_names(tree)
+    )
+    unreferenced = set()
+    for module, tree in trees.items():
+        for qualified, node in definitions(tree, module):
+            name = qualified.rpartition(".")[2]
+            if name.startswith("__") and name.endswith("__"):
+                continue  # called by the language, not by name
+            # a use inside its own body, such as a recursive call, is not one
+            if uses[name] == Counter(referenced_names(node))[name]:
+                unreferenced.add(qualified)
+    assert unreferenced == set(UNREFERENCED)

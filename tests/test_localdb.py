@@ -719,6 +719,14 @@ DAMAGE = {
             dependencies="sys-libs/ncurses"
         )
     ),
+    # Each of these once read as something else or ended in a traceback.
+    "local-explicit": reshape(lambda doc: doc.update(explicit="false")),
+    "local-versions": reshape(lambda doc: doc.update(versions=["8.1"])),
+    "category-description": reshape(
+        lambda doc: doc["vim"].update(description={"x": 1})
+    ),
+    "category-entry": reshape(lambda doc: doc.update(vim=["app-editors/vim"])),
+    "category-versions": reshape(lambda doc: doc["vim"].update(versions=["8.1"])),
 }
 
 
@@ -742,9 +750,9 @@ def test_a_torn_document_is_named(half, db, store_dir, tmp_path, capsys):
     assert [p for p in problems if str(path) in p] != []
     assert "sys-apps/acl: local document holds no install state" in problems
     config = cli_config(tmp_path, db.root)
-    for verb in (["-s", "vim"], ["-r", "app-editors/vim"]):
+    for verb in (["-s", "vim"], ["-i", "app-editors/vim"], ["-r", "app-editors/vim"]):
         # A removal reads only the local documents.
-        failed = local or verb[0] == "-s"
+        failed = local or verb[0] != "-r"
         assert main(["--config", config, *verb]) == int(failed)
         captured = capsys.readouterr()
         assert (str(path) in captured.err) == failed

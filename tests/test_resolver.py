@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
+import reference_resolver
 from pacloud.core import (
     DependencyAtom,
     PackageId,
@@ -9,11 +11,13 @@ from pacloud.core import (
     UseFlagSet,
     parse_version,
 )
+from pacloud.depparse import parse_atom
 from pacloud.errors import (
     ConflictingAtoms,
     MissingPackage,
     NoMatchingVersion,
     NotInstalled,
+    PacloudError,
     StillRequired,
 )
 from pacloud.localdb import (
@@ -430,6 +434,101 @@ class TestComputeOrphans:
                     dep_name = f"cat/p{j:02d}"
                     if dep_name in removed:
                         assert position[name] < position[dep_name]
+
+
+ORACLE_VERSIONS = ["1.0", "1.0-r1", "1.2", "2.0", "2.0a", "3.0"]
+ORACLE_OPERATORS = ["", "", ">=", "<=", ">", "<", "~", "="]
+
+
+def random_atom(rng, versions):
+    """An atom on a package of ``versions`` (a map of each name to its
+    versions), or now and then on an unknown package, under a random
+    operator; its version is mostly one the package has."""
+    name = "cat/ghost" if rng.random() < 0.03 else rng.choice(list(versions))
+    operator = rng.choice(ORACLE_OPERATORS)
+    if not operator:
+        return name
+    known = versions.get(name)
+    version = rng.choice(known if known and rng.random() < 0.8 else ORACLE_VERSIONS)
+    return f"{operator}{name}-{version}"
+
+
+def random_dependency(rng, versions):
+    """A random atom, perhaps inside an ``x? ( )`` or ``!x? ( )`` group."""
+    atom = random_atom(rng, versions)
+    roll = rng.random()
+    if roll < 0.15:
+        return f"x? ( {atom} )"
+    if roll < 0.3:
+        return f"!x? ( {atom} )"
+    return atom
+
+
+def random_universe(rng):
+    """Metadata for a few packages, whose dependencies may name
+    themselves, one another in cycles, or an unknown package; some are
+    installed. Returns it with one or two target atoms."""
+    versions = {
+        f"cat/p{i}": rng.sample(ORACLE_VERSIONS, rng.randint(1, 4))
+        for i in range(rng.randint(1, 8))
+    }
+    metas = []
+    for name, known in versions.items():
+        deps = {
+            version: [
+                " ".join(
+                    random_dependency(rng, versions)
+                    for _ in range(rng.randint(1, 2))
+                )
+                for _ in range(rng.choice([0, 1, 1, 2]))
+            ]
+            for version in known
+        }
+        installed = rng.choice(known) if rng.random() < 0.3 else None
+        metas.append(make_meta(name, deps, installed, explicit=rng.random() < 0.5))
+    targets = [
+        parse_atom(random_atom(rng, versions)) for _ in range(rng.randint(1, 2))
+    ]
+    return FakeDb(metas), targets
+
+
+def resolution_outcome(resolve, targets, db, flags):
+    try:
+        plan = resolve(targets, db, flags)
+    except PacloudError as exc:
+        return type(exc).__name__, str(exc)
+    return plan.steps, plan.dependencies
+
+
+def test_the_resolver_matches_the_two_map_reference(monkeypatch):
+    passes = []
+    real_run = reference_resolver._ClosureWalk.run
+
+    def counting_run(walk, targets):
+        passes[-1] += 1
+        return real_run(walk, targets)
+
+    monkeypatch.setattr(reference_resolver._ClosureWalk, "run", counting_run)
+    rng = random.Random(26)
+    outcomes = Counter()
+    for _ in range(750):
+        db, targets = random_universe(rng)
+        for flags in (NO_FLAGS, UseFlagSet.of(["x"])):
+            passes.append(0)
+            want = resolution_outcome(
+                reference_resolver.resolve_runtime_closure, targets, db, flags
+            )
+            got = resolution_outcome(resolve_runtime_closure, targets, db, flags)
+            assert got == want, (targets, flags)
+            kind = want[0] if isinstance(want[0], str) else "plan"
+            outcomes[kind] += 1
+            # decided by atoms an earlier pass met: a plan needs one pass
+            # to meet them all and one to find nothing new
+            outcomes["late"] += passes[-1] >= (3 if kind == "plan" else 2)
+    assert outcomes["plan"] >= 1500 / 3, outcomes
+    errors = ("MissingPackage", "NoMatchingVersion", "ConflictingAtoms")
+    assert min(outcomes[kind] for kind in errors) >= 50, outcomes
+    assert outcomes["late"] >= 50, outcomes
 
 
 class CountingDb(FakeDb):
