@@ -272,6 +272,3 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     return 0
 
-
-def run() -> None:
-    sys.exit(main())

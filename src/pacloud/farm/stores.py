@@ -25,8 +25,8 @@ thread reads a farm's stores only while it holds that lock.
 """
 from __future__ import annotations
 
-import math
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -98,7 +98,8 @@ def _is_time(value: object) -> bool:
     """Whether ``value`` is a finite number, as the store writes a time."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
-    return -math.inf < value < math.inf  # math.isfinite overflows on a huge int
+    # not NaN, not infinite, and not an int too large for any float
+    return abs(value) <= sys.float_info.max
 
 
 class BuildRecordStore:

@@ -12,7 +12,9 @@ too and store nothing.
 A poll that finds nothing makes the worker wait: its next event is the
 first tick of its chain at or after the queue's earliest visible time,
 and it has none while the queue holds nothing it can deliver. The ticks
-it skips are the polls that would have found nothing.
+it skips are the polls that would have found nothing. Every walk along a
+chain of ticks goes through ``walk_ticks``, which raises ``ValueError``
+where the chain's next tick rounds to the same float.
 
 An interruption gives the worker a notice window: a build that fits inside
 it finishes normally, otherwise the worker keeps working until the window
@@ -82,6 +84,24 @@ def build_artifact_tar(key: BuildKey) -> bytes:
         info.uname = info.gname = ""
         tar.addfile(info, io.BytesIO(data))
     return buffer.getvalue()
+
+
+def walk_ticks(
+    t: float, interval: float, limit: float, inclusive: bool
+) -> tuple[float | None, float]:
+    """Walk the chain ``t, t + interval, ...`` by chained additions, as
+    acting at every tick would reach each one: the last tick before
+    ``limit`` (or at it, when ``inclusive``), None if there is none, and
+    the first tick past that one. A chain whose next tick rounds back to
+    the same float raises ``ValueError``, since it would never pass
+    ``limit``."""
+    last = None
+    while t < limit or (inclusive and t == limit):
+        last = t
+        t += interval
+        if t == last:
+            raise ValueError(f"a tick chain stops moving at {t}")
+    return last, t
 
 
 @dataclass(frozen=True)
@@ -188,12 +208,10 @@ class Worker:
             visible_at = self.queue.next_visible_at()
             if visible_at is None:
                 return None
-            # Step along the chain as the polls would, so the tick is the
-            # same float the empty polls would have reached.
-            t = self.next_poll_at
-            while t < visible_at:
-                t += self.poll_interval
-            return t
+            # The tick is the same float the empty polls would have reached.
+            return walk_ticks(
+                self.next_poll_at, self.poll_interval, visible_at, inclusive=False
+            )[1]
         if self.mode is WorkerMode.BUILDING:
             build = self._build
             if build.hibernate_at is not None:
@@ -218,8 +236,9 @@ class Worker:
         if self.mode is WorkerMode.BUILDING:
             self._renew_until(now, at_limit=True)
         elif self._waiting and self.mode is WorkerMode.IDLE:
-            while self.next_poll_at <= now:
-                self.next_poll_at += self.poll_interval
+            self.next_poll_at = walk_ticks(
+                self.next_poll_at, self.poll_interval, now, inclusive=True
+            )[1]
         return t
 
     def _fire(self, t: float) -> None:
@@ -261,11 +280,7 @@ class Worker:
         build = self._build
         if not build.leased:
             return
-        last = None
-        t = build.next_renewal_at
-        while t < limit or (at_limit and t == limit):
-            last = t
-            t += RENEWAL_INTERVAL
+        last, t = walk_ticks(build.next_renewal_at, RENEWAL_INTERVAL, limit, at_limit)
         if last is not None:
             self.queue.renew(build.handle, last)
             build.next_renewal_at = t

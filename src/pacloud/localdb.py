@@ -13,8 +13,11 @@ whatever the package count. A package's own document holds only its
 install state (``PackageMetadata.local_document``) and exists exactly
 while the package is installed. It is canonical JSON (``dump_document``),
 so an install followed by the removal that undoes it restores the tree
-byte for byte. ``get_metadata`` joins the category entry, decoded once
-per file ``stat`` and validated per read, with that document.
+byte for byte. ``get_metadata`` joins two halves, each parsed on its own:
+the store half, the package's category entry (its file decoded once per
+``stat``), and the install half, that document. The store wins for the
+description and the versions; the install half keeps the installed
+version's entry, and a package with one half only reads as that half.
 
 Each install edge is stored once, as Portage's ``/var/db/pkg`` stores it:
 in the dependent's ``depends``. An install writes only its package's
@@ -22,7 +25,8 @@ document and a removal only deletes documents. Who requires a package is
 found by inverting ``depends`` over ``installed_packages``, which reads
 every installed package's document once. A document that does not decode,
 or decodes in the wrong shape, raises ``MalformedCategoryDocument`` naming
-the file. A database of the earlier layout, a whole
+the file: each half is parsed where it is read, so every reader refuses a
+damaged document alike. A database of the earlier layout, a whole
 ``<root>/<category>/<name>/metadata.json`` per package, is refused when
 opened, before anything is read or written.
 
@@ -38,7 +42,7 @@ import fcntl
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Protocol
 
@@ -185,6 +189,15 @@ def _read_document(path: Path) -> dict | None:
         return _decode_object(path.read_bytes(), str(path))
     except FileNotFoundError:
         return None
+
+
+def _parse(path: Path, doc: object) -> PackageMetadata:
+    """``doc``, read from ``path``, as a package's metadata; an error names
+    the file."""
+    try:
+        return PackageMetadata.from_document(doc)
+    except MalformedCategoryDocument as exc:
+        raise MalformedCategoryDocument(f"{path}: {exc}") from exc
 
 
 def _listdir(path: Path) -> list[str]:
@@ -379,39 +392,19 @@ class LocalDb:
         return self._categories[category][1]
 
     def get_metadata(self, package: PackageId) -> PackageMetadata | None:
+        """The package's store half, its category entry, joined with its
+        install half, ``_local_metadata``: the store's description and
+        versions, and nothing else of the entry, over the install record
+        (an empty one when not installed), which keeps the installed
+        version's entry in case the store drops it. None if it has neither."""
         category = self._category(package.category)
-        local = _read_document(self.metadata_path(package))
-        if package.name not in category and local is None:
-            return None
-        entry, local = category.get(package.name, {}), local or {}
-        # The merge below needs two objects, each with an object of versions.
-        for doc, path in ((entry, self.category_path(package.category)),
-                          (local, self.metadata_path(package))):
-            if not (isinstance(doc, dict)
-                    and isinstance(doc.get("versions", {}), dict)):
-                raise MalformedCategoryDocument(
-                    f"{path}: the entry of {package} is not an object with an"
-                    f" object of versions"
-                )
-        name = package.render()
-        try:
-            return PackageMetadata.from_document({
-                **local,
-                "name": name,
-                "description": entry.get("description", ""),
-                # the store's versions, and the installed one if it dropped it
-                "versions": {**local.get("versions", {}), **entry.get("versions", {})},
-            })
-        except MalformedCategoryDocument as exc:
-            # Name the file at fault: the category document if its entry
-            # fails on its own, else the package's own document.
-            try:
-                PackageMetadata.from_document({"versions": {}, **entry, "name": name})
-            except MalformedCategoryDocument:
-                path = self.category_path(package.category)
-            else:
-                path = self.metadata_path(package)
-            raise MalformedCategoryDocument(f"{path}: {exc}") from exc
+        local = self._local_metadata(package)
+        if package.name not in category:
+            return local
+        store = _parse(self.category_path(package.category), category[package.name])
+        local = local or PackageMetadata(package, "", {})
+        return replace(local, description=store.description,
+                       versions={**local.versions, **store.versions})
 
     def _local_names(self) -> list[str]:
         """``category/name`` of each package directory under ``local/``, in
@@ -429,12 +422,7 @@ class LocalDb:
         doc = _read_document(path)
         if doc is None:
             return None
-        try:
-            return PackageMetadata.from_document(
-                {"versions": {}, **doc, "name": package.render()}
-            )
-        except MalformedCategoryDocument as exc:
-            raise MalformedCategoryDocument(f"{path}: {exc}") from exc
+        return _parse(path, {"versions": {}, **doc, "name": package.render()})
 
     def installed_packages(self) -> dict[PackageId, PackageMetadata]:
         """Every installed package, in canonical string order, read from
@@ -602,9 +590,9 @@ class LocalDb:
                 continue
             for entry in entries:
                 try:
-                    metas.append(PackageMetadata.from_document(entry))
+                    metas.append(_parse(self.store_dir / file, entry))
                 except MalformedCategoryDocument as exc:
-                    problems.append(f"{self.store_dir / file}: {exc}")
+                    problems.append(str(exc))
         for name in self._local_names():
             try:
                 meta = self._local_metadata(PackageId.parse(name))

@@ -1,9 +1,13 @@
 import hashlib
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -393,6 +397,24 @@ class TestBenchCli:
         doc = {"package": "cat/a", "version": "1.0", "duration": 10**400}
         with pytest.raises(ValueError, match="too large"):
             pacloud.bench._job_from_doc(doc)
+
+    def test_a_duration_no_tick_chain_can_pass_exits_1(self, tmp_path):
+        # Polls 1 s apart from 1e18 s round to one float; the replay hung there.
+        jobs_path = tmp_path / "jobs.json"
+        jobs_path.write_text(
+            '[{"package": "cat/a", "version": "1.0", "duration": 1e18}]',
+            encoding="utf-8",
+        )
+        src = str(Path(pacloud.bench.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from pacloud.bench import main; sys.exit(main())",
+             "--jobs", str(jobs_path), "--workers", "2"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=10,
+        )
+        assert done.returncode == 1
+        assert done.stderr == "pacloud-bench: a tick chain stops moving at 1e+18\n"
 
     @pytest.mark.parametrize(
         "args",

@@ -1,4 +1,6 @@
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +74,35 @@ class TestMainExitCodes:
         # update without a store url is an operational failure
         assert main(["--config", str(config), "-u"]) == 1
         assert "pacloud:" in capsys.readouterr().err
+
+
+def console_scripts():
+    """The ``[project.scripts]`` table of pyproject.toml, one
+    ``name = "module:function"`` a line, read without tomllib, which
+    Python 3.10 lacks."""
+    lines = (Path(__file__).parents[1] / "pyproject.toml").read_text(
+        encoding="utf-8"
+    ).splitlines()
+    scripts = {}
+    for line in lines[lines.index("[project.scripts]") + 1:]:
+        if line.startswith("["):
+            break
+        if line.strip():
+            name, _, target = line.partition("=")
+            scripts[name.strip()] = json.loads(target)
+    return scripts
+
+
+def test_each_console_script_is_a_main_returning_the_exit_status(capsys):
+    # The generated script runs sys.exit(main()).
+    scripts = console_scripts()
+    assert scripts == {
+        "pacloud": "pacloud.cli:main", "pacloud-bench": "pacloud.bench:main"
+    }
+    for target in scripts.values():
+        module, _, function = target.partition(":")
+        assert getattr(importlib.import_module(module), function)([]) == 2
+    assert "exactly one of" in capsys.readouterr().err
 
 
 @pytest.fixture

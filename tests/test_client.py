@@ -558,6 +558,21 @@ class TestReadsDoNotGrowWithDatabase:
         monkeypatch.setattr(PackageMetadata, "from_document", classmethod(counting))
         return reads
 
+    @staticmethod
+    def count_files_read(monkeypatch, db):
+        """Each document ``db`` reads, as a path under its root."""
+        reads = []
+        real = localdb._read_document
+
+        def counting(path):
+            doc = real(path)
+            if doc is not None:
+                reads.append(path.relative_to(db.root).as_posix())
+            return doc
+
+        monkeypatch.setattr(localdb, "_read_document", counting)
+        return reads
+
     def test_remove(self, sized, monkeypatch):
         a, b, c = (pkg(f"cat/p{i:03d}") for i in range(3))
         v = parse_version("1.0")
@@ -582,22 +597,24 @@ class TestReadsDoNotGrowWithDatabase:
         sized.db.record_install(b, v, False, [], [])
         sized.db.record_install(c, v, True, [], [])
         sized.db.record_install(a, v, True, [b, c], [])
-        reads = self.count_reads(monkeypatch)
+        reads = self.count_files_read(monkeypatch, sized.db)
         assert sized.upgrade() == []
         monkeypatch.undo()
         # The installed documents once to find the explicit packages, then
-        # each explicit one joined with its store entry.
-        assert sorted(reads) == sorted(p.render() for p in [a, a, b, c, c])
+        # each explicit one again to join it with its cached store entry.
+        assert sorted(reads) == sorted(
+            f"local/{p.render()}/metadata.json" for p in [a, a, b, c, c]
+        )
 
     def test_a_performed_upgrade(self, env, monkeypatch):
         env.client.update()
         env.client.install([parse_atom("=sys-libs/ncurses-6.0-r2")])
-        reads = self.count_reads(monkeypatch)
+        reads = self.count_files_read(monkeypatch, env.client.db)
         assert len(env.client.upgrade()) == 1
         monkeypatch.undo()
         # Finding the explicit packages, picking the version, resolving,
         # reading the files the install replaces, and recording.
-        assert reads == ["sys-libs/ncurses"] * 5
+        assert reads == ["local/sys-libs/ncurses/metadata.json"] * 5
 
     def test_search(self, sized, monkeypatch):
         reads = self.count_reads(monkeypatch)

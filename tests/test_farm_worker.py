@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from pacloud.farm import (
     build_artifact_tar,
 )
 from pacloud.farm.stores import BUILT, FAILED, PENDING
+from pacloud.farm.worker import walk_ticks
 from pacloud.files import json_line
 from pacloud.wire import ARTIFACT_SUFFIX
 
@@ -213,6 +215,47 @@ class TestInterruption:
             farm.workers[0].resume(0.0)
 
 
+class TestWalkTicks:
+    """``walk_ticks`` reaches the floats of the loops it replaced."""
+
+    @staticmethod
+    def loops(t, interval, limit, inclusive):
+        """The worker's three loops, as they were written out."""
+        first_at_or_after = t  # the next poll of a waiting worker
+        while first_at_or_after < limit:
+            first_at_or_after += interval
+        first_after = t  # the ticks a waiting worker spends
+        while first_after <= limit:
+            first_after += interval
+        last = None  # the last renewal due
+        while t < limit or (inclusive and t == limit):
+            last = t
+            t += interval
+        return last, t, (first_after if inclusive else first_at_or_after)
+
+    @pytest.mark.parametrize("interval", [1.0, 0.1, 1 / 3, 0.7])
+    def test_matches_the_loops(self, interval):
+        rng = random.Random(interval)
+        for case in range(400):
+            # starts just below a power of two, so the chain crosses binades
+            start = 2.0 ** rng.randint(-3, 12) - rng.uniform(0, 20 * interval)
+            ticks = [start]
+            for _ in range(rng.randint(0, 40)):
+                ticks.append(ticks[-1] + interval)
+            # a limit on the chain itself decides the inclusive case
+            limit = rng.choice([ticks[-1], ticks[-1] + rng.uniform(0, interval)])
+            for inclusive in (False, True):
+                last, past, first = self.loops(start, interval, limit, inclusive)
+                assert walk_ticks(start, interval, limit, inclusive) == (last, past)
+                assert past == first, (case, start, limit, inclusive)
+
+    @pytest.mark.parametrize("inclusive", [False, True])
+    def test_a_chain_that_stops_moving_raises(self, inclusive):
+        with pytest.raises(ValueError, match="a tick chain stops moving at 1e"):
+            walk_ticks(1e18, 1.0, 2e18, inclusive)
+        assert walk_ticks(1e18, 1.0, 1e18, False) == (None, 1e18)
+
+
 class TestArtifactStore:
     def test_first_write_wins(self):
         store = ArtifactStore()
@@ -398,6 +441,7 @@ class TestRecordStore:
         {"key": "cat/p-1[]", "status": PENDING, "created_at": True},
         # JSON text, which reads 1e400 as infinity; json_line would not
         '{"key": "cat/p-1[]", "status": "pending", "created_at": 1e400}',
+        {"key": "cat/p-1[]", "status": PENDING, "created_at": 10**400},
         {"key": "cat/p-1[]", "status": BUILT, "created_at": 0.0,
          "completed_at": [1]},
         {"key": "cat/p-1[]", "status": BUILT, "created_at": 0.0,
@@ -406,7 +450,8 @@ class TestRecordStore:
          "completed_at": 1.0, "error_message": "boom"},
     ], ids=["unknown-status", "list-status", "list-key", "failed-without-error",
             "failed-null-error", "text-time", "bool-time", "infinite-time",
-            "list-time", "built-number-error", "built-with-error"])
+            "huge-int-time", "list-time", "built-number-error",
+            "built-with-error"])
     def test_refuses_a_document_no_store_writes(self, tmp_path, doc):
         good = {"key": "cat/q-1[]", "status": PENDING, "created_at": 0.0}
         line = f"{doc}\n".encode() if isinstance(doc, str) else json_line(doc)

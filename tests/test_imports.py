@@ -102,8 +102,8 @@ def test_only_the_codec_decodes_json():
 
 # What no code in src/pacloud names, each with why it stays (ROADMAP item 11).
 UNREFERENCED = {
-    "cli.run": "the pacloud console script in pyproject.toml",
-    "bench.run": "the pacloud-bench console script in pyproject.toml",
+    "cli.main": "the pacloud console script in pyproject.toml",
+    "bench.main": "the pacloud-bench console script in pyproject.toml",
     "bench.estimate_storage_cost": "the paper's storage cost; acceptance suite",
     "bench.device_percent": "the paper's device ratios; acceptance suite",
     "localdb.write_store": "publishes a store; the README and perfbench",

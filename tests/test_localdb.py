@@ -181,6 +181,20 @@ class TestSync:
         assert report.packages_updated == 1
         assert db.get_metadata(pkg("sys-libs/ncurses")).description == "newer words"
 
+    def test_a_store_entry_carries_no_install_state(self, db, store_dir):
+        # Only a package's local document says that it is installed.
+        path = store_dir / "sys-libs.json"
+        doc = json.loads(path.read_bytes())
+        doc["ncurses"].update(installed="6.1-r2", explicit=True, files=["lib/x"])
+        path.write_text(dump_document(doc), encoding="utf-8")
+        db.sync(DirectoryStore(store_dir))
+        ncurses = db.get_metadata(pkg("sys-libs/ncurses"))
+        assert (ncurses.installed, ncurses.explicit, ncurses.files) == (
+            None, False, None
+        )
+        assert db.search("ncurses")[0].installed is None
+        assert db.installed_packages() == {}
+
 
 class TestSearch:
     def test_search_lists_versions_ascending_with_installed(self, db, store_dir):
@@ -726,7 +740,10 @@ DAMAGE = {
         lambda doc: doc["vim"].update(description={"x": 1})
     ),
     "category-entry": reshape(lambda doc: doc.update(vim=["app-editors/vim"])),
+    "category-null-entry": reshape(lambda doc: doc.update(vim=None)),
     "category-versions": reshape(lambda doc: doc["vim"].update(versions=["8.1"])),
+    # The store still lists 8.1, but the install record alone must hold it.
+    "local-installed-version": reshape(lambda doc: doc.update(versions={})),
 }
 
 
