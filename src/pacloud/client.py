@@ -394,12 +394,10 @@ class Client:
             meta = self.db.get_metadata(pkg)
             if meta is None or meta.installed is None:
                 raise NotInstalled(f"{pkg} is not installed")
-            installed = meta.installed_version()
-            assert installed is not None
             best = select_best_version(
                 DependencyAtom(Specifier.ANY, pkg), meta.known_versions()
             )
-            if best is None or compare_versions(best, installed) <= 0:
+            if best is None or compare_versions(best, meta.installed) <= 0:
                 continue
             plan = resolve_runtime_closure(
                 [DependencyAtom(Specifier.EQ, pkg, best)],
@@ -407,7 +405,7 @@ class Client:
                 self.config.use_flags,
             )
             self._install_plan(plan, {pkg: meta.explicit})
-            performed.append((pkg, installed, best))
+            performed.append((pkg, meta.installed, best))
         log_operation(
             self.config,
             "upgrade: "

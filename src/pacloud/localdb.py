@@ -18,6 +18,15 @@ the store half, the package's category entry (its file decoded once per
 ``stat``), and the install half, that document. The store wins for the
 description and the versions; the install half keeps the installed
 version's entry, and a package with one half only reads as that half.
+One function, ``_store_entry``, reads a store entry for ``sync``,
+``get_metadata`` and ``validate``: it refuses an entry that names another
+package than its key or holds a field ``to_document`` does not write.
+
+Versions are parsed where a document is read (``from_document``): a
+package's metadata keys each version by its ``Version``, and ``installed``
+is one, so a version is text only in the documents. A lone non-canonical
+spelling (``1.0-r0``) reads as its version; two spellings of one version
+in a document are refused.
 
 Each install edge is stored once, as Portage's ``/var/db/pkg`` stores it:
 in the dependent's ``depends``. An install writes only its package's
@@ -44,7 +53,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Protocol
+from typing import Callable, Iterable, Iterator, Protocol
 
 from .core import BuildKey, PackageId, Version, is_category, parse_version
 from .depparse import parse_dep_string
@@ -69,13 +78,6 @@ STORE_DIR = "store"
 LOCAL_DIR = "local"
 
 
-@dataclass(frozen=True)
-class VersionInfo:
-    """Per-version payload of a metadata document: runtime dependency strings."""
-
-    dependencies: tuple[str, ...] = ()
-
-
 def _strings(value: object, field: str) -> list[str]:
     """``value`` if it is a list of strings; a string is not one."""
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
@@ -85,12 +87,13 @@ def _strings(value: object, field: str) -> list[str]:
 
 @dataclass
 class PackageMetadata:
-    """One package's metadata document plus its local install state."""
+    """One package's metadata document plus its local install state:
+    ``versions`` maps each known version to its dependency strings."""
 
     name: PackageId
     description: str
-    versions: dict[str, VersionInfo]
-    installed: str | None = None
+    versions: dict[Version, tuple[str, ...]]
+    installed: Version | None = None
     explicit: bool = False
     files: list[str] | None = None
     depends: list[PackageId] | None = None
@@ -98,17 +101,12 @@ class PackageMetadata:
     def __post_init__(self):
         if self.installed is not None and self.installed not in self.versions:
             raise MalformedCategoryDocument(
-                f"{self.name}: installed version {self.installed!r} "
+                f"{self.name}: installed version {self.installed} "
                 f"is not a known version"
             )
 
-    def installed_version(self) -> Version | None:
-        return parse_version(self.installed) if self.installed else None
-
     def known_versions(self) -> list[Version]:
-        return sorted(
-            (parse_version(v) for v in self.versions), key=Version.sort_key
-        )
+        return sorted(self.versions, key=Version.sort_key)
 
     def to_document(self) -> dict:
         """The package's entry in a category document, as a store holds it."""
@@ -116,8 +114,8 @@ class PackageMetadata:
             "name": self.name.render(),
             "description": self.description,
             "versions": {
-                v: {"dependencies": list(info.dependencies)}
-                for v, info in self.versions.items()
+                v.render(): {"dependencies": list(deps)}
+                for v, deps in self.versions.items()
             },
         }
 
@@ -127,27 +125,33 @@ class PackageMetadata:
         store drops it."""
         if self.installed is None:
             return None
-        info = self.versions[self.installed]
+        deps = list(self.versions[self.installed])
         return {
-            "installed": self.installed,
+            "installed": self.installed.render(),
             "explicit": self.explicit,
             "files": list(self.files or []),
             "depends": sorted(p.render() for p in self.depends or []),
-            "versions": {self.installed: {"dependencies": list(info.dependencies)}},
+            "versions": {self.installed.render(): {"dependencies": deps}},
         }
 
     @classmethod
     def from_document(cls, doc: object) -> "PackageMetadata":
+        """A store entry or an install record, each version parsed here: a
+        lone non-canonical spelling (``1.0-r0``, ``01.5``) reads as its
+        version, and two spellings of one version are refused."""
         try:
             if not isinstance(doc, dict):
                 raise TypeError("document is not an object")
             name = PackageId.parse(doc["name"])
-            versions = {}
-            for rendered, info in doc["versions"].items():
-                parse_version(rendered)
+            versions: dict[Version, tuple[str, ...]] = {}
+            for text, info in doc["versions"].items():
+                version = parse_version(text)
+                if version in versions:
+                    raise MalformedVersion(f"two keys spell version {version}")
                 deps = _strings(info.get("dependencies", []), "dependencies")
-                versions[rendered] = VersionInfo(tuple(deps))
-            files, depends = doc.get("files"), doc.get("depends")
+                versions[version] = tuple(deps)
+            installed, files = doc.get("installed"), doc.get("files")
+            depends = doc.get("depends")
             description = doc.get("description", "")
             explicit = doc.get("explicit", False)
             if not isinstance(description, str) or not isinstance(explicit, bool):
@@ -156,7 +160,7 @@ class PackageMetadata:
                 name=name,
                 description=description,
                 versions=versions,
-                installed=doc.get("installed"),
+                installed=None if installed is None else parse_version(installed),
                 explicit=explicit,
                 files=None if files is None else list(_strings(files, "files")),
                 depends=None if depends is None else [
@@ -191,13 +195,32 @@ def _read_document(path: Path) -> dict | None:
         return None
 
 
-def _parse(path: Path, doc: object) -> PackageMetadata:
-    """``doc``, read from ``path``, as a package's metadata; an error names
-    the file."""
+def _parse(path: Path, read: Callable[..., PackageMetadata], *args) -> PackageMetadata:
+    """``read(*args)``, a package's metadata read from ``path``; an error
+    names the file."""
     try:
-        return PackageMetadata.from_document(doc)
+        return read(*args)
     except MalformedCategoryDocument as exc:
         raise MalformedCategoryDocument(f"{path}: {exc}") from exc
+
+
+# The fields of a store entry: those ``PackageMetadata.to_document`` writes.
+STORE_FIELDS = frozenset({"description", "name", "versions"})
+
+
+def _store_entry(category: str, name: str, entry: object) -> PackageMetadata:
+    """Entry ``name`` of ``category``'s document: the store half of
+    ``category/name``. The one reader of store entries, for ``sync``,
+    ``get_metadata`` and ``validate``: the entry must name that package and
+    hold no field but those ``to_document`` writes."""
+    meta = PackageMetadata.from_document(entry)  # so entry is an object
+    if not entry.keys() <= STORE_FIELDS or meta.name.render() != f"{category}/{name}":
+        raise MalformedCategoryDocument(
+            f"entry {name!r} names {meta.name} and holds {', '.join(sorted(entry))}"
+            f"; it must name {category}/{name} and hold only "
+            f"{', '.join(sorted(STORE_FIELDS))}"
+        )
+    return meta
 
 
 def _listdir(path: Path) -> list[str]:
@@ -297,20 +320,6 @@ def parse_manifest(text: str) -> list[str]:
     return categories
 
 
-def parse_category_document(category: str, text: str) -> dict[str, dict]:
-    """Decode one category document, validating every entry and its name
-    against the category."""
-    doc = _decode_object(text, f"category {category}")
-    for name, entry in doc.items():
-        meta = PackageMetadata.from_document(entry)
-        if meta.name.category != category or meta.name.name != name:
-            raise MalformedCategoryDocument(
-                f"entry {name!r} names package {meta.name}, expected "
-                f"{category}/{name}"
-            )
-    return doc
-
-
 def write_store(root: str | Path, packages: Iterable[PackageMetadata]) -> None:
     """Publish package metadata as a store directory (manifest + categories)."""
     root = Path(root)
@@ -401,7 +410,8 @@ class LocalDb:
         local = self._local_metadata(package)
         if package.name not in category:
             return local
-        store = _parse(self.category_path(package.category), category[package.name])
+        store = _parse(self.category_path(package.category), _store_entry,
+                       package.category, package.name, category[package.name])
         local = local or PackageMetadata(package, "", {})
         return replace(local, description=store.description,
                        versions={**local.versions, **store.versions})
@@ -422,7 +432,8 @@ class LocalDb:
         doc = _read_document(path)
         if doc is None:
             return None
-        return _parse(path, {"versions": {}, **doc, "name": package.render()})
+        return _parse(path, PackageMetadata.from_document,
+                      {"versions": {}, **doc, "name": package.render()})
 
     def installed_packages(self) -> dict[PackageId, PackageMetadata]:
         """Every installed package, in canonical string order, read from
@@ -454,7 +465,7 @@ class LocalDb:
         the matching packages are read."""
         return [
             SearchResult(meta.name, tuple(meta.known_versions()),
-                         meta.installed_version(), meta.description)
+                         meta.installed, meta.description)
             for meta in self._packages(key)
         ]
 
@@ -474,7 +485,10 @@ class LocalDb:
         for category in categories:
             text = store.fetch_category(category)
             try:
-                valid.append((category, text, parse_category_document(category, text)))
+                doc = _decode_object(text, f"category {category}")
+                for name, entry in doc.items():
+                    _store_entry(category, name, entry)
+                valid.append((category, text, doc))
             except MalformedCategoryDocument as exc:
                 report.skipped_categories.append((category, str(exc)))
         with self.write_lock():
@@ -522,14 +536,13 @@ class LocalDb:
             meta = self.get_metadata(package)
             if meta is None:
                 raise UnknownPackage(f"no metadata for {package}")
-            rendered = version.render()
-            if rendered not in meta.versions:
-                raise UnknownVersion(f"{package} has no version {rendered}")
+            if version not in meta.versions:
+                raise UnknownVersion(f"{package} has no version {version}")
             for dep in deps:
                 if (dep.name not in self._category(dep.category)
                         and not self.metadata_path(dep).is_file()):
                     raise UnknownPackage(f"no metadata for dependency {dep}")
-            meta.installed = rendered
+            meta.installed = version
             meta.explicit = explicit
             meta.depends = deps
             meta.files = sorted(files)
@@ -583,14 +596,16 @@ class LocalDb:
         problems: list[str] = []
         metas: list[PackageMetadata] = []
         for file in sorted(_listdir(self.store_dir)):
+            category = file.removesuffix(".json")
             try:
-                entries = self._category(file.removesuffix(".json")).values()
+                entries = self._category(category).items()
             except MalformedCategoryDocument as exc:  # it names the file
                 problems.append(str(exc))
                 continue
-            for entry in entries:
+            for name, entry in entries:
                 try:
-                    metas.append(_parse(self.store_dir / file, entry))
+                    metas.append(_parse(self.store_dir / file, _store_entry,
+                                        category, name, entry))
                 except MalformedCategoryDocument as exc:
                     problems.append(str(exc))
         for name in self._local_names():
@@ -607,13 +622,13 @@ class LocalDb:
                 problems.append(f"{name}: installed but no files list")
             metas.append(meta)
         for meta in metas:
-            for rendered, info in meta.versions.items():
-                for dep in info.dependencies:
+            for version, deps in meta.versions.items():
+                for dep in deps:
                     try:
                         parse_dep_string(dep)
                     except Exception as exc:
                         problems.append(
-                            f"{meta.name}-{rendered}: bad dependency "
+                            f"{meta.name}-{version}: bad dependency "
                             f"{dep!r}: {exc}"
                         )
         # An installed version's entry is in the store and in its local

@@ -111,8 +111,7 @@ def resolve_runtime_closure(
             return
         chosen[pkg] = version
         deps = dep_map[pkg] = []
-        info = meta.versions[version.render()]
-        for atom in [a for text in info.dependencies for a in dep_atoms(text)]:
+        for atom in [a for text in meta.versions[version] for a in dep_atoms(text)]:
             if atom.package != pkg:
                 learn(atom)
                 if atom.package not in deps:
@@ -169,12 +168,10 @@ def _choose(
         )
     if target or meta.installed is None:
         return max(viable, key=Version.sort_key)
-    inst = meta.installed_version()
-    assert inst is not None
-    if all(atom_matches(a, inst) for a in atoms):
+    if all(atom_matches(a, meta.installed) for a in atoms):
         return None
     raise ConflictingAtoms(
-        f"{pkg}: installed version {inst} does not satisfy "
+        f"{pkg}: installed version {meta.installed} does not satisfy "
         f"{', '.join(str(a) for a in atoms)} and implicit upgrades "
         f"are not performed"
     )

@@ -137,19 +137,17 @@ class _ClosureWalk:
                 f"{', '.join(str(a) for a in atoms)}"
             )
         if pkg not in self.target_pkgs and meta.installed is not None:
-            inst = meta.installed_version()
-            assert inst is not None
-            if all(atom_matches(a, inst) for a in atoms):
+            if all(atom_matches(a, meta.installed) for a in atoms):
                 return
             raise ConflictingAtoms(
-                f"{pkg}: installed version {inst} does not satisfy "
+                f"{pkg}: installed version {meta.installed} does not satisfy "
                 f"{', '.join(str(a) for a in atoms)} and implicit upgrades "
                 f"are not performed"
             )
         version = max(viable, key=Version.sort_key)
         self.chosen[pkg] = version
         dep_atoms: list[DependencyAtom] = []
-        for dep_string in meta.versions[version.render()].dependencies:
+        for dep_string in meta.versions[version]:
             dep_atoms.extend(self.dep_atoms(dep_string))
         deps = self.dep_map.setdefault(pkg, [])
         for atom in dep_atoms:

@@ -181,3 +181,29 @@ class TestMainAgainstSocketFarm:
         out = capsys.readouterr().out
         assert "categories: 2" in out
         assert "skipped app-editors: bad metadata document: dependencies" in out
+
+    def test_a_version_spelled_with_r0_syncs_searches_and_installs(
+        self, cli_world, capsys
+    ):
+        # The store's one spelling of cat/p's version is not the canonical
+        # one: every reader keys it by the version it spells.
+        config, farm, _ = cli_world
+        store = config.parent / "farm"
+        with open(store / "manifest.txt", "a", encoding="utf-8") as manifest:
+            manifest.write("cat\n")
+        (store / "cat.json").write_text(json.dumps({"p": {
+            "name": "cat/p", "description": "p",
+            "versions": {"1.0-r0": {"dependencies": []}},
+        }}), encoding="utf-8")
+        assert main(["--config", str(config), "-u"]) == 0
+        assert "packages added: 5" in capsys.readouterr().out
+        assert main(["--config", str(config), "-s", "cat/p"]) == 0
+        assert "cat/p ( 1.0 )" in capsys.readouterr().out
+        assert main(["--config", str(config), "-i", "cat/p"]) == 0
+        captured = capsys.readouterr()
+        assert "installed cat/p-1.0" in captured.out
+        assert "Traceback" not in captured.err
+        [record] = farm.records.all_records()
+        assert record.key == "cat/p-1.0[]"
+        local = config.parent / "db" / "local" / "cat" / "p" / "metadata.json"
+        assert json.loads(local.read_bytes())["installed"] == "1.0"

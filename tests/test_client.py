@@ -38,7 +38,6 @@ from pacloud.farm import JobProfile, VirtualClock, build_artifact_tar
 from pacloud.localdb import (
     DirectoryStore,
     PackageMetadata,
-    VersionInfo,
     write_store,
 )
 from pacloud.wire import (
@@ -307,7 +306,7 @@ class TestInstall:
         assert names.index("sys-libs/ncurses") < names.index("app-editors/vim-core")
         assert names.index("app-editors/vim-core") < names.index("app-editors/vim")
         vim = env.client.db.get_metadata(pkg("app-editors/vim"))
-        assert vim.installed == "8.1"
+        assert vim.installed == parse_version("8.1")
         assert vim.explicit is True
         core = env.client.db.get_metadata(pkg("app-editors/vim-core"))
         assert core.explicit is False
@@ -461,7 +460,7 @@ class TestUpgrade:
             (p.render(), str(old), str(new)) for p, old, new in performed
         ] == [("sys-libs/ncurses", "6.0-r2", "6.1-r2")]
         meta = env.client.db.get_metadata(pkg("sys-libs/ncurses"))
-        assert meta.installed == "6.1-r2"
+        assert meta.installed == parse_version("6.1-r2")
         assert meta.explicit is True
         # the old version's file is gone, the new one is present
         files = tree_files(env.config.install_root)
@@ -487,7 +486,7 @@ class TestUpgrade:
         performed = env.client.upgrade([pkg("sys-libs/ncurses")])
         assert len(performed) == 1
         meta = env.client.db.get_metadata(pkg("sys-libs/ncurses"))
-        assert meta.installed == "6.1-r2"
+        assert meta.installed == parse_version("6.1-r2")
         assert meta.explicit is False  # named upgrade keeps its status
 
     def test_upgrade_not_installed(self, env):
@@ -532,7 +531,7 @@ class TestReadsDoNotGrowWithDatabase:
             PackageMetadata(
                 name=pkg(f"cat/p{i:03d}"),
                 description="d",
-                versions={"1.0": VersionInfo()},
+                versions={parse_version("1.0"): ()},
             )
             for i in range(request.param)
         ]
@@ -686,7 +685,7 @@ def test_a_crash_at_any_write_is_finished_by_the_same_verb(
     deps.update({lib: [cores[k], cores[(k + 1) % 4]] for k, lib in enumerate(libs)})
     deps["app/app"] = cores[:2] + libs
     env = make_env(metas=[
-        PackageMetadata(pkg(name), "d", {"1.0": VersionInfo(tuple(names))})
+        PackageMetadata(pkg(name), "d", {parse_version("1.0"): tuple(names)})
         for name, names in deps.items()
     ])
     app = pkg("app/app")
@@ -732,7 +731,7 @@ def test_a_deeply_nested_dependency_string_installs(make_env):
     deep = "( acl? ( " * 2500 + "sys-apps/acl" + " ) )" * 2500
     env = make_env(
         metas=build_sample_metadata() + [
-            PackageMetadata(pkg("app-misc/deep"), "d", {"1.0": VersionInfo((deep,))})
+            PackageMetadata(pkg("app-misc/deep"), "d", {parse_version("1.0"): (deep,)})
         ],
         use_flags=UseFlagSet.of(["acl"]),
     )

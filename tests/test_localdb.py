@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -23,7 +24,6 @@ from pacloud.localdb import (
     DirectoryStore,
     LocalDb,
     PackageMetadata,
-    VersionInfo,
     dump_document,
     parse_manifest,
     write_store,
@@ -125,7 +125,7 @@ class TestSync:
         )
         db.sync(store)
         meta = db.get_metadata(ncurses)
-        assert meta.installed == "6.1-r2"
+        assert meta.installed == parse_version("6.1-r2")
         assert meta.explicit is True
         assert meta.files == ["usr/lib/libncurses.so"]
 
@@ -182,18 +182,35 @@ class TestSync:
         assert db.get_metadata(pkg("sys-libs/ncurses")).description == "newer words"
 
     def test_a_store_entry_carries_no_install_state(self, db, store_dir):
-        # Only a package's local document says that it is installed.
+        # Only a package's local document says that it is installed: a
+        # store entry that carries install state is refused, and its
+        # category keeps what the last sync stored.
+        store = DirectoryStore(store_dir)
+        db.sync(store)
+        before = tree_snapshot(db.root)
         path = store_dir / "sys-libs.json"
         doc = json.loads(path.read_bytes())
         doc["ncurses"].update(installed="6.1-r2", explicit=True, files=["lib/x"])
         path.write_text(dump_document(doc), encoding="utf-8")
-        db.sync(DirectoryStore(store_dir))
-        ncurses = db.get_metadata(pkg("sys-libs/ncurses"))
-        assert (ncurses.installed, ncurses.explicit, ncurses.files) == (
-            None, False, None
-        )
-        assert db.search("ncurses")[0].installed is None
+        report = db.sync(store)
+        [(category, reason)] = report.skipped_categories
+        assert category == "sys-libs"
+        assert "holds description, explicit, files, installed, name" in reason
+        assert report.categories_synced == 2
+        assert tree_snapshot(db.root) == before
+        assert db.get_metadata(pkg("sys-libs/ncurses")).installed is None
         assert db.installed_packages() == {}
+
+    def test_an_entry_spelling_one_version_twice_is_skipped(self, db, store_dir):
+        path = store_dir / "sys-libs.json"
+        doc = json.loads(path.read_bytes())
+        doc["ncurses"]["versions"]["6.1-r02"] = {"dependencies": []}
+        path.write_text(dump_document(doc), encoding="utf-8")
+        report = db.sync(DirectoryStore(store_dir))
+        [(category, reason)] = report.skipped_categories
+        assert category == "sys-libs"
+        assert "two keys spell version 6.1-r2" in reason
+        assert not db.category_path("sys-libs").exists()
 
 
 class TestSearch:
@@ -229,13 +246,11 @@ class TestSearch:
     def test_results_in_canonical_string_order(self, db, tmp_path):
         # '-' sorts before '/', so app-x/pkg must come before app/zzz even
         # though directory iteration visits the "app" category first
-        from pacloud.localdb import PackageMetadata, VersionInfo
-
         metas = [
             PackageMetadata(
                 name=pkg(name),
                 description="d",
-                versions={"1.0": VersionInfo()},
+                versions={parse_version("1.0"): ()},
             )
             for name in ("app/zzz", "app-x/pkg")
         ]
@@ -261,7 +276,7 @@ class TestInstallState:
         )
         assert requirers(self.db, self.ncurses) == [self.vim]
         vim_meta = self.db.get_metadata(self.vim)
-        assert vim_meta.installed == "8.1"
+        assert vim_meta.installed == parse_version("8.1")
         assert vim_meta.explicit is True
         assert vim_meta.files == ["usr/bin/vim"]
 
@@ -453,13 +468,11 @@ class TestInstallState:
     def test_install_and_removal_reads_do_not_grow_with_database(
         self, size, tmp_path, monkeypatch
     ):
-        from pacloud.localdb import PackageMetadata, VersionInfo
-
         metas = [
             PackageMetadata(
                 name=pkg(f"cat/p{i:03d}"),
                 description="d",
-                versions={"1.0": VersionInfo()},
+                versions={parse_version("1.0"): ()},
             )
             for i in range(size)
         ]
@@ -595,7 +608,7 @@ def test_an_install_shaped_like_client_churn_reads_and_writes_each_document_once
     app = pkg("app/app")
     store = tmp_path / "churn-store"
     write_store(store, [
-        PackageMetadata(name=p, description="d", versions={"1.0": VersionInfo()})
+        PackageMetadata(name=p, description="d", versions={parse_version("1.0"): ()})
         for p in cores + libs + [app]
     ])
     db = LocalDb(tmp_path / "churn-db")
@@ -648,7 +661,7 @@ def meta(name, versions, description="d"):
     return PackageMetadata(
         name=pkg(name),
         description=description,
-        versions={v: VersionInfo(tuple(deps)) for v, deps in versions.items()},
+        versions={parse_version(v): tuple(deps) for v, deps in versions.items()},
     )
 
 
@@ -694,7 +707,7 @@ def test_names_like_the_fixed_entries_sync_install_and_remove(target, make_env):
     before = tree_snapshot(db.root)
     plan = env.client.install([parse_atom(target)])
     assert [p.render() for p, _ in plan.steps] == ["sys-libs/lib", target]
-    assert db.get_metadata(pkg(target)).installed == "1.0"
+    assert db.get_metadata(pkg(target)).installed == parse_version("1.0")
     assert sorted(p.name for p in db.root.iterdir()) == [".lock", "local", "store"]
     assert db.validate() == []
     assert [p.render() for p in env.client.remove([pkg(target)])] == [
@@ -703,6 +716,50 @@ def test_names_like_the_fixed_entries_sync_install_and_remove(target, make_env):
     assert tree_snapshot(db.root) == before
     assert tree_snapshot(env.config.install_root) == {}
     assert db.get_metadata(pkg("sys-libs/lib")).description == "d"
+
+
+def spelling(rng):
+    """A version string with letters, revisions, ``-r0`` and leading
+    zeros, canonical or not."""
+    def number():
+        return "0" * rng.choice([0, 0, 1, 2]) + str(rng.randint(0, 12))
+    text = ".".join(number() for _ in range(rng.randint(1, 3)))
+    text += rng.choice(["", "", "a", "z"])
+    return text + rng.choice(["", "", "-r0", f"-r{number()}"])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_documents_round_trip_through_parsed_versions(seed):
+    rng = random.Random(seed)
+    spelled = {}  # version -> the spelling its document gives it
+    count = rng.randint(1, 6)
+    while len(spelled) < count:
+        text = spelling(rng)
+        spelled.setdefault(parse_version(text), text)
+    doc = {
+        "name": "cat/p", "description": "d",
+        "versions": {
+            text: {"dependencies": [f">=cat/q-{spelling(rng)}"] * rng.randint(0, 2)}
+            for text in spelled.values()
+        },
+    }
+    m = PackageMetadata.from_document(doc)
+    assert m.versions == {
+        version: tuple(doc["versions"][text]["dependencies"])
+        for version, text in spelled.items()
+    }
+    assert PackageMetadata.from_document(m.to_document()) == m
+    # The install half: the record and the installed version's entry.
+    installed = rng.choice(list(m.versions))
+    record = dict(
+        installed=installed, explicit=rng.random() < 0.5,
+        files=sorted(f"usr/f{i}" for i in range(rng.randint(0, 3))),
+        depends=[pkg("cat/q")] * rng.randint(0, 1),
+    )
+    local = replace(m, **record).local_document()
+    assert PackageMetadata.from_document({**local, "name": "cat/p"}) == (
+        PackageMetadata(m.name, "", {installed: m.versions[installed]}, **record)
+    )
 
 
 def tear(path):
@@ -744,6 +801,17 @@ DAMAGE = {
     "category-versions": reshape(lambda doc: doc["vim"].update(versions=["8.1"])),
     # The store still lists 8.1, but the install record alone must hold it.
     "local-installed-version": reshape(lambda doc: doc.update(versions={})),
+    "category-version-twice": reshape(
+        lambda doc: doc["vim"]["versions"].update({"8.1-r0": {}})
+    ),
+    # Only sync checked an entry's name against its key.
+    "category-renamed-entry": reshape(
+        lambda doc: doc["vim"].update(name="app-editors/emacs")
+    ),
+    # A store entry holds only the fields a store writes.
+    "category-install-state": reshape(
+        lambda doc: doc["vim"].update(installed="8.1", explicit=True, files=[])
+    ),
 }
 
 
@@ -792,8 +860,8 @@ def test_an_installed_version_the_store_no_longer_lists(dropped, make_env, tmp_p
     db = env.client.db
     db.sync(DirectoryStore(tmp_path / "later"))
     got = db.get_metadata(app)
-    assert got.installed == "1.0"
-    assert got.versions["1.0"].dependencies == (">=cat/lib-1.0",)
+    assert got.installed == parse_version("1.0")
+    assert got.versions[parse_version("1.0")] == (">=cat/lib-1.0",)
     assert got.depends == [lib]
     assert [str(v) for v in got.known_versions()] == (
         ["1.0", "2.0"] if dropped == "version" else ["1.0"]

@@ -24,7 +24,6 @@ from pacloud.localdb import (
     DirectoryStore,
     LocalDb,
     PackageMetadata,
-    VersionInfo,
     write_store,
 )
 from pacloud.resolver import (
@@ -57,11 +56,8 @@ def make_meta(
     return PackageMetadata(
         name=pkg(name),
         description=f"the {name} package",
-        versions={
-            rendered: VersionInfo(tuple(deps))
-            for rendered, deps in versions.items()
-        },
-        installed=installed,
+        versions={parse_version(v): tuple(deps) for v, deps in versions.items()},
+        installed=installed and parse_version(installed),
         explicit=explicit,
         files=list(files) if files is not None else (["f"] if installed else None),
         depends=[pkg(p) for p in depends] if installed else None,
@@ -634,7 +630,7 @@ def random_install_db(rng, root):
     explicit = {i for i in installed if rng.random() < 0.2}
     store = root.with_name(f"{root.name}-store")
     write_store(store, [
-        PackageMetadata(name=name, description="d", versions={"1.0": VersionInfo()})
+        PackageMetadata(name=name, description="d", versions={parse_version("1.0"): ()})
         for name in names
     ])
     db = LocalDb(root)

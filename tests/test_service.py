@@ -911,7 +911,7 @@ class TestFarmPersistence:
         env = make_env()
         env.client.update()
         env.client.install([parse_atom("=sys-libs/ncurses-6.1-r2")])
-        assert env.client.db.get_metadata(key.package).installed_version() == (
+        assert env.client.db.get_metadata(key.package).installed == (
             key.version
         )
         assert env.download_events() == [("download", key)]
@@ -934,7 +934,7 @@ class TestFarmPersistence:
         assert record.status == "built"
         response = env.farm.service.handle_request(BuildKey.parse(record.key))
         assert response.status == STATUS_AVAILABLE
-        assert env.client.db.get_metadata(package).installed_version() == (
+        assert env.client.db.get_metadata(package).installed == (
             parse_version("1.0")
         )
         assert (env.farm_root / "queue.json").read_bytes() == document
