@@ -28,7 +28,7 @@ _CATEGORY_RE = re.compile(r"[a-z0-9+_.-]+\Z")
 _NAME_RE = re.compile(r"[A-Za-z0-9+_.-]+\Z")
 _FLAG_RE = re.compile(r"[A-Za-z0-9_@-]+\Z")
 _DOT_SEGMENTS = (".", "..")
-_VERSION_RE = re.compile(r"(\d+(?:\.\d+)*)([a-z])?(?:-r(\d+))?\Z")
+_VERSION_RE = re.compile(r"([0-9]+(?:\.[0-9]+)*)([a-z])?(?:-r([0-9]+))?\Z")
 
 
 def is_category(text: str) -> bool:
@@ -115,16 +115,21 @@ def parse_version(text: str) -> Version:
     """Parse a version string, normalizing leading zeros and ``-r0``.
 
     Raises MalformedVersion for anything outside the grammar: empty input,
-    a leading non-digit, suffixes such as ``_alpha``, more than one letter,
-    or a broken revision.
+    a leading non-digit, a digit outside ASCII, suffixes such as
+    ``_alpha``, more than one letter, a broken revision, or a number too
+    long for ``int`` to convert.
     """
     if not text:
         raise MalformedVersion("empty version string")
     m = _VERSION_RE.fullmatch(text)
     if not m:
         raise MalformedVersion(f"not a valid version: {text!r}")
-    components = tuple(int(c) for c in m.group(1).split("."))
-    return Version(components, m.group(2), int(m.group(3) or 0))
+    try:
+        components = tuple(int(c) for c in m.group(1).split("."))
+        revision = int(m.group(3) or 0)
+    except ValueError as exc:  # a number past int's limit on digits
+        raise MalformedVersion(f"not a valid version: {text!r:.60}") from exc
+    return Version(components, m.group(2), revision)
 
 
 def compare_versions(a: Version, b: Version) -> int:

@@ -16,16 +16,19 @@ root holding a file of an earlier layout is refused before that.
 The farm has one lock, ``BuildFarm.lock``, the same object as its
 service's ``RequestService.lock``. It is taken once at each place another
 thread can reach the farm's state: per wire request, and per call of
-``advance_to`` (which is also each round of the service-mode pump),
-``run_until_settled`` and ``next_event_time``. The queue
+``advance_to``, ``run_until_settled`` and ``next_event_time``. The queue
 and the stores take no lock of their own, so what runs under it runs as
 one step. Another thread reads the stores, or calls a worker's
 ``interrupt``, ``resume`` or ``crash``, only while it holds the lock.
+
+A served farm has one thread, its server's, and runs on its requests:
+``exchange`` runs every event due by a request's arrival, each at its own
+time, and then answers the request. Nothing runs between requests, so a
+reader that makes none sees the farm as of the last one.
 """
 from __future__ import annotations
 
 import heapq
-import threading
 from pathlib import Path
 
 from ..core import BuildKey
@@ -41,7 +44,7 @@ from .queue import (
     CompileQueue,
     ReceivedMessage,
 )
-from .service import FarmServer, RequestService, logger
+from .service import FarmServer, RequestService
 from .stores import (
     BUILT,
     FAILED,
@@ -144,43 +147,26 @@ class BuildFarm:
         self.service = RequestService(self.records, self.queue, self.clock)
         self.lock = self.service.lock
         self._server: FarmServer | None = None
-        self._pump_stop: threading.Event | None = None
-        self._pump_thread: threading.Thread | None = None
 
     # --- service mode ---
 
-    def start_service(
-        self, host: str = "127.0.0.1", port: int = 0, pump_interval: float = 0.02
-    ) -> FarmServer:
-        """Serve the wire protocol and keep the workers polling.
+    def start_service(self, host: str = "127.0.0.1", port: int = 0) -> FarmServer:
+        """Serve the wire protocol, answering each request by ``exchange``.
 
-        Service mode is meant for a wall clock: until stop_service(), a
-        background thread calls ``advance_to(clock.now())`` every pump
-        interval, so a request waits for at most one round. A round that
-        raises is logged and stops the server, so clients fail at once.
+        Service mode is meant for a wall clock. The workers run on the
+        server's thread, at each request, so a record is finalized and
+        its journal line written when the next request arrives.
         """
-        server = self._server = FarmServer(self.service, host, port).start()
-        self._pump_stop = threading.Event()
-
-        def pump() -> None:
-            try:
-                while not self._pump_stop.is_set():
-                    self.advance_to(self.clock.now())
-                    self._pump_stop.wait(pump_interval)
-            except Exception:
-                logger.exception("farm pump failed; stopping the server")
-                server.stop()
-
-        self._pump_thread = threading.Thread(target=pump, daemon=True)
-        self._pump_thread.start()
+        self._server = FarmServer(self, host, port).start()
         return self._server
 
+    def exchange(self, request: dict) -> dict:
+        """Run every event due by now, then answer ``request``; what an
+        event raises propagates, and the request goes unanswered."""
+        self.advance_to(self.clock.now())
+        return self.service.exchange(request)
+
     def stop_service(self) -> None:
-        if self._pump_stop is not None:
-            self._pump_stop.set()
-        if self._pump_thread is not None:
-            self._pump_thread.join()
-            self._pump_thread = None
         if self._server is not None:
             self._server.stop()
             self._server = None
@@ -236,7 +222,7 @@ class BuildFarm:
         once every event of an instant has run and no record is pending,
         or nothing left can settle one. Within the loop the clock is set
         only to event times up to ``limit``, so a run up to a wall
-        clock's reading (the service-mode pump) never moves it.
+        clock's reading (a served farm's, at each request) never moves it.
         """
         with self.lock:
             self._fail_unheld_dead_letters(self.clock.now())

@@ -12,6 +12,14 @@ that reopens the root sends it one.
 ``RequestService.exchange`` is the one answer path: request document in,
 response document out. It makes the service a client ``Transport`` too.
 
+``FarmServer`` serves whatever it is given that answers a request
+document with a response document by ``exchange``. A served farm gives
+it the ``BuildFarm`` itself, whose ``exchange`` runs every worker event
+due by the request's arrival before ``RequestService.exchange`` answers,
+so the farm runs on the server's one thread and only at its requests. A
+replay on a virtual clock gives it the farm's ``RequestService``, and
+moves the farm by its own clock's sleeps.
+
 The socket server speaks the wire protocol (``pacloud.wire``): each
 newline-terminated JSON line on a connection is one build request,
 answered by one compact JSON line, and the connection stays open for the
@@ -20,7 +28,11 @@ connection without blocking, so a connection that sends nothing holds up
 no other. Each line is answered through ``exchange``, key by key through
 ``handle_request``, which holds the farm's one lock,
 ``RequestService.lock``, per key; requests could not overlap anyway, so
-the thread count stays fixed whatever the number of connections. A
+the thread count stays fixed whatever the number of connections. An
+``exchange`` that raises anything but ``ProtocolError`` (an advance that
+cannot append to the record journal, say) is logged with its traceback
+and its connection dropped; the server keeps serving, so each request
+fails at once while the fault lasts and is answered once it clears. A
 connection that has sent no complete line within ``REQUEST_TIMEOUT``
 seconds, counted from when it opened or from its last answered line, is
 closed. A request line longer than ``MAX_REQUEST_BYTES``, one too deep to
@@ -114,11 +126,11 @@ class _Connection:
 
 class FarmServer:
     """Serves the wire protocol on a local TCP endpoint: one ``selectors``
-    loop on one daemon thread, however many connections are open."""
+    loop on one daemon thread, however many connections are open. Each
+    request is answered by ``service.exchange(request)``, the one method
+    the server calls: a ``RequestService``, or a ``BuildFarm``."""
 
-    def __init__(
-        self, service: RequestService, host: str = "127.0.0.1", port: int = 0
-    ):
+    def __init__(self, service, host: str = "127.0.0.1", port: int = 0):
         self.service = service
         self._listener = socket.create_server((host, port))
         self._listener.setblocking(False)

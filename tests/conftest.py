@@ -1,3 +1,5 @@
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,22 @@ def pytest_collection_modifyitems(items):
             item.add_marker(pytest.mark.filterwarnings(
                 "error::pytest.PytestUnraisableExceptionWarning"
             ))
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail every test here that leaves a thread running, as a leaked file
+    or socket fails it. A thread it started gets one second to end after
+    it returns; threads of wider-scoped fixtures start before the test's
+    own and are not counted."""
+    before = set(threading.enumerate())
+    yield
+    deadline = time.monotonic() + 1.0
+    left = [t for t in threading.enumerate() if t not in before]
+    for thread in left:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    if running := [t.name for t in left if t.is_alive()]:
+        pytest.fail(f"test left threads running: {running}")
 
 
 NCURSES_VERSIONS = ["5.9-r101", "6.0-r1", "6.0-r2", "6.1-r2"]

@@ -182,6 +182,25 @@ class TestMainAgainstSocketFarm:
         assert "categories: 2" in out
         assert "skipped app-editors: bad metadata document: dependencies" in out
 
+    def test_update_skips_a_category_with_a_version_too_long_to_read(
+        self, cli_world, capsys
+    ):
+        config, _, _ = cli_world
+        store = config.parent / "farm"
+        with open(store / "manifest.txt", "a", encoding="utf-8") as manifest:
+            manifest.write("cat\n")
+        (store / "cat.json").write_text(json.dumps({"p": {
+            "name": "cat/p", "description": "p",
+            "versions": {"1" + "0" * 5000: {"dependencies": []}},
+        }}), encoding="utf-8")
+        assert main(["--config", str(config), "-u"]) == 0
+        captured = capsys.readouterr()
+        assert "categories: 3" in captured.out
+        assert "skipped cat: bad metadata document: not a valid version" in (
+            captured.out
+        )
+        assert "Traceback" not in captured.err
+
     def test_a_version_spelled_with_r0_syncs_searches_and_installs(
         self, cli_world, capsys
     ):

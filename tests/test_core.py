@@ -59,7 +59,16 @@ class TestParseVersion:
 
     @pytest.mark.parametrize(
         "text",
-        ["r1", "", "1..2", "1.2ab", "1.2-r", "1.2-rx", "1.2_alpha", "a.1", "-r1"],
+        [
+            "r1", "", "1..2", "1.2ab", "1.2-r", "1.2-rx", "1.2_alpha", "a.1", "-r1",
+            # digits outside ASCII, which ``\d`` would match
+            pytest.param("\u0661.\u0660", id="arabic-indic-digits"),
+            pytest.param("1.0-r\u0661", id="arabic-indic-revision"),
+            pytest.param("\uff11.0", id="fullwidth-digit"),
+            # past int's limit on digits for a string conversion
+            pytest.param("1" + "0" * 5000, id="5001-digit-component"),
+            pytest.param("1.0-r" + "1" * 5000, id="5000-digit-revision"),
+        ],
     )
     def test_malformed(self, text):
         with pytest.raises(MalformedVersion):

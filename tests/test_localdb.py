@@ -212,6 +212,32 @@ class TestSync:
         assert "two keys spell version 6.1-r2" in reason
         assert not db.category_path("sys-libs").exists()
 
+    @pytest.mark.parametrize(
+        "version",
+        [
+            pytest.param("\u0661.\u0660", id="arabic-indic-digits"),
+            pytest.param("1" + "0" * 5000, id="5001-digit-component"),
+        ],
+    )
+    def test_an_entry_with_a_malformed_version_is_skipped(
+        self, db, store_dir, version
+    ):
+        store = DirectoryStore(store_dir)
+        db.sync(store)
+        before = tree_snapshot(db.root)
+        path = store_dir / "sys-libs.json"
+        doc = json.loads(path.read_bytes())
+        doc["ncurses"]["versions"][version] = {"dependencies": []}
+        path.write_text(dump_document(doc), encoding="utf-8")
+        report = db.sync(store)
+        [(category, reason)] = report.skipped_categories
+        assert category == "sys-libs"
+        assert "not a valid version" in reason
+        assert report.categories_synced == 2
+        assert tree_snapshot(db.root) == before
+        versions = db.get_metadata(pkg("sys-libs/ncurses")).versions
+        assert [str(v) for v in versions] == NCURSES_VERSIONS
+
 
 class TestSearch:
     def test_search_lists_versions_ascending_with_installed(self, db, store_dir):

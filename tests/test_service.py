@@ -1026,9 +1026,10 @@ class TestServiceMode:
 
     @pytest.fixture
     def wall_farm(self, tmp_path):
-        """A disk-backed farm in service mode on the wall clock. ``KEY``
-        builds for ``KEY_BUILD_S``, long enough to be seen building between
-        two pump rounds; every other key builds for 0.01 s."""
+        """A disk-backed farm in service mode on the wall clock, polling
+        every 0.02 s. ``KEY`` builds for ``KEY_BUILD_S``, long enough to be
+        seen building between two requests; every other key builds for
+        0.01 s."""
         farm = BuildFarm(
             clock=WallClock(),
             root=tmp_path,
@@ -1039,7 +1040,7 @@ class TestServiceMode:
             num_workers=4,
             worker_poll_interval=0.02,
         )
-        server = farm.start_service(pump_interval=0.005)
+        server = farm.start_service()
         yield farm, server
         farm.close()
 
@@ -1058,33 +1059,42 @@ class TestServiceMode:
         assert not client.is_alive()
         assert json.loads(lines[0])["statuses"] == [{"status": STATUS_PENDING}]
 
-    @staticmethod
-    def wait_under_lock(farm, done, seconds=5.0):
-        """Whether ``done()``, read while holding the farm's lock, comes
-        true within ``seconds``."""
-        deadline = time.monotonic() + seconds
-        while time.monotonic() < deadline:
-            with farm.lock:
-                if done():
-                    return True
-            time.sleep(0.001)
-        return False
+    def test_a_request_runs_the_events_due_before_it(self, wall_farm):
+        farm, server = wall_farm
+        quick = BuildKey.parse("cat/quick-1.0[x]")
+        request = request_line(quick)
 
-    def test_the_pump_finalizes_nothing_while_the_lock_is_held(self, wall_farm):
-        farm, _ = wall_farm
-        farm.service.handle_request(KEY)
-        assert self.wait_under_lock(
-            farm, lambda: any(w.mode is WorkerMode.BUILDING for w in farm.workers)
-        )
+        def status_of(line):
+            [status] = json.loads(line)["statuses"]
+            return status["status"]
 
-        def status():
-            return farm.records.get(KEY.canonical()).status
-
+        assert status_of(tcp_exchange(server.address, request)) == STATUS_PENDING
+        time.sleep(0.02 + 0.01 + 0.3)  # a poll, the build, and more
         with farm.lock:
-            assert status() == "pending"
-            time.sleep(self.KEY_BUILD_S + 0.3)  # the build is long due
-            assert status() == "pending"
-        assert self.wait_under_lock(farm, lambda: status() == "built")
+            assert farm.records.get(quick.canonical()).status == "pending"
+        asked = farm.clock.now()
+        assert status_of(tcp_exchange(server.address, request)) == STATUS_AVAILABLE
+        with farm.lock:
+            record = farm.records.get(quick.canonical())
+        assert record.created_at < record.completed_at < asked
+
+    def test_a_served_farm_starts_one_thread(self, tmp_path):
+        farm = BuildFarm(clock=WallClock(), root=tmp_path)
+        before = set(threading.enumerate())
+        farm.start_service()
+        try:
+            assert len(set(threading.enumerate()) - before) == 1
+        finally:
+            farm.close()
+
+    def test_an_idle_served_farm_runs_no_events(self, wall_farm, monkeypatch):
+        farm, server = wall_farm
+        advanced = []
+        monkeypatch.setattr(farm, "advance_to", advanced.append)
+        time.sleep(0.2)
+        assert advanced == []
+        tcp_exchange(server.address, request_line(KEY))
+        assert len(advanced) == 1
 
     def test_concurrent_clients_get_one_build_per_key(
         self, wall_farm, tmp_path, monkeypatch
@@ -1124,7 +1134,7 @@ class TestServiceMode:
             sys.setswitchinterval(switch)
         assert not any(thread.is_alive() for thread in clients)
         farm.close()
-        assert hooked == []  # the pump and the server thread raised nothing
+        assert hooked == []  # the server thread raised nothing
         assert failures == []
         built = [
             event.key
@@ -1143,7 +1153,7 @@ class TestServiceMode:
         for key in keys:
             assert farm.artifacts.get(key) == build_artifact_tar(key)
 
-    def test_a_failed_pump_round_stops_the_server(
+    def test_a_failed_round_fails_each_request_until_the_fault_clears(
         self, wall_farm, caplog, monkeypatch
     ):
         farm, server = wall_farm
@@ -1158,15 +1168,26 @@ class TestServiceMode:
         caplog.set_level(logging.ERROR, logger="pacloud.farm")
         with farm.lock:
             monkeypatch.setattr(farm.workers[0], "step", failing_step)
-        deadline = time.monotonic() + 2.0
-        with pytest.raises(TransportError):
-            while time.monotonic() < deadline:
+        # The first exchange reuses the open connection, so the transport
+        # sends it twice; the failure closes it, and the second is sent once.
+        for _ in range(2):
+            started = time.monotonic()
+            with pytest.raises(TransportError):
                 transport.exchange(encode_request([KEY]))
-                time.sleep(0.01)
+            assert time.monotonic() - started < 2.0
         failed = [r for r in caplog.records if r.name == "pacloud.farm"]
-        assert [r.exc_info[0] for r in failed] == [OSError]
-        assert "record journal append failed" in caplog.text
-        assert "Traceback" in caplog.text
+        assert [r.exc_info[0] for r in failed] == [OSError] * 3
+        assert caplog.text.count("OSError: record journal append failed") == 3
+        assert caplog.text.count("Traceback") == 3
+
+        with farm.lock:
+            monkeypatch.undo()
+        transport = TcpTransport(server.address, connect_timeout=1.0)
+        try:
+            [status] = transport.exchange(encode_request([KEY]))["statuses"]
+        finally:
+            transport.close()
+        assert status["status"] in (STATUS_PENDING, STATUS_AVAILABLE)
 
     def test_wall_clock_service_builds_on_demand(self):
         import time
