@@ -123,7 +123,7 @@ def parse_version(text: str) -> Version:
         raise MalformedVersion("empty version string")
     m = _VERSION_RE.fullmatch(text)
     if not m:
-        raise MalformedVersion(f"not a valid version: {text!r}")
+        raise MalformedVersion(f"not a valid version: {text!r:.60}")
     try:
         components = tuple(int(c) for c in m.group(1).split("."))
         revision = int(m.group(3) or 0)

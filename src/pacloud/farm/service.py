@@ -11,6 +11,14 @@ that reopens the root sends it one.
 
 ``RequestService.exchange`` is the one answer path: request document in,
 response document out. It makes the service a client ``Transport`` too.
+It parses only the key strings new to the farm. A record is keyed by a
+key's canonical string, whether it was created from
+``BuildKey.canonical()`` or loaded from the journal through
+``BuildKey.from_canonical``, so a string equal to a held record's key is
+canonical already and is answered from that record unparsed; a client's
+poll names only such keys. The lookup holds the farm's lock, and the
+whole request is checked before any key is answered, so a request that
+holds one bad string creates and sends nothing.
 
 ``FarmServer`` serves whatever it is given that answers a request
 document with a response document by ``exchange``. A served farm gives
@@ -59,8 +67,9 @@ from ..wire import (
     STATUS_AVAILABLE,
     STATUS_FAILED,
     STATUS_PENDING,
-    decode_request,
     encode_response,
+    request_key,
+    request_texts,
 )
 from .clock import Clock
 from .queue import CompileQueue
@@ -88,14 +97,24 @@ class RequestService:
         self.lock = threading.Lock()
 
     def exchange(self, request: dict) -> dict:
-        keys = decode_request(request)  # ProtocolError if malformed
+        """The response to ``request``; ProtocolError, with nothing created
+        or sent, unless the whole request is well formed. Only a key
+        string that no record holds is parsed (see the module docstring)."""
+        texts = request_texts(request)
+        with self.lock:
+            keys = [
+                text if self.records.get(text) is not None else request_key(text)
+                for text in texts
+            ]
         return encode_response([self.handle_request(key) for key in keys])
 
     def close(self) -> None:
         pass
 
-    def handle_request(self, key: BuildKey) -> Response:
-        canonical = key.canonical()
+    def handle_request(self, key: BuildKey | str) -> Response:
+        """The answer for ``key``: a ``BuildKey``, or the canonical string
+        of one the farm holds a record for, which it keeps for good."""
+        canonical = key if isinstance(key, str) else key.canonical()
         with self.lock:
             record = self.records.get(canonical)
             if record is None:

@@ -20,12 +20,15 @@ when the journal is read, and cut off before the next append.
 Every JSON document read across a process boundary (a wire or journal
 line, a store or database document, a job file) is decoded by
 ``from_json``, which raises ``ValueError`` for anything else, a document
-nested too deeply to decode and the non-JSON constants ``NaN`` and
-``Infinity`` included.
+nested too deeply to decode, the non-JSON constants ``NaN`` and
+``Infinity`` and a number too large for a float (``1e400``) included. An
+integer too large for a float decodes as an ``int``: a decoder that wants
+a float still checks it.
 """
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 from typing import Any, NoReturn
@@ -58,8 +61,17 @@ def _refuse_constant(name: str) -> NoReturn:
     raise ValueError(f"{name} is not JSON")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(f"number too large for a float: {text:.60}")
+    return value
+
+
 # Built once: ``json.loads`` with any keyword builds a decoder per call.
-_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+_DECODER = json.JSONDecoder(
+    parse_float=_finite_float, parse_constant=_refuse_constant
+)
 
 
 def json_line(doc: Any) -> bytes:
@@ -70,8 +82,9 @@ def json_line(doc: Any) -> bytes:
 
 def from_json(data: str | bytes) -> Any:
     """The one JSON document ``data`` holds, bytes read as strict UTF-8;
-    ``ValueError`` if it holds none, one nested too deeply to decode, or
-    ``NaN``, ``Infinity`` or ``-Infinity``, which are not JSON."""
+    ``ValueError`` if it holds none, one nested too deeply to decode,
+    ``NaN``, ``Infinity`` or ``-Infinity``, which are not JSON, or a number
+    that no float holds."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")  # UnicodeDecodeError is a ValueError
     try:

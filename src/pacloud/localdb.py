@@ -14,13 +14,22 @@ install state (``PackageMetadata.local_document``) and exists exactly
 while the package is installed. It is canonical JSON (``dump_document``),
 so an install followed by the removal that undoes it restores the tree
 byte for byte. ``get_metadata`` joins two halves, each parsed on its own:
-the store half, the package's category entry (its file decoded once per
-``stat``), and the install half, that document. The store wins for the
-description and the versions; the install half keeps the installed
-version's entry, and a package with one half only reads as that half.
-One function, ``_store_entry``, reads a store entry for ``sync``,
-``get_metadata`` and ``validate``: it refuses an entry that names another
-package than its key or holds a field ``to_document`` does not write.
+the store half, the package's category entry, and the install half, that
+document. The store wins for the description and the versions; the
+install half keeps the installed version's entry, and a package with one
+half only reads as that half. One function, ``_store_entry``, reads a
+store entry for ``sync``, ``get_metadata`` and ``validate``: it refuses an
+entry that names another package than its key or holds a field
+``to_document`` does not write.
+
+A ``LocalDb`` parses each unchanged input once. A category document is
+decoded once per ``stat`` stamp of its file, and each entry once per
+decoded document, kept beside it so that both go stale together. A local
+document is read on every call and parsed again only when its bytes
+differ from those last parsed: ``rewrite_text`` keeps the inode, and an
+mtime tick is coarse, so a same-size rewrite by another process could
+leave a stat stamp as it was. Readers share the parsed
+``PackageMetadata``, which is frozen.
 
 Versions are parsed where a document is read (``from_document``): a
 package's metadata keys each version by its ``Version``, and ``installed``
@@ -85,10 +94,14 @@ def _strings(value: object, field: str) -> list[str]:
     return value
 
 
-@dataclass
+@dataclass(frozen=True)
 class PackageMetadata:
     """One package's metadata document plus its local install state:
-    ``versions`` maps each known version to its dependency strings."""
+    ``versions`` maps each known version to its dependency strings.
+
+    Frozen, because ``LocalDb`` hands the same object to every reader of an
+    unchanged document; its dict and lists are shared too, not to change.
+    """
 
     name: PackageId
     description: str
@@ -187,10 +200,10 @@ def _decode_object(text: str | bytes, source: str) -> dict:
     return doc
 
 
-def _read_document(path: Path) -> dict | None:
-    """The JSON object stored at ``path``; None when there is no file."""
+def _read_file(path: Path) -> bytes | None:
+    """The bytes stored at ``path``; None when there is no file."""
     try:
-        return _decode_object(path.read_bytes(), str(path))
+        return path.read_bytes()
     except FileNotFoundError:
         return None
 
@@ -347,8 +360,14 @@ class LocalDb:
         self.root = Path(root)
         self.store_dir = self.root / STORE_DIR
         self.local_dir = self.root / LOCAL_DIR
-        # category -> (stat stamp of its file, decoded document)
-        self._categories: dict[str, tuple[tuple[int, int, int], dict]] = {}
+        # category -> (stat stamp of its file, decoded document, the
+        # entries parsed from that document so far, by package name)
+        self._categories: dict[
+            str, tuple[tuple[int, int, int], dict, dict[str, PackageMetadata]]
+        ] = {}
+        # package -> (bytes of its local document, the metadata parsed
+        # from them)
+        self._local: dict[PackageId, tuple[bytes, PackageMetadata]] = {}
         for path in self.root.glob(f"*/*/{METADATA_FILE}"):
             if path.is_file():
                 raise DatabaseLayoutError(
@@ -388,31 +407,50 @@ class LocalDb:
 
     # --- reading ---
 
-    def _category(self, category: str) -> dict:
-        """The decoded category document, {} if none; shared, not to change."""
+    def _category_entries(
+        self, category: str
+    ) -> tuple[dict, dict[str, PackageMetadata]]:
+        """The decoded category document, {} if none, and the entries
+        parsed from it so far; both shared, not to change. Both are kept
+        until the file's stat stamp changes."""
         path = self.category_path(category)
         try:
             st = path.stat()
         except FileNotFoundError:
-            return {}
+            return {}, {}
         stamp = (st.st_ino, st.st_size, st.st_mtime_ns)
-        if self._categories.get(category, (None,))[0] != stamp:
-            self._categories[category] = (stamp, _read_document(path) or {})
-        return self._categories[category][1]
+        cached = self._categories.get(category)
+        if cached is None or cached[0] != stamp:
+            data = _read_file(path)
+            doc = {} if data is None else _decode_object(data, str(path))
+            cached = self._categories[category] = (stamp, doc, {})
+        return cached[1], cached[2]
+
+    def _category(self, category: str) -> dict:
+        """The decoded category document, {} if none; shared, not to change."""
+        return self._category_entries(category)[0]
+
+    def _store_metadata(self, category: str, name: str) -> PackageMetadata | None:
+        """The store half of ``category/name``, its category entry, parsed
+        once per decoded document; None if the document has no such entry."""
+        doc, parsed = self._category_entries(category)
+        meta = parsed.get(name)
+        if meta is None and name in doc:
+            meta = parsed[name] = _parse(self.category_path(category),
+                                         _store_entry, category, name, doc[name])
+        return meta
 
     def get_metadata(self, package: PackageId) -> PackageMetadata | None:
         """The package's store half, its category entry, joined with its
         install half, ``_local_metadata``: the store's description and
-        versions, and nothing else of the entry, over the install record
-        (an empty one when not installed), which keeps the installed
-        version's entry in case the store drops it. None if it has neither."""
-        category = self._category(package.category)
+        versions, and nothing else of the entry, over the install record,
+        which keeps the installed version's entry in case the store drops
+        it. A package with one half only reads as that half; None if it has
+        neither."""
+        store = self._store_metadata(package.category, package.name)
         local = self._local_metadata(package)
-        if package.name not in category:
-            return local
-        store = _parse(self.category_path(package.category), _store_entry,
-                       package.category, package.name, category[package.name])
-        local = local or PackageMetadata(package, "", {})
+        if store is None or local is None:
+            return store or local
         return replace(local, description=store.description,
                        versions={**local.versions, **store.versions})
 
@@ -427,13 +465,21 @@ class LocalDb:
         )
 
     def _local_metadata(self, package: PackageId) -> PackageMetadata | None:
-        """The package's local document alone, None if it has none."""
+        """The package's local document alone, None if it has none. The
+        file is read every time and parsed only when its bytes differ from
+        those last parsed (see the module docstring)."""
         path = self.metadata_path(package)
-        doc = _read_document(path)
-        if doc is None:
+        data = _read_file(path)
+        if data is None:
+            self._local.pop(package, None)
             return None
-        return _parse(path, PackageMetadata.from_document,
-                      {"versions": {}, **doc, "name": package.render()})
+        cached = self._local.get(package)
+        if cached is None or cached[0] != data:
+            doc = _decode_object(data, str(path))
+            meta = _parse(path, PackageMetadata.from_document,
+                          {"versions": {}, **doc, "name": package.render()})
+            cached = self._local[package] = (data, meta)
+        return cached[1]
 
     def installed_packages(self) -> dict[PackageId, PackageMetadata]:
         """Every installed package, in canonical string order, read from
@@ -542,10 +588,8 @@ class LocalDb:
                 if (dep.name not in self._category(dep.category)
                         and not self.metadata_path(dep).is_file()):
                     raise UnknownPackage(f"no metadata for dependency {dep}")
-            meta.installed = version
-            meta.explicit = explicit
-            meta.depends = deps
-            meta.files = sorted(files)
+            meta = replace(meta, installed=version, explicit=explicit,
+                           depends=deps, files=sorted(files))
             path = self.metadata_path(package)
             path.parent.mkdir(parents=True, exist_ok=True)
             rewrite_text(path, dump_document(meta.local_document()))
@@ -568,6 +612,7 @@ class LocalDb:
             for package in reversed(packages):
                 path = self.metadata_path(package)
                 path.unlink(missing_ok=True)
+                self._local.pop(package, None)
                 prune_empty_dirs(path.parent, self.root)
 
     # --- archive cache ---
@@ -598,14 +643,13 @@ class LocalDb:
         for file in sorted(_listdir(self.store_dir)):
             category = file.removesuffix(".json")
             try:
-                entries = self._category(category).items()
+                names = list(self._category(category))
             except MalformedCategoryDocument as exc:  # it names the file
                 problems.append(str(exc))
                 continue
-            for name, entry in entries:
+            for name in names:
                 try:
-                    metas.append(_parse(self.store_dir / file, _store_entry,
-                                        category, name, entry))
+                    metas.append(self._store_metadata(category, name))
                 except MalformedCategoryDocument as exc:
                     problems.append(str(exc))
         for name in self._local_names():

@@ -77,8 +77,9 @@ def encode_request(keys: Sequence[BuildKey]) -> dict:
     return {"type": REQUEST_BUILD, "keys": [key.canonical() for key in keys]}
 
 
-def decode_request(doc: object) -> list[BuildKey]:
-    """The keys a build request names, in its order."""
+def request_texts(doc: object) -> list[str]:
+    """The strings a build request names its keys by, in its order: every
+    check of the request but ``request_key``'s of each string."""
     if not isinstance(doc, dict) or doc.get("type") != REQUEST_BUILD:
         raise ProtocolError("request is not of type 'build'")
     texts = doc.get("keys")
@@ -88,8 +89,13 @@ def decode_request(doc: object) -> list[BuildKey]:
         raise ProtocolError("build request holds a key that is not a string")
     if len(set(texts)) != len(texts):
         raise ProtocolError("build request names a key twice")
+    return texts
+
+
+def request_key(text: str) -> BuildKey:
+    """The key a request names by ``text``, its canonical string."""
     try:
-        return [BuildKey.from_canonical(text) for text in texts]
+        return BuildKey.from_canonical(text)
     except MalformedBuildKey as exc:
         raise ProtocolError(f"bad request: {exc}") from exc
 

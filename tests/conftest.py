@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from pacloud import localdb
 from pacloud.client import Client
 from pacloud.config import Config
 from pacloud.core import BuildKey
@@ -85,6 +86,34 @@ def requirers(db, package):
         for name, meta in db.installed_packages().items()
         if package in (meta.depends or [])
     ]
+
+
+def count_parses(monkeypatch):
+    """The ``name`` of each document ``PackageMetadata`` parses, in order."""
+    parses = []
+    real = PackageMetadata.from_document.__func__
+
+    def counting(cls, doc):
+        parses.append(doc["name"])
+        return real(cls, doc)
+
+    monkeypatch.setattr(PackageMetadata, "from_document", classmethod(counting))
+    return parses
+
+
+def count_files_read(monkeypatch, db):
+    """Each file ``db`` reads, as a path under its root, in order."""
+    reads = []
+    real = localdb._read_file
+
+    def counting(path):
+        data = real(path)
+        if data is not None:
+            reads.append(path.relative_to(db.root).as_posix())
+        return data
+
+    monkeypatch.setattr(localdb, "_read_file", counting)
+    return reads
 
 
 @pytest.fixture

@@ -393,6 +393,17 @@ class TestBenchCli:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             load_jobs_file(path)
 
+    def test_a_duration_no_float_holds_is_refused_by_the_codec(self, tmp_path):
+        path = tmp_path / "jobs.json"
+        path.write_text(
+            '[{"package": "cat/a", "version": "1.0", "duration": 1e400}]',
+            encoding="utf-8",
+        )
+        with pytest.raises(
+            ValueError, match=f"^{re.escape(str(path))}: number too large for a float"
+        ):
+            load_jobs_file(path)
+
     def test_a_duration_too_large_for_a_float_is_a_value_error(self):
         doc = {"package": "cat/a", "version": "1.0", "duration": 10**400}
         with pytest.raises(ValueError, match="too large"):

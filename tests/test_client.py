@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import build_sample_metadata, requirers
+from conftest import build_sample_metadata, count_files_read, count_parses, requirers
 from pacloud.client import (
     Client,
     await_package,
@@ -545,40 +545,14 @@ class TestReadsDoNotGrowWithDatabase:
         client.update()
         return client
 
-    @staticmethod
-    def count_reads(monkeypatch):
-        reads = []
-        real = PackageMetadata.from_document.__func__
-
-        def counting(cls, doc):
-            reads.append(doc["name"])
-            return real(cls, doc)
-
-        monkeypatch.setattr(PackageMetadata, "from_document", classmethod(counting))
-        return reads
-
-    @staticmethod
-    def count_files_read(monkeypatch, db):
-        """Each document ``db`` reads, as a path under its root."""
-        reads = []
-        real = localdb._read_document
-
-        def counting(path):
-            doc = real(path)
-            if doc is not None:
-                reads.append(path.relative_to(db.root).as_posix())
-            return doc
-
-        monkeypatch.setattr(localdb, "_read_document", counting)
-        return reads
-
     def test_remove(self, sized, monkeypatch):
         a, b, c = (pkg(f"cat/p{i:03d}") for i in range(3))
         v = parse_version("1.0")
         sized.db.record_install(b, v, False, [], [])
         sized.db.record_install(c, v, False, [], [])
         sized.db.record_install(a, v, True, [b, c], [])
-        reads = self.count_reads(monkeypatch)
+        parses = count_parses(monkeypatch)
+        files = count_files_read(monkeypatch, sized.db)
         writes = []
         monkeypatch.setattr(localdb, "rewrite_text", lambda *args: writes.append(args))
         assert sized.remove([a]) == [a, b, c]
@@ -587,7 +561,12 @@ class TestReadsDoNotGrowWithDatabase:
         # compute_orphans reads each installed document once and hands
         # back what it read; the one record_removal reads each once more
         # under the lock and deletes it. A scan would read every document.
-        assert sorted(reads) == sorted([a.render(), b.render(), c.render()] * 2)
+        assert sorted(files) == sorted(
+            f"local/{p.render()}/metadata.json" for p in [a, b, c] * 2
+        )
+        # Each document is parsed once, at its first read since it was
+        # written: the second read finds the same bytes.
+        assert sorted(parses) == [a.render(), b.render(), c.render()]
         assert writes == []
 
     def test_upgrade_without_targets(self, sized, monkeypatch):
@@ -596,7 +575,8 @@ class TestReadsDoNotGrowWithDatabase:
         sized.db.record_install(b, v, False, [], [])
         sized.db.record_install(c, v, True, [], [])
         sized.db.record_install(a, v, True, [b, c], [])
-        reads = self.count_files_read(monkeypatch, sized.db)
+        parses = count_parses(monkeypatch)
+        reads = count_files_read(monkeypatch, sized.db)
         assert sized.upgrade() == []
         monkeypatch.undo()
         # The installed documents once to find the explicit packages, then
@@ -604,19 +584,25 @@ class TestReadsDoNotGrowWithDatabase:
         assert sorted(reads) == sorted(
             f"local/{p.render()}/metadata.json" for p in [a, a, b, c, c]
         )
+        # Each document parsed once; the store entries were parsed when
+        # the packages were recorded.
+        assert sorted(parses) == [a.render(), b.render(), c.render()]
 
     def test_a_performed_upgrade(self, env, monkeypatch):
         env.client.update()
         env.client.install([parse_atom("=sys-libs/ncurses-6.0-r2")])
-        reads = self.count_files_read(monkeypatch, env.client.db)
+        parses = count_parses(monkeypatch)
+        reads = count_files_read(monkeypatch, env.client.db)
         assert len(env.client.upgrade()) == 1
         monkeypatch.undo()
         # Finding the explicit packages, picking the version, resolving,
         # reading the files the install replaces, and recording.
         assert reads == ["local/sys-libs/ncurses/metadata.json"] * 5
+        # The document the install wrote is parsed at its first read only.
+        assert parses == ["sys-libs/ncurses"]
 
     def test_search(self, sized, monkeypatch):
-        reads = self.count_reads(monkeypatch)
+        reads = count_parses(monkeypatch)
         results = sized.search("P00")
         monkeypatch.undo()
         names = [f"cat/p{i:03d}" for i in range(10)]

@@ -74,6 +74,16 @@ class TestParseVersion:
         with pytest.raises(MalformedVersion):
             parse_version(text)
 
+    @pytest.mark.parametrize("text", [
+        pytest.param("1.0_" + "x" * 100000, id="no-match"),
+        pytest.param("1" + "0" * 100000, id="past-int-limit"),
+    ])
+    def test_the_error_quotes_at_most_60_characters_of_the_input(self, text):
+        with pytest.raises(MalformedVersion) as caught:
+            parse_version(text)
+        assert str(caught.value) == f"not a valid version: {text!r:.60}"
+        assert len(str(caught.value)) == len("not a valid version: ") + 60
+
     def test_normalization(self):
         assert parse_version("1.08").render() == "1.8"
         assert parse_version("1.2-r0").render() == "1.2"

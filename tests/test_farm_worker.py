@@ -439,8 +439,6 @@ class TestRecordStore:
         {"key": "cat/p-1[]", "status": FAILED, "error_message": None},
         {"key": "cat/p-1[]", "status": PENDING, "created_at": "yesterday"},
         {"key": "cat/p-1[]", "status": PENDING, "created_at": True},
-        # JSON text, which reads 1e400 as infinity; json_line would not
-        '{"key": "cat/p-1[]", "status": "pending", "created_at": 1e400}',
         {"key": "cat/p-1[]", "status": PENDING, "created_at": 10**400},
         {"key": "cat/p-1[]", "status": BUILT, "created_at": 0.0,
          "completed_at": [1]},
@@ -449,15 +447,29 @@ class TestRecordStore:
         {"key": "cat/p-1[]", "status": BUILT, "created_at": 0.0,
          "completed_at": 1.0, "error_message": "boom"},
     ], ids=["unknown-status", "list-status", "list-key", "failed-without-error",
-            "failed-null-error", "text-time", "bool-time", "infinite-time",
-            "huge-int-time", "list-time", "built-number-error",
-            "built-with-error"])
+            "failed-null-error", "text-time", "bool-time", "huge-int-time",
+            "list-time", "built-number-error", "built-with-error"])
     def test_refuses_a_document_no_store_writes(self, tmp_path, doc):
         good = {"key": "cat/q-1[]", "status": PENDING, "created_at": 0.0}
-        line = f"{doc}\n".encode() if isinstance(doc, str) else json_line(doc)
-        (tmp_path / "records.jsonl").write_bytes(json_line(good) + line)
+        (tmp_path / "records.jsonl").write_bytes(json_line(good) + json_line(doc))
         with pytest.raises(FarmStateError, match="line 2: not a build record"):
             BuildRecordStore(tmp_path)
+
+    def test_a_time_no_float_holds_is_not_json(self, tmp_path):
+        """``1e400`` is refused where the line is decoded, before the record
+        decoder sees it: a line like any other that does not decode."""
+        good = json_line({"key": "cat/q-1[]", "status": PENDING, "created_at": 0.0})
+        line = b'{"key": "cat/p-1[]", "status": "pending", "created_at": 1e400}\n'
+        (tmp_path / "records.jsonl").write_bytes(good + line + good)
+        with pytest.raises(FarmStateError, match="records.jsonl: line 2 is not JSON"):
+            BuildRecordStore(tmp_path)
+        # as the last line, it is dropped as torn and cut off at the next append
+        (tmp_path / "records.jsonl").write_bytes(good + line)
+        records = BuildRecordStore(tmp_path)
+        assert records.pending_keys() == ["cat/q-1[]"]
+        records.create_pending("cat/r-1[]", 1.0)
+        records.close()
+        assert BuildRecordStore(tmp_path).pending_keys() == ["cat/q-1[]", "cat/r-1[]"]
 
     @pytest.mark.parametrize("status", [PENDING, BUILT])
     @pytest.mark.parametrize("key", ["garbage", "cat/p-1[b,a]"])

@@ -46,6 +46,20 @@ def test_from_json_turns_deep_nesting_into_a_value_error():
             from_json(f'{{"duration": [{constant}]}}')
 
 
+def test_from_json_refuses_a_number_no_float_holds():
+    for text in ("1e400", "-1e400", "1.5e309"):
+        with pytest.raises(ValueError, match=f"too large for a float: {text}"):
+            from_json(f'{{"a": {text}}}')
+    long = "9" * 400 + ".0"
+    with pytest.raises(ValueError) as caught:
+        from_json(f"[{long}]")
+    assert len(str(caught.value)) < 100
+    # the largest float, an underflow to zero, and an int past any float,
+    # which the decoders that want a float check themselves
+    assert from_json(b'[1.7976931348623157e308, 1e-400]') == [1.7976931348623157e308, 0.0]
+    assert from_json("1" + "0" * 400) == 10**400
+
+
 def test_a_deeply_nested_last_journal_line_is_dropped_as_torn(tmp_path):
     path = tmp_path / "journal.jsonl"
     path.write_bytes(json_line({"n": 1}) + b"[" * 100_000 + b"\n")

@@ -1,11 +1,18 @@
 import json
+import os
 import random
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
-from conftest import NCURSES_VERSIONS, build_sample_metadata, requirers
+from conftest import (
+    NCURSES_VERSIONS,
+    build_sample_metadata,
+    count_files_read,
+    count_parses,
+    requirers,
+)
 from pacloud import localdb
 from pacloud.cli import main
 from pacloud.core import BuildKey, PackageId, UseFlagSet, parse_version
@@ -171,10 +178,11 @@ class TestSync:
 
     def test_remote_wins_for_descriptions(self, db, store_dir, tmp_path):
         db.sync(DirectoryStore(store_dir))
-        metas = build_sample_metadata()
-        for meta in metas:
-            if meta.name.render() == "sys-libs/ncurses":
-                meta.description = "newer words"
+        metas = [
+            replace(meta, description="newer words")
+            if meta.name.render() == "sys-libs/ncurses" else meta
+            for meta in build_sample_metadata()
+        ]
         other = tmp_path / "store2"
         write_store(other, metas)
         report = db.sync(DirectoryStore(other))
@@ -217,6 +225,7 @@ class TestSync:
         [
             pytest.param("\u0661.\u0660", id="arabic-indic-digits"),
             pytest.param("1" + "0" * 5000, id="5001-digit-component"),
+            pytest.param("1.0_" + "x" * 100000, id="100004-character-suffix"),
         ],
     )
     def test_an_entry_with_a_malformed_version_is_skipped(
@@ -233,6 +242,7 @@ class TestSync:
         [(category, reason)] = report.skipped_categories
         assert category == "sys-libs"
         assert "not a valid version" in reason
+        assert len(reason) < 500  # the reason quotes a cut of the version
         assert report.categories_synced == 2
         assert tree_snapshot(db.root) == before
         versions = db.get_metadata(pkg("sys-libs/ncurses")).versions
@@ -510,21 +520,18 @@ class TestInstallState:
         v = parse_version("1.0")
         db.record_install(b, v, False, [], [])
         db.record_install(c, v, False, [], [])
-        reads = []
-        real = PackageMetadata.from_document.__func__
-
-        def counting(cls, doc):
-            reads.append(doc["name"])
-            return real(cls, doc)
-
-        monkeypatch.setattr(PackageMetadata, "from_document", classmethod(counting))
+        reads = count_parses(monkeypatch)
+        files = count_files_read(monkeypatch, db)
         db.record_install(a, v, True, [b, c], [])
         db.record_removal(a)
         monkeypatch.undo()
         assert db.validate() == []
         # The package itself, once per verb, whatever the database size: a
-        # database scan would read every document.
+        # database scan would read every document. The install parses its
+        # store entry from the category document read before; the removal
+        # reads and parses the document the install wrote.
         assert reads == [a.render()] * 2
+        assert files == [f"local/{a.render()}/metadata.json"]
 
 
 class TestArchiveCache:
@@ -645,14 +652,11 @@ def test_an_install_shaped_like_client_churn_reads_and_writes_each_document_once
         db.record_install(core, v, True, [], [])
     plan = [(lib, [cores[k], cores[(k + 1) % 4]]) for k, lib in enumerate(libs)]
     plan.append((app, cores[:2] + libs))
-    reads, writes, deletions = [], [], []
-    real_read = PackageMetadata.from_document.__func__
+    files = count_files_read(monkeypatch, db)
+    reads = count_parses(monkeypatch)
+    writes, deletions = [], []
     real_write = localdb.rewrite_text
     real_unlink = localdb.Path.unlink
-
-    def counting_read(cls, doc):
-        reads.append(doc["name"])
-        return real_read(cls, doc)
 
     def counting_write(path, text):
         writes.append(path.parent.name)
@@ -662,19 +666,27 @@ def test_an_install_shaped_like_client_churn_reads_and_writes_each_document_once
         deletions.append(path.parent.name)
         real_unlink(path, missing_ok)
 
-    monkeypatch.setattr(PackageMetadata, "from_document", classmethod(counting_read))
     monkeypatch.setattr(localdb, "rewrite_text", counting_write)
     monkeypatch.setattr(localdb.Path, "unlink", counting_unlink)
     for package, deps in plan:
         db.record_install(package, v, package == app, deps, [])
     assert sorted(reads) == sorted(p.render() for p, _ in plan)
+    assert files == ["store/app.json"]  # the core category was read before
     assert writes == [p.name for p, _ in plan]
     assert deletions == []
-    del reads[:], writes[:]
+    del reads[:], writes[:], files[:]
     removal = compute_orphans(db, [app])
     db.record_removal(*removal)
     monkeypatch.undo()
     assert list(removal) == [app, *libs]
+    # Every installed document is read once to invert ``depends`` and the
+    # five removed ones once more under the lock; each is parsed once, at
+    # its first read since it was written.
+    installed = [*cores, *libs, app]
+    assert sorted(files) == sorted(
+        f"local/{p.render()}/metadata.json" for p in [*installed, *removal]
+    )
+    assert sorted(reads) == sorted(p.render() for p in installed)
     assert writes == []
     assert deletions == [p.name for p in reversed(removal)]
     for core in cores:
@@ -898,6 +910,82 @@ def test_an_installed_version_the_store_no_longer_lists(dropped, make_env, tmp_p
     fresh.sync(DirectoryStore(tmp_path / "later"))
     assert tree_snapshot(db.root) == tree_snapshot(fresh.root)
     assert tree_snapshot(env.config.install_root) == {}
+
+
+class TestParsedOnce:
+    """A database parses a document again only when its bytes change."""
+
+    ncurses = pkg("sys-libs/ncurses")
+    vim = pkg("app-editors/vim")
+    v = parse_version("6.1-r2")
+
+    @pytest.fixture(autouse=True)
+    def synced(self, db, store_dir):
+        db.sync(DirectoryStore(store_dir))
+        db.record_install(self.ncurses, self.v, False, [], ["lib/a"])
+
+    def test_an_unchanged_document_is_parsed_once(self, db, monkeypatch):
+        parses = count_parses(monkeypatch)
+        for _ in range(3):
+            db.get_metadata(self.ncurses)
+            db.get_metadata(self.vim)
+            db.installed_packages()
+            db.search("ncurses")
+        # the vim entry and the ncurses local document, once each; the
+        # install parsed the ncurses entry
+        assert sorted(parses) == [self.vim.render(), self.ncurses.render()]
+
+    @pytest.mark.parametrize("read", ["get_metadata", "installed_packages"])
+    def test_a_same_size_rewrite_with_its_old_mtime_is_read(self, db, read):
+        """Another process rewrites a document in place, to bytes of the
+        same length, and its mtime reads as before: a database that keyed
+        its parsed documents by a stat stamp would keep the old one."""
+        reader, writer = LocalDb(db.root), LocalDb(db.root)
+
+        def files():
+            if read == "get_metadata":
+                return reader.get_metadata(self.ncurses).files
+            return reader.installed_packages()[self.ncurses].files
+
+        assert files() == ["lib/a"]
+        path = db.metadata_path(self.ncurses)
+        before = path.stat()
+        writer.record_install(self.ncurses, self.v, False, [], ["lib/b"])
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert (after.st_ino, after.st_size, after.st_mtime_ns) == (
+            before.st_ino, before.st_size, before.st_mtime_ns
+        )
+        assert files() == ["lib/b"]
+        writer.record_removal(self.ncurses)
+        assert reader.get_metadata(self.ncurses).installed is None
+        assert reader.installed_packages() == {}
+
+    def test_a_sync_that_changes_an_entry_parses_it_again(
+        self, db, tmp_path, monkeypatch
+    ):
+        db.get_metadata(self.ncurses)
+        db.get_metadata(self.vim)
+        metas = [
+            replace(meta, description="newer words")
+            if meta.name == self.ncurses else meta
+            for meta in build_sample_metadata()
+        ]
+        write_store(tmp_path / "store2", metas)
+        report = db.sync(DirectoryStore(tmp_path / "store2"))
+        assert report.packages_updated == 1
+        parses = count_parses(monkeypatch)
+        assert db.get_metadata(self.ncurses).description == "newer words"
+        db.get_metadata(self.vim)  # its category is unchanged
+        assert parses == [self.ncurses.render()]  # the entry, not the record
+
+    def test_the_metadata_read_is_frozen(self, db):
+        for meta in (db.get_metadata(self.ncurses), db.get_metadata(self.vim),
+                     db.installed_packages()[self.ncurses]):
+            with pytest.raises(FrozenInstanceError):
+                meta.description = "changed"
+            with pytest.raises(FrozenInstanceError):
+                meta.installed = None
 
 
 class TestEarlierLayout:

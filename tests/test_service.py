@@ -45,13 +45,20 @@ from pacloud.wire import (
     STATUS_AVAILABLE,
     STATUS_FAILED,
     STATUS_PENDING,
-    decode_request,
     decode_response,
     encode_request,
     encode_response,
+    request_key,
+    request_texts,
 )
 
 KEY = BuildKey.parse("sys-libs/ncurses-6.1-r2[mousewheel,unicode]")
+
+
+def decode_request(doc):
+    """The keys a build request names, each checked as the server checks
+    it: the inverse of ``encode_request``."""
+    return [request_key(text) for text in request_texts(doc)]
 
 
 class Crash(Exception):
@@ -381,6 +388,80 @@ def test_a_request_that_names_no_canonical_key_is_dropped(
     assert [r.levelno for r in caplog.records] == [logging.WARNING] * 2
     assert farm.records.all_records() == []
     assert farm.queue.depth() == 0
+
+
+class TestHeldKeys:
+    """A request string equal to the key of a record the farm holds is
+    answered from that record unparsed; any other string is parsed, and
+    the whole request is checked before anything is created or sent."""
+
+    HELD = ("cat/p-1[]", "cat/p-2[a,b]")
+
+    @pytest.fixture
+    def farm(self):
+        farm = BuildFarm(clock=VirtualClock())
+        farm.service.exchange({"type": "build", "keys": list(self.HELD)})
+        return farm
+
+    @staticmethod
+    def count_parses(monkeypatch):
+        parsed = []
+        real = BuildKey.parse.__func__
+
+        def counting(cls, text):
+            parsed.append(text)
+            return real(cls, text)
+
+        monkeypatch.setattr(BuildKey, "parse", classmethod(counting))
+        return parsed
+
+    def test_a_poll_of_held_keys_parses_none(self, farm, monkeypatch):
+        parsed = self.count_parses(monkeypatch)
+        for _ in range(3):
+            response = farm.service.exchange({"type": "build", "keys": list(self.HELD)})
+            assert response == {"statuses": [{"status": "pending"}] * 2}
+        assert parsed == []
+        new = "cat/q-1[]"
+        farm.service.exchange({"type": "build", "keys": [new, *self.HELD]})
+        farm.service.exchange({"type": "build", "keys": [new]})
+        assert parsed == [new]  # at its first request only
+        assert farm.queue.depth() == 3
+
+    @pytest.mark.parametrize("spelling", [
+        pytest.param("cat/p-01[]", id="leading-zero"),
+        pytest.param("cat/p-1-r0[]", id="revision-zero"),
+        pytest.param("cat/p-2[b,a]", id="flags-out-of-order"),
+    ])
+    def test_another_spelling_of_a_held_key_is_refused_whole(
+        self, farm, spelling
+    ):
+        before = [r.to_document() for r in farm.records.all_records()]
+        for keys in ([spelling], ["cat/q-1[]", *self.HELD, spelling]):
+            with pytest.raises(ProtocolError, match="not a canonical build key"):
+                farm.service.exchange({"type": "build", "keys": keys})
+        assert [r.to_document() for r in farm.records.all_records()] == before
+        assert farm.queue.depth() == 2
+
+    def test_a_held_key_named_twice_is_refused_whole(self, farm):
+        with pytest.raises(ProtocolError, match="names a key twice"):
+            farm.service.exchange(
+                {"type": "build", "keys": ["cat/q-1[]", self.HELD[0], self.HELD[0]]}
+            )
+        assert farm.records.get("cat/q-1[]") is None
+        assert farm.queue.depth() == 2
+
+    def test_each_record_lookup_holds_the_lock(self, farm, monkeypatch):
+        held = []
+        real = farm.records.get
+
+        def get(canonical):
+            held.append(farm.service.lock.locked())
+            return real(canonical)
+
+        monkeypatch.setattr(farm.records, "get", get)
+        farm.service.exchange({"type": "build", "keys": [*self.HELD, "cat/q-1[]"]})
+        # one lookup per key to choose what to parse, one per key to answer
+        assert held == [True] * 6
 
 
 def test_a_good_request_over_max_bytes_is_dropped(idle_server):
