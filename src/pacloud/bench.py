@@ -9,6 +9,13 @@ read from a file is checked at that boundary: each entry needs string
 ``package`` and ``version``, a positive finite ``duration`` (seconds, or
 ``[HH:]MM:SS[.ss]``) and, if present, a list of string ``useflags``.
 
+A ``JobTiming`` is a ``NamedTuple``, as is every value the farm builds
+per job or per event (``BuildRecord``, ``ReceivedMessage``,
+``JobProfile``, ``BuildEvent``): immutable, and built at C speed, where a
+frozen dataclass sets each field through ``object.__setattr__``.
+``PackageMetadata`` stays a frozen dataclass, because it is built once
+per parse.
+
 Device build times ship as a checked-in table (machine x package, in
 seconds), and ``device_percent`` is the one ratio read from it; the
 harness never pretends to measure a real compile.
@@ -24,6 +31,7 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .core import BuildKey, PackageId, UseFlagSet, parse_version
 from .errors import PacloudError, UnknownMachine, UnknownPackage, UsageError
@@ -44,8 +52,7 @@ class JobSpec:
             )
 
 
-@dataclass(frozen=True)
-class JobTiming:
+class JobTiming(NamedTuple):
     start: float
     end: float
 
@@ -96,17 +103,14 @@ def run_makespan(num_workers: int, jobs: list[JobSpec]) -> MakespanReport:
         raise ValueError("num_workers must be at least 1")
     if not jobs:
         raise ValueError("jobs must not be empty")
-    canonicals = [job.key.canonical() for job in jobs]
-    if len(set(canonicals)) != len(canonicals):
+    profiles = {job.key.canonical(): JobProfile(job.duration) for job in jobs}
+    if len(profiles) != len(jobs):
         raise ValueError("duplicate build keys in the job list")
-    clock = VirtualClock()
-    table = ExecutorTable(
-        {
-            job.key.canonical(): JobProfile(duration=job.duration)
-            for job in jobs
-        }
+    farm = BuildFarm(
+        clock=VirtualClock(),
+        executor_table=ExecutorTable(profiles),
+        num_workers=num_workers,
     )
-    farm = BuildFarm(clock=clock, executor_table=table, num_workers=num_workers)
     for job in jobs:
         farm.service.handle_request(job.key)
     budget = sum(job.duration for job in jobs) + 60.0 * len(jobs) + 60.0

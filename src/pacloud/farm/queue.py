@@ -42,12 +42,18 @@ root sends one message for each of their keys.
 
 The queue takes no lock of its own: it is a single-owner object, and the
 farm that owns it serialises every call under ``BuildFarm.lock``.
+
+A delivery is handed out as a ``ReceivedMessage``, a ``NamedTuple``: the
+values the farm builds per job or per event are immutable and built at C
+speed (``PackageMetadata``, built once per parse, stays a frozen
+dataclass). The queue's own ``_Message`` is mutable, since a delivery
+changes it in place.
 """
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ..core import BuildKey
 
@@ -67,8 +73,7 @@ class _Message:
     held: bool = False
 
 
-@dataclass(frozen=True)
-class ReceivedMessage:
+class ReceivedMessage(NamedTuple):
     id: str
     body: BuildKey
     receive_count: int

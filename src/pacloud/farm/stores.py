@@ -22,14 +22,20 @@ called when the tar is written, in memory on the first read.
 Neither store takes a lock: each is a single-owner object, and the farm
 that owns it serialises every call under ``BuildFarm.lock``. Another
 thread reads a farm's stores only while it holds that lock.
+
+A ``BuildRecord`` is a ``NamedTuple``, as is every value the farm builds
+per job or per event: immutable, so a record handed out is never changed
+under its reader, and built at C speed, where a frozen dataclass sets
+each field through ``object.__setattr__``. A replay builds two records
+per job. ``PackageMetadata`` stays a frozen dataclass, because it is
+built once per parse.
 """
 from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ..core import BuildKey
 from ..errors import FarmStateError, MalformedBuildKey
@@ -43,8 +49,7 @@ FAILED = "failed"
 RECORDS_FILE = "records.jsonl"
 
 
-@dataclass(frozen=True)
-class BuildRecord:
+class BuildRecord(NamedTuple):
     """Terminal outcome (or pending marker) for one build key."""
 
     key: str

@@ -39,6 +39,13 @@ leaves it building, and at the last tick before the hibernation, which
 then lapses the hold. A completion deletes the message and renews
 nothing. A crashed worker lapses its hold and stops being driven; its
 message resurfaces 15 s after the last renewal it made, at its last step.
+
+A ``JobProfile`` and a ``BuildEvent`` are ``NamedTuple``s, as is every
+value the farm builds per job or per event: immutable, and built at C
+speed, where a frozen dataclass sets each field through
+``object.__setattr__``. ``PackageMetadata`` stays a frozen dataclass,
+because it is built once per parse. A worker's ``_Build`` is mutable,
+since the worker changes it as the build goes on.
 """
 from __future__ import annotations
 
@@ -47,6 +54,7 @@ import tarfile
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from typing import NamedTuple
 
 from ..core import BuildKey
 from .queue import RENEWAL_INTERVAL, CompileQueue
@@ -104,8 +112,7 @@ def walk_ticks(
     return last, t
 
 
-@dataclass(frozen=True)
-class JobProfile:
+class JobProfile(NamedTuple):
     """Simulated outcome for one build key: how long, and success or error."""
 
     duration: float = DEFAULT_BUILD_SECONDS
@@ -147,8 +154,7 @@ class WorkerMode(Enum):
     STOPPED = "stopped"
 
 
-@dataclass(frozen=True)
-class BuildEvent:
+class BuildEvent(NamedTuple):
     key: str
     started_at: float
     finished_at: float

@@ -22,14 +22,14 @@ store entry for ``sync``, ``get_metadata`` and ``validate``: it refuses an
 entry that names another package than its key or holds a field
 ``to_document`` does not write.
 
-A ``LocalDb`` parses each unchanged input once. A category document is
-decoded once per ``stat`` stamp of its file, and each entry once per
-decoded document, kept beside it so that both go stale together. A local
-document is read on every call and parsed again only when its bytes
-differ from those last parsed: ``rewrite_text`` keeps the inode, and an
-mtime tick is coarse, so a same-size rewrite by another process could
-leave a stat stamp as it was. Readers share the parsed
-``PackageMetadata``, which is frozen.
+A ``LocalDb`` parses each unchanged input once. A category document and
+a local document are each read on every call and parsed again only when
+their bytes differ from those last parsed (``_parsed``). A stat stamp
+would not do: ``rewrite_text`` keeps the inode, and an mtime tick is
+coarse, so a same-size rewrite by another ``LocalDb`` could leave the
+stamp as it was. Each entry of a category document is parsed once per
+decoded document, kept beside it so that both go stale together.
+Readers share the parsed ``PackageMetadata``, which is frozen.
 
 Versions are parsed where a document is read (``from_document``): a
 package's metadata keys each version by its ``Version``, and ``installed``
@@ -62,7 +62,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Protocol
+from typing import Callable, Iterable, Iterator, Protocol, TypeVar
 
 from .core import BuildKey, PackageId, Version, is_category, parse_version
 from .depparse import parse_dep_string
@@ -206,6 +206,26 @@ def _read_file(path: Path) -> bytes | None:
         return path.read_bytes()
     except FileNotFoundError:
         return None
+
+
+T = TypeVar("T")
+
+
+def _parsed(
+    memo: dict, key: object, path: Path, parse: Callable[[bytes], T]
+) -> T | None:
+    """``parse`` of the bytes stored at ``path``, None when there is no
+    file. The file is read on every call and parsed again only when its
+    bytes differ from those ``memo`` keeps under ``key``; the memo keeps
+    the bytes and the parse."""
+    data = _read_file(path)
+    if data is None:
+        memo.pop(key, None)
+        return None
+    cached = memo.get(key)
+    if cached is None or cached[0] != data:
+        cached = memo[key] = (data, parse(data))
+    return cached[1]
 
 
 def _parse(path: Path, read: Callable[..., PackageMetadata], *args) -> PackageMetadata:
@@ -360,10 +380,10 @@ class LocalDb:
         self.root = Path(root)
         self.store_dir = self.root / STORE_DIR
         self.local_dir = self.root / LOCAL_DIR
-        # category -> (stat stamp of its file, decoded document, the
-        # entries parsed from that document so far, by package name)
+        # category -> (bytes of its document, (the decoded document, the
+        # entries parsed from it so far, by package name))
         self._categories: dict[
-            str, tuple[tuple[int, int, int], dict, dict[str, PackageMetadata]]
+            str, tuple[bytes, tuple[dict, dict[str, PackageMetadata]]]
         ] = {}
         # package -> (bytes of its local document, the metadata parsed
         # from them)
@@ -412,19 +432,11 @@ class LocalDb:
     ) -> tuple[dict, dict[str, PackageMetadata]]:
         """The decoded category document, {} if none, and the entries
         parsed from it so far; both shared, not to change. Both are kept
-        until the file's stat stamp changes."""
+        until the file's bytes change (see the module docstring)."""
         path = self.category_path(category)
-        try:
-            st = path.stat()
-        except FileNotFoundError:
-            return {}, {}
-        stamp = (st.st_ino, st.st_size, st.st_mtime_ns)
-        cached = self._categories.get(category)
-        if cached is None or cached[0] != stamp:
-            data = _read_file(path)
-            doc = {} if data is None else _decode_object(data, str(path))
-            cached = self._categories[category] = (stamp, doc, {})
-        return cached[1], cached[2]
+        entries = _parsed(self._categories, category, path,
+                          lambda data: (_decode_object(data, str(path)), {}))
+        return entries or ({}, {})
 
     def _category(self, category: str) -> dict:
         """The decoded category document, {} if none; shared, not to change."""
@@ -469,17 +481,10 @@ class LocalDb:
         file is read every time and parsed only when its bytes differ from
         those last parsed (see the module docstring)."""
         path = self.metadata_path(package)
-        data = _read_file(path)
-        if data is None:
-            self._local.pop(package, None)
-            return None
-        cached = self._local.get(package)
-        if cached is None or cached[0] != data:
-            doc = _decode_object(data, str(path))
-            meta = _parse(path, PackageMetadata.from_document,
-                          {"versions": {}, **doc, "name": package.render()})
-            cached = self._local[package] = (data, meta)
-        return cached[1]
+        return _parsed(self._local, package, path, lambda data: _parse(
+            path, PackageMetadata.from_document,
+            {"versions": {}, **_decode_object(data, str(path)),
+             "name": package.render()}))
 
     def installed_packages(self) -> dict[PackageId, PackageMetadata]:
         """Every installed package, in canonical string order, read from
@@ -554,7 +559,6 @@ class LocalDb:
                         report.packages_updated += 1
                 if doc != old:
                     rewrite_text(self.category_path(category), text)
-                    self._categories.pop(category, None)
             for file in _listdir(self.store_dir):
                 if file.removesuffix(".json") not in categories:
                     (self.store_dir / file).unlink()
@@ -612,7 +616,6 @@ class LocalDb:
             for package in reversed(packages):
                 path = self.metadata_path(package)
                 path.unlink(missing_ok=True)
-                self._local.pop(package, None)
                 prune_empty_dirs(path.parent, self.root)
 
     # --- archive cache ---

@@ -88,6 +88,16 @@ def requirers(db, package):
     ]
 
 
+def assert_frozen(value):
+    """Assigning any field of ``value`` raises AttributeError and leaves
+    ``value`` as it was."""
+    before = repr(value)
+    for name in type(value).__annotations__:
+        with pytest.raises(AttributeError):
+            setattr(value, name, object())
+    assert repr(value) == before
+
+
 def count_parses(monkeypatch):
     """The ``name`` of each document ``PackageMetadata`` parses, in order."""
     parses = []

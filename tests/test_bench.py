@@ -10,6 +10,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from conftest import assert_frozen
 
 import pacloud.bench
 from pacloud.bench import (
@@ -132,6 +133,12 @@ class TestRunMakespan:
     def test_a_non_finite_duration_is_refused(self, duration):
         with pytest.raises(ValueError, match="finite"):
             JobSpec(BuildKey.parse("a/b-1[]"), duration)
+
+    def test_timings_are_frozen(self):
+        report = run_makespan(2, [job("a", 10.0), job("b", 20.0)])
+        assert len(report.jobs) == 2
+        for timing in report.jobs.values():
+            assert_frozen(timing)
 
     def test_utilization_bounded(self):
         report = run_makespan(2, [job("a", 10.0), job("b", 10.0), job("c", 10.0)])

@@ -580,9 +580,12 @@ class TestReadsDoNotGrowWithDatabase:
         assert sized.upgrade() == []
         monkeypatch.undo()
         # The installed documents once to find the explicit packages, then
-        # each explicit one again to join it with its cached store entry.
+        # each explicit one again, with its category document, to join it
+        # with its store entry. A lookup reads the category document to
+        # compare its bytes, and parses nothing when they are the same.
         assert sorted(reads) == sorted(
-            f"local/{p.render()}/metadata.json" for p in [a, a, b, c, c]
+            [f"local/{p.render()}/metadata.json" for p in [a, a, b, c, c]]
+            + ["store/cat.json"] * 2
         )
         # Each document parsed once; the store entries were parsed when
         # the packages were recorded.
@@ -595,9 +598,13 @@ class TestReadsDoNotGrowWithDatabase:
         reads = count_files_read(monkeypatch, env.client.db)
         assert len(env.client.upgrade()) == 1
         monkeypatch.undo()
-        # Finding the explicit packages, picking the version, resolving,
-        # reading the files the install replaces, and recording.
-        assert reads == ["local/sys-libs/ncurses/metadata.json"] * 5
+        # Finding the explicit packages, then picking the version,
+        # resolving, reading the files the install replaces, and recording,
+        # each of which also reads the category document.
+        assert reads == ["local/sys-libs/ncurses/metadata.json"] + [
+            "store/sys-libs.json",
+            "local/sys-libs/ncurses/metadata.json",
+        ] * 4
         # The document the install wrote is parsed at its first read only.
         assert parses == ["sys-libs/ncurses"]
 

@@ -1,8 +1,8 @@
-import dataclasses
 import random
 from pathlib import Path
 
 import pytest
+from conftest import assert_frozen
 
 from pacloud.core import BuildKey
 from pacloud.errors import FarmStateError
@@ -86,6 +86,16 @@ class TestWorkerLifecycle:
         assert record.error_message == error_text
         assert farm.artifacts.get(KEY) is None
         assert farm.queue.depth() == 0
+
+    def test_profiles_and_build_events_are_frozen(self):
+        farm = make_farm({KEY.canonical(): JobProfile(5.0, error="boom")})
+        farm.service.handle_request(KEY)
+        farm.run_until_settled(100.0)
+        [event] = farm.workers[0].history
+        assert event.status == FAILED
+        assert_frozen(event)
+        assert_frozen(farm.executor_factory(KEY))
+        assert_frozen(farm.executor_factory.table.default)
 
     def test_fresh_executor_per_message(self):
         farm = make_farm(num_workers=2, default=JobProfile(duration=3.0))
@@ -360,8 +370,11 @@ class TestRecordStore:
         built = records.finalize_built(KEY.canonical(), 5.0)
         assert pending.status == PENDING
         for record in [pending, built, *records.all_records()]:
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            before = record.to_document()
+            with pytest.raises(AttributeError):
                 record.status = FAILED
+            assert record.to_document() == before
+            assert_frozen(record)
         assert records.get(KEY.canonical()) is built
 
     def test_create_pending_is_idempotent(self):

@@ -527,11 +527,12 @@ class TestInstallState:
         monkeypatch.undo()
         assert db.validate() == []
         # The package itself, once per verb, whatever the database size: a
-        # database scan would read every document. The install parses its
-        # store entry from the category document read before; the removal
-        # reads and parses the document the install wrote.
+        # database scan would read every document. The install reads the
+        # category document for the package and for each dependency, and
+        # parses the package's store entry from it; the removal reads and
+        # parses the document the install wrote.
         assert reads == [a.render()] * 2
-        assert files == [f"local/{a.render()}/metadata.json"]
+        assert files == ["store/cat.json"] * 3 + [f"local/{a.render()}/metadata.json"]
 
 
 class TestArchiveCache:
@@ -671,7 +672,11 @@ def test_an_install_shaped_like_client_churn_reads_and_writes_each_document_once
     for package, deps in plan:
         db.record_install(package, v, package == app, deps, [])
     assert sorted(reads) == sorted(p.render() for p, _ in plan)
-    assert files == ["store/app.json"]  # the core category was read before
+    # Each install reads its own category document, and its dependency's
+    # for each dependency, and parses nothing but its own store entry.
+    assert files == ["store/app.json", "store/core.json", "store/core.json"] * 5 + [
+        "store/app.json"
+    ] * 4
     assert writes == [p.name for p, _ in plan]
     assert deletions == []
     del reads[:], writes[:], files[:]
@@ -960,6 +965,57 @@ class TestParsedOnce:
         writer.record_removal(self.ncurses)
         assert reader.get_metadata(self.ncurses).installed is None
         assert reader.installed_packages() == {}
+
+    @pytest.mark.parametrize(
+        "read, before, after",
+        [
+            (
+                lambda db: db.get_metadata(pkg("app-editors/vim-core")).description,
+                "vim and gvim shared files",
+                "VIM AND GVIM SHARED FILES",
+            ),
+            (
+                lambda db: [r.description for r in db.search("vim-core")],
+                ["vim and gvim shared files"],
+                ["VIM AND GVIM SHARED FILES"],
+            ),
+            (
+                lambda db: [p.split(":")[0] for p in db.validate()],
+                [],
+                ["app-editors/vim-core-8.1"],
+            ),
+        ],
+        ids=["get_metadata", "search", "validate"],
+    )
+    def test_a_same_size_sync_with_its_old_mtime_is_read(
+        self, db, tmp_path, read, before, after
+    ):
+        """Another database syncs a category document in place, to bytes of
+        the same length, and its mtime reads as before: a database that
+        keyed its decoded category documents by a stat stamp would keep the
+        old one."""
+        reader, writer = LocalDb(db.root), LocalDb(db.root)
+        assert read(reader) == before
+        metas = [
+            replace(
+                meta,
+                description=meta.description.upper(),
+                versions={parse_version("8.1"): ("=>sys-libs/ncurses-6.0",)},
+            )
+            if meta.name == pkg("app-editors/vim-core") else meta
+            for meta in build_sample_metadata()
+        ]
+        write_store(tmp_path / "store2", metas)
+        path = db.category_path("app-editors")
+        stamp = path.stat()
+        assert writer.sync(DirectoryStore(tmp_path / "store2")).packages_updated == 1
+        os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+        now = path.stat()
+        assert (now.st_ino, now.st_size, now.st_mtime_ns) == (
+            stamp.st_ino, stamp.st_size, stamp.st_mtime_ns
+        )
+        assert read(reader) == after
+        assert read(LocalDb(db.root)) == after
 
     def test_a_sync_that_changes_an_entry_parses_it_again(
         self, db, tmp_path, monkeypatch

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 
+from conftest import assert_frozen
 from reference_queue import ReferenceQueue
 
 from pacloud.core import BuildKey
@@ -114,6 +115,17 @@ class TestDeadLettering:
 
 
 class TestHandles:
+    def test_received_and_dead_lettered_messages_are_frozen(self):
+        q = CompileQueue()
+        q.send(BODY, now=0.0)
+        for t in (0.0, 20.0, 40.0):
+            received, _ = q.receive(now=t)
+            assert_frozen(received)
+        assert q.receive(now=60.0) is None
+        [dead] = q.dead_letters()
+        assert dead.receive_count == MAX_DELIVERIES
+        assert_frozen(dead)
+
     def test_stale_after_redelivery(self):
         q = CompileQueue()
         q.send(BODY, now=0.0)
