@@ -13,22 +13,23 @@ from and downloads artifacts out of. Without a root everything stays in
 memory and no journal code runs. Opening a root writes nothing, and a
 root holding a file of an earlier layout is refused before that.
 
-The farm has one lock, ``BuildFarm.lock``, the same object as its
-service's ``RequestService.lock``. It is taken once at each place another
-thread can reach the farm's state: per wire request, and per call of
-``advance_to``, ``run_until_settled`` and ``next_event_time``. The queue
-and the stores take no lock of their own, so what runs under it runs as
-one step. Another thread reads the stores, or calls a worker's
-``interrupt``, ``resume`` or ``crash``, only while it holds the lock.
-
-A served farm has one thread, its server's, and runs on its requests:
-``exchange`` runs every event due by a request's arrival, each at its own
-time, and then answers the request. Nothing runs between requests, so a
-reader that makes none sees the farm as of the last one.
+A farm moves in one of two ways. A farm served or handed to a client
+moves inside ``RequestService.exchange``: under the farm's one lock,
+``BuildFarm.lock``, it runs every event due by the request's arrival,
+each at its own time, and then answers the request. So a served farm
+runs on its server's one thread and only at its requests, and a client
+on a virtual clock moves the farm by its requests, never by its sleeps.
+An unserved farm moves by ``advance_to`` or ``run_until_settled``, on
+the one thread that owns it, and nothing else takes the lock. The queue
+and the stores take no lock of their own. Another thread reads a served
+farm's stores, or calls a worker's ``interrupt``, ``resume`` or
+``crash``, in process and only while it holds ``BuildFarm.lock``; it
+then sees the farm as of the last request.
 """
 from __future__ import annotations
 
 import heapq
+import threading
 from pathlib import Path
 
 from ..core import BuildKey
@@ -144,27 +145,22 @@ class BuildFarm:
             )
             for i in range(num_workers)
         ]
-        self.service = RequestService(self.records, self.queue, self.clock)
-        self.lock = self.service.lock
+        self.lock = threading.Lock()
+        self.service = RequestService(self)
         self._server: FarmServer | None = None
 
     # --- service mode ---
 
     def start_service(self, host: str = "127.0.0.1", port: int = 0) -> FarmServer:
-        """Serve the wire protocol, answering each request by ``exchange``.
+        """Serve the wire protocol, answering each request by
+        ``service.exchange``.
 
         Service mode is meant for a wall clock. The workers run on the
         server's thread, at each request, so a record is finalized and
         its journal line written when the next request arrives.
         """
-        self._server = FarmServer(self, host, port).start()
+        self._server = FarmServer(self.service, host, port).start()
         return self._server
-
-    def exchange(self, request: dict) -> dict:
-        """Run every event due by now, then answer ``request``; what an
-        event raises propagates, and the request goes unanswered."""
-        self.advance_to(self.clock.now())
-        return self.service.exchange(request)
 
     def stop_service(self) -> None:
         if self._server is not None:
@@ -179,11 +175,10 @@ class BuildFarm:
     # --- event-driven simulation ---
 
     def next_event_time(self) -> float | None:
-        with self.lock:
-            return min(
-                (t for w in self.workers if (t := w.next_event_time()) is not None),
-                default=None,
-            )
+        return min(
+            (t for w in self.workers if (t := w.next_event_time()) is not None),
+            default=None,
+        )
 
     def advance_to(self, target: float) -> None:
         """Run all worker events up to the target time, then land on it."""
@@ -201,52 +196,51 @@ class BuildFarm:
         self._run(max_time, settle=True)
 
     def _run(self, limit: float, settle: bool) -> None:
-        """Under the farm's lock, drive the workers' events in time order
-        up to ``limit``, land on ``limit`` unless the run settled, then
-        spend the ticks up to where the clock stands.
+        """Drive the workers' events in time order up to ``limit``, land
+        on ``limit`` unless the run settled, then spend the ticks up to
+        where the clock stands.
 
         A min-heap holds each driven worker's next event as ``(time,
         index)``, so events at one instant run in worker order. External
         calls (``interrupt``, ``resume``, ``crash``) and queue sends come
-        between runs (a run holds the farm's lock, and a request takes
-        it), so within one run the queue's earliest visible time
-        can only grow: a receive, a hold, a delete or a dead letter never
-        brings it nearer. A waiting worker's entry can therefore only be
-        early, never late, and an early wake does nothing but spend ticks
-        and queue the worker again; every other worker changes only its
-        own event times. The one exception is a hibernation: it lapses
-        its worker's hold, and the message that resurfaces can wake a
-        waiting worker sooner than its entry, or one that has none. So
-        the heap is built at the start of a call and again after a step
-        that leaves its worker hibernated. With ``settle``, the run stops
+        between runs, never during one (see the module docstring), so
+        within one run the queue's earliest visible time can only grow: a
+        receive, a hold, a delete or a dead letter never brings it nearer.
+        A waiting worker's entry can therefore only be early, never late,
+        and an early wake does nothing but spend ticks and queue the
+        worker again; every other worker changes only its own event
+        times. The one exception is a hibernation: it lapses its worker's
+        hold, and the message that resurfaces can wake a waiting worker
+        sooner than its entry, or one that has none. So the heap is built
+        at the start of a call and again after a step that leaves its
+        worker hibernated. With ``settle``, the run stops
         once every event of an instant has run and no record is pending,
         or nothing left can settle one. Within the loop the clock is set
         only to event times up to ``limit``, so a run up to a wall
         clock's reading (a served farm's, at each request) never moves it.
         """
-        with self.lock:
-            self._fail_unheld_dead_letters(self.clock.now())
-            heap = self._event_heap()
-            instant = None
-            while heap:
-                t, i = heap[0]
-                if t != instant:
-                    if settle and self._settled() or t > limit:
-                        break
-                    if t > self.clock.now():
-                        self.clock.set_time(t)
-                    instant = t
-                worker = self.workers[i]
-                after = worker.step(t)
-                if worker.mode is WorkerMode.HIBERNATED:
-                    heap = self._event_heap()
-                elif after is None:
-                    heapq.heappop(heap)
-                else:
-                    heapq.heapreplace(heap, (after, i))
-            if not (settle and self._settled()) and limit > self.clock.now():
-                self.clock.set_time(limit)
-            self._spend_ticks()
+        self._fail_unheld_dead_letters(self.clock.now())
+        heap = self._event_heap()
+        instant = None
+        while heap:
+            t, i = heap[0]
+            if t != instant:
+                if settle and self._settled() or t > limit:
+                    break
+                if t > self.clock.now():
+                    self.clock.set_time(t)
+                instant = t
+            worker = self.workers[i]
+            after = worker.step(t)
+            if worker.mode is WorkerMode.HIBERNATED:
+                heap = self._event_heap()
+            elif after is None:
+                heapq.heappop(heap)
+            else:
+                heapq.heapreplace(heap, (after, i))
+        if not (settle and self._settled()) and limit > self.clock.now():
+            self.clock.set_time(limit)
+        self._spend_ticks()
 
     def _event_heap(self) -> list[tuple[float, int]]:
         heap = [

@@ -2,12 +2,14 @@
 
 Every component that needs time takes a clock, never the wall directly:
 the 15 s visibility window, 10 s renewal cadence and 120 s interruption
-notice are only testable against a virtual clock.
+notice are only testable against a virtual clock. A clock runs no other
+actor: a farm moves at its requests or by ``advance_to`` (see
+``pacloud.farm``), never when its clock is read or slept on.
 """
 from __future__ import annotations
 
 import time
-from typing import Callable, Protocol
+from typing import Protocol
 
 
 class Clock(Protocol):
@@ -25,20 +27,12 @@ class WallClock:
 
 
 class VirtualClock:
-    """A manually advanced clock.
+    """A manually advanced clock. ``sleep`` only moves the clock: nothing
+    else runs while a sleeper waits, and a farm on this clock moves at
+    its requests (``RequestService.exchange``) or by ``advance_to``."""
 
-    ``on_sleep`` lets a simulation run other actors (farm workers) up to
-    the sleep target before the sleeper wakes; afterwards time is at the
-    target regardless.
-    """
-
-    def __init__(
-        self,
-        start: float = 0.0,
-        on_sleep: Callable[[float], None] | None = None,
-    ):
+    def __init__(self, start: float = 0.0):
         self._now = start
-        self.on_sleep = on_sleep
 
     def now(self) -> float:
         return self._now
@@ -49,8 +43,5 @@ class VirtualClock:
         self._now = t
 
     def sleep(self, seconds: float) -> None:
-        target = self._now + seconds
-        if self.on_sleep is not None:
-            self.on_sleep(target)
-        if self._now < target:
-            self._now = target
+        if seconds > 0:
+            self._now += seconds

@@ -40,8 +40,8 @@ The queue lives in memory only. Which keys still need a build is stored
 once, as the pending records of the record store; a farm that opens a
 root sends one message for each of their keys.
 
-The queue takes no lock of its own: it is a single-owner object, and the
-farm that owns it serialises every call under ``BuildFarm.lock``.
+The queue takes no lock of its own: it is a single-owner object, called
+on the thread that owns its farm or under ``BuildFarm.lock``.
 
 A delivery is handed out as a ``ReceivedMessage``, a ``NamedTuple``: the
 values the farm builds per job or per event are immutable and built at C

@@ -9,34 +9,29 @@ further requests return pending without enqueuing again. A crash between
 the two writes leaves a pending record without a message, and the farm
 that reopens the root sends it one.
 
-``RequestService.exchange`` is the one answer path: request document in,
-response document out. It makes the service a client ``Transport`` too.
-It parses only the key strings new to the farm. A record is keyed by a
-key's canonical string, whether it was created from
-``BuildKey.canonical()`` or loaded from the journal through
-``BuildKey.from_canonical``, so a string equal to a held record's key is
-canonical already and is answered from that record unparsed; a client's
-poll names only such keys. The lookup holds the farm's lock, and the
-whole request is checked before any key is answered, so a request that
-holds one bad string creates and sends nothing.
-
-``FarmServer`` serves whatever it is given that answers a request
-document with a response document by ``exchange``. A served farm gives
-it the ``BuildFarm`` itself, whose ``exchange`` runs every worker event
-due by the request's arrival before ``RequestService.exchange`` answers,
-so the farm runs on the server's one thread and only at its requests. A
-replay on a virtual clock gives it the farm's ``RequestService``, and
-moves the farm by its own clock's sleeps.
+``RequestService.exchange`` is the farm's one answer path, request
+document in, response document out, and the one way a farm moves on a
+clock it does not own. Under the farm's one lock it runs every worker
+event due by the request's arrival, ``farm.advance_to(clock.now())``,
+and then checks and answers the request. So a served farm runs on its
+server's one thread and only at its requests, and an in-process client
+on a virtual clock moves the farm by its requests: its sleeps only move
+the clock. The service is a client ``Transport`` too. It parses only the
+key strings new to the farm. A record is keyed by a key's canonical
+string, whether it was created from ``BuildKey.canonical()`` or loaded
+from the journal through ``BuildKey.from_canonical``, so a string equal
+to a held record's key is canonical already and is answered from that
+record unparsed; a client's poll names only such keys. The whole request
+is checked before any key is answered, so a request that holds one bad
+string creates and sends nothing.
 
 The socket server speaks the wire protocol (``pacloud.wire``): each
 newline-terminated JSON line on a connection is one build request,
 answered by one compact JSON line, and the connection stays open for the
 next. One ``selectors`` loop on the server's one thread reads every
 connection without blocking, so a connection that sends nothing holds up
-no other. Each line is answered through ``exchange``, key by key through
-``handle_request``, which holds the farm's one lock,
-``RequestService.lock``, per key; requests could not overlap anyway, so
-the thread count stays fixed whatever the number of connections. An
+no other, and the thread count stays fixed whatever the number of
+connections. Each line is answered through ``RequestService.exchange``. An
 ``exchange`` that raises anything but ``ProtocolError`` (an advance that
 cannot append to the record journal, say) is logged with its traceback
 and its connection dropped; the server keeps serving, so each request
@@ -71,9 +66,7 @@ from ..wire import (
     request_key,
     request_texts,
 )
-from .clock import Clock
-from .queue import CompileQueue
-from .stores import BUILT, FAILED, BuildRecordStore
+from .stores import BUILT, FAILED
 
 logger = logging.getLogger("pacloud.farm")
 
@@ -81,32 +74,33 @@ REQUEST_TIMEOUT = 5.0
 
 
 class RequestService:
-    """Answers build requests from the record store and the queue.
+    """Answers build requests from the farm's record store and queue.
 
-    ``lock`` serialises the whole farm: a ``BuildFarm`` shares it as
-    ``BuildFarm.lock``, and each requested key holds it once, from reading
-    the record to sending the message.
+    ``lock`` is the farm's one lock, ``BuildFarm.lock``; ``exchange``
+    holds it for the whole of each request.
     """
 
-    def __init__(
-        self, records: BuildRecordStore, queue: CompileQueue, clock: Clock
-    ):
-        self.records = records
-        self.queue = queue
-        self.clock = clock
-        self.lock = threading.Lock()
+    def __init__(self, farm):
+        self.farm = farm
+        self.records = farm.records
+        self.queue = farm.queue
+        self.clock = farm.clock
+        self.lock = farm.lock
 
     def exchange(self, request: dict) -> dict:
-        """The response to ``request``; ProtocolError, with nothing created
-        or sent, unless the whole request is well formed. Only a key
-        string that no record holds is parsed (see the module docstring)."""
-        texts = request_texts(request)
+        """Run every event due by now, then answer ``request``. What an
+        event raises propagates, and the request goes unanswered; a
+        malformed request raises ProtocolError with nothing created or
+        sent. Only a key string that no record holds is parsed (see the
+        module docstring)."""
         with self.lock:
+            # looked up per request, so a replaced ``advance_to`` is seen
+            self.farm.advance_to(self.clock.now())
             keys = [
                 text if self.records.get(text) is not None else request_key(text)
-                for text in texts
+                for text in request_texts(request)
             ]
-        return encode_response([self.handle_request(key) for key in keys])
+            return encode_response([self.handle_request(key) for key in keys])
 
     def close(self) -> None:
         pass
@@ -115,18 +109,17 @@ class RequestService:
         """The answer for ``key``: a ``BuildKey``, or the canonical string
         of one the farm holds a record for, which it keeps for good."""
         canonical = key if isinstance(key, str) else key.canonical()
-        with self.lock:
-            record = self.records.get(canonical)
-            if record is None:
-                now = self.clock.now()
-                self.records.create_pending(canonical, now)
-                self.queue.send(key, now)
-                return _PLAIN[STATUS_PENDING]
-            if record.status == BUILT:
-                return _PLAIN[STATUS_AVAILABLE]
-            if record.status == FAILED:
-                return Response(STATUS_FAILED, error=record.error_message)
+        record = self.records.get(canonical)
+        if record is None:
+            now = self.clock.now()
+            self.records.create_pending(canonical, now)
+            self.queue.send(key, now)
             return _PLAIN[STATUS_PENDING]
+        if record.status == BUILT:
+            return _PLAIN[STATUS_AVAILABLE]
+        if record.status == FAILED:
+            return Response(STATUS_FAILED, error=record.error_message)
+        return _PLAIN[STATUS_PENDING]
 
 
 class _Connection:
@@ -146,10 +139,12 @@ class _Connection:
 class FarmServer:
     """Serves the wire protocol on a local TCP endpoint: one ``selectors``
     loop on one daemon thread, however many connections are open. Each
-    request is answered by ``service.exchange(request)``, the one method
-    the server calls: a ``RequestService``, or a ``BuildFarm``."""
+    request is answered by ``service.exchange(request)``, which moves the
+    farm to the request's arrival and answers it."""
 
-    def __init__(self, service, host: str = "127.0.0.1", port: int = 0):
+    def __init__(
+        self, service: RequestService, host: str = "127.0.0.1", port: int = 0
+    ):
         self.service = service
         self._listener = socket.create_server((host, port))
         self._listener.setblocking(False)

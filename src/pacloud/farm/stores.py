@@ -19,9 +19,9 @@ directory is the index. Opening either store writes nothing. An artifact
 may be handed over as a function that builds its bytes: on disk it is
 called when the tar is written, in memory on the first read.
 
-Neither store takes a lock: each is a single-owner object, and the farm
-that owns it serialises every call under ``BuildFarm.lock``. Another
-thread reads a farm's stores only while it holds that lock.
+Neither store takes a lock: each is a single-owner object, called on the
+thread that owns its farm or under ``BuildFarm.lock``. Another thread
+reads a served farm's stores only while it holds that lock.
 
 A ``BuildRecord`` is a ``NamedTuple``, as is every value the farm builds
 per job or per event: immutable, so a record handed out is never changed

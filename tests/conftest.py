@@ -173,8 +173,9 @@ class ClientEnv:
     """A client wired to an in-process farm under one virtual clock.
 
     The farm root doubles as the package store; the client's poll sleeps
-    drive the farm forward, so whole scenarios run deterministically with
-    no real waiting. Wire requests and artifact downloads are logged into
+    move the clock, and each of its requests moves the farm to the
+    request's arrival, so whole scenarios run deterministically with no
+    real waiting. Wire requests and artifact downloads are logged into
     ``events`` in the order they happen.
     """
 
@@ -189,7 +190,7 @@ class ClientEnv:
     ):
         self.farm_root = tmp_path / "farm"
         write_store(self.farm_root, metas or build_sample_metadata())
-        self.clock = VirtualClock(on_sleep=self._run_farm_to)
+        self.clock = VirtualClock()
         self.farm = BuildFarm(
             clock=self.clock,
             root=self.farm_root,
@@ -214,9 +215,6 @@ class ClientEnv:
             transport=self.transport,
             clock=self.clock,
         )
-
-    def _run_farm_to(self, target):
-        self.farm.advance_to(target)
 
     def close(self):
         self.farm.close()

@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import json
 import math
 import os
@@ -26,7 +27,7 @@ from pacloud.bench import (
 )
 from pacloud.core import BuildKey
 from pacloud.errors import UnknownMachine, UnknownPackage
-from pacloud.farm import BuildFarm
+from pacloud.farm import BuildFarm, ExecutorTable, JobProfile, VirtualClock
 from pacloud.farm.stores import BUILT, BuildRecordStore
 
 
@@ -227,6 +228,88 @@ def test_each_timing_is_the_one_built_event_its_record_agrees_with(
         assert report.jobs[event.key] == JobTiming(
             event.started_at, event.finished_at
         )
+
+
+def list_schedule(workers, durations):
+    """Graham's list scheduling: each job, in request order, starts at the
+    earliest time a worker is free. The start of each job, and the total."""
+    free = [0.0] * workers
+    starts = []
+    for duration in durations:
+        start = heapq.heappop(free)
+        starts.append(start)
+        heapq.heappush(free, start + duration)
+    return starts, max(start + d for start, d in zip(starts, durations))
+
+
+def oracle_sets(seeds):
+    """One job set per seed: 1-64 workers, 1-200 jobs, durations log-normal,
+    uniform or tied, requested as drawn, longest first or shortest first."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        workers, count = rng.randint(1, 64), rng.randint(1, 200)
+        draw = (
+            lambda: round(rng.lognormvariate(math.log(120.0), 0.6), 3),
+            lambda: rng.uniform(0.01, 600.0),
+            lambda: rng.choice((0.333, 0.1, 120.0)),
+        )[seed % 3]
+        durations = [draw() for _ in range(count)]
+        if seed // 3 % 3:
+            durations.sort(reverse=seed // 3 % 3 == 1)
+        yield seed, workers, [job(f"p{i}", d) for i, d in enumerate(durations)]
+
+
+def replay_starts(workers, jobs, poll_interval):
+    """Each job's start in a fault-free replay on a farm that polls every
+    ``poll_interval`` seconds, and the farm's total."""
+    farm = BuildFarm(
+        clock=VirtualClock(),
+        executor_table=ExecutorTable(
+            {spec.key.canonical(): JobProfile(spec.duration) for spec in jobs}
+        ),
+        num_workers=workers,
+        worker_poll_interval=poll_interval,
+    )
+    for spec in jobs:
+        farm.service.handle_request(spec.key)
+    farm.run_until_settled(sum(spec.duration for spec in jobs) + 3600.0)
+    built = {
+        event.key: event
+        for worker in farm.workers
+        for event in worker.history
+        if event.status == BUILT
+    }
+    return (
+        [built[spec.key.canonical()].started_at for spec in jobs],
+        max(event.finished_at for event in built.values()),
+    )
+
+
+class TestListScheduling:
+    """A fault-free replay is list scheduling, exactly: every job starts
+    when the earliest worker is free, in request order, to the last bit
+    of the float. A farm that leaves a worker idle while a message waits,
+    or one that reorders the queue, fails at once."""
+
+    def check(self, seed, workers, jobs, starts, total):
+        durations = [spec.duration for spec in jobs]
+        where = f"seed {seed}: {len(jobs)} jobs on {workers} workers"
+        # Graham (1966): no list schedule is longer than this
+        bound = sum(durations) / workers + (1 - 1 / workers) * max(durations)
+        assert total <= bound, where
+        assert (starts, total) == list_schedule(workers, durations), where
+
+    def test_a_replay_is_list_scheduling(self):
+        for seed, workers, jobs in oracle_sets(range(250)):
+            report = run_makespan(workers, jobs)
+            starts = [report.jobs[spec.key.canonical()].start for spec in jobs]
+            self.check(seed, workers, jobs, starts, report.total)
+
+    @pytest.mark.parametrize("poll_interval", [0.3, 10.0])
+    def test_at_any_poll_interval(self, poll_interval):
+        for seed, workers, jobs in oracle_sets(range(1000, 1150)):
+            starts, total = replay_starts(workers, jobs, poll_interval)
+            self.check(seed, workers, jobs, starts, total)
 
 
 class TestStorageCost:

@@ -391,10 +391,11 @@ class TestLeases:
 
 
 class TestOneLock:
-    """A replay takes the farm's one lock once per request and once for
-    the run; the queue and the stores take none of their own."""
+    """Only ``RequestService.exchange`` takes the farm's one lock, once per
+    request; a replay takes none, and the queue and the stores take none
+    of their own."""
 
-    def test_a_replay_takes_a_lock_once_per_request(self, monkeypatch):
+    def test_only_an_exchange_takes_the_lock(self, monkeypatch):
         acquired = []
         real = threading.Lock
 
@@ -418,7 +419,10 @@ class TestOneLock:
         monkeypatch.setattr(threading, "Lock", CountingLock)
         jobs = TestWaitingWorkers.JOBS
         assert run_makespan(3, jobs).total == 120.0
-        assert 0 < len(acquired) <= len(jobs) + 2
+        assert acquired == []
+        farm = BuildFarm(clock=VirtualClock(), num_workers=3)
+        farm.service.exchange({"type": "build", "keys": [jobs[0].key.canonical()]})
+        assert acquired == [farm.lock]
 
 
 class TestPendingCount:

@@ -112,6 +112,58 @@ class TestHandleRequest:
         assert response.error == error_text
 
 
+class TestOneWayAFarmMoves:
+    """A farm on a clock it does not own moves only inside
+    ``RequestService.exchange``: a sleep moves the clock alone, and the
+    next request runs every event due by its arrival before it is
+    answered."""
+
+    def make_farm(self):
+        return BuildFarm(
+            clock=VirtualClock(),
+            executor_table=ExecutorTable(default=JobProfile(duration=30.0)),
+            num_workers=2,
+        )
+
+    def test_a_sleep_moves_nothing_but_the_clock(self):
+        clock = VirtualClock(5.0)
+        clock.sleep(2.5)
+        assert clock.now() == 7.5
+        # a clock holds its time and nothing it could call
+        assert vars(clock) == {"_now": 7.5}
+        with pytest.raises(TypeError):
+            VirtualClock(0.0, on_sleep=lambda target: None)
+
+    def test_an_exchange_runs_the_events_due_by_its_arrival(self):
+        farm = self.make_farm()
+        request = encode_request([KEY])
+        assert farm.service.exchange(request) == {"statuses": [{"status": "pending"}]}
+        farm.clock.sleep(40.0)
+        assert farm.workers[0].history == []  # the sleep ran no event
+        assert farm.records.get(KEY.canonical()).status == "pending"
+        assert farm.service.exchange(request) == {
+            "statuses": [{"status": "available"}]
+        }
+        [event] = farm.workers[0].history
+        assert (event.started_at, event.finished_at) == (1.0, 31.0)
+        assert farm.records.get(KEY.canonical()).completed_at == 31.0
+        assert farm.clock.now() == 40.0
+
+    def test_a_key_requested_at_the_start_instant_builds_from_the_next_tick(self):
+        # The workers' polls at the start instant run before the request
+        # is answered, so the build starts at the next poll tick. A replay
+        # that calls ``handle_request`` before its first run is not a
+        # request, and its build starts at once.
+        farm = self.make_farm()
+        farm.service.exchange(encode_request([KEY]))
+        farm.advance_to(100.0)
+        assert [e.started_at for e in farm.workers[0].history] == [1.0]
+        replay = self.make_farm()
+        replay.service.handle_request(KEY)
+        replay.advance_to(100.0)
+        assert [e.started_at for e in replay.workers[0].history] == [0.0]
+
+
 class TestDeadLetters:
     """A key whose message is dead-lettered fails instead of staying
     pending, unless a worker still holds its build."""
@@ -148,20 +200,22 @@ class TestDeadLetters:
         assert response.error == DEAD_LETTER_ERROR
         assert farm.queue.depth() == 0
 
-    def test_waiting_client_gets_the_failure(self):
+    def test_waiting_client_gets_the_failure(self, monkeypatch):
         farm = self.make_farm()
+        real = farm.advance_to
 
-        def on_sleep(target):
-            farm.advance_to(target)
+        def advance_to(target):
+            """Each request's advance crashes every worker it left building."""
+            real(target)
             for worker in farm.workers:
                 if worker.mode is WorkerMode.BUILDING:
                     worker.crash()
 
-        farm.clock.on_sleep = on_sleep
+        monkeypatch.setattr(farm, "advance_to", advance_to)
         with pytest.raises(BuildFailed) as exc_info:
             await_package(farm.service, KEY, farm.clock)
         assert exc_info.value.error == DEAD_LETTER_ERROR
-        assert farm.clock.now() == 60.0  # not the 7200 s timeout
+        assert farm.clock.now() == 50.0  # not the 7200 s timeout
 
     def test_built_record_survives_a_later_dead_letter(self):
         farm = self.make_farm()
@@ -806,9 +860,10 @@ class TestTcpTransport:
         assert transport._sock is None  # closed when the install ended
         keys = [BuildKey(p, v, env.config.use_flags).canonical() for p, v in plan.steps]
         # the whole plan in one request, then one request per poll round
-        # (30 s builds, 10 s polls)
-        assert exchanges == [keys] * 4
-        assert env.clock.now() == 30.0
+        # (30 s builds from the first worker poll tick after the request,
+        # at 1 s, so done at 31 s; 10 s polls)
+        assert exchanges == [keys] * 5
+        assert env.clock.now() == 40.0
 
 
 class TestFarmPersistence:
