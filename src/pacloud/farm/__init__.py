@@ -28,8 +28,8 @@ then sees the farm as of the last request.
 """
 from __future__ import annotations
 
-import heapq
 import threading
+from heapq import heapify, heappop, heapreplace
 from pathlib import Path
 
 from ..core import BuildKey
@@ -55,7 +55,9 @@ from .stores import (
     BuildRecordStore,
 )
 from .worker import (
+    BUILDING,
     DEFAULT_POLL_INTERVAL,
+    HIBERNATED,
     BuildEvent,
     ExecutorFactory,
     ExecutorTable,
@@ -219,7 +221,8 @@ class BuildFarm:
         only to event times up to ``limit``, so a run up to a wall
         clock's reading (a served farm's, at each request) never moves it.
         """
-        self._fail_unheld_dead_letters(self.clock.now())
+        clock, workers = self.clock, self.workers
+        self._fail_unheld_dead_letters(clock.now())
         heap = self._event_heap()
         instant = None
         while heap:
@@ -227,19 +230,19 @@ class BuildFarm:
             if t != instant:
                 if settle and self._settled() or t > limit:
                     break
-                if t > self.clock.now():
-                    self.clock.set_time(t)
+                if t > clock.now():
+                    clock.set_time(t)
                 instant = t
-            worker = self.workers[i]
+            worker = workers[i]
             after = worker.step(t)
-            if worker.mode is WorkerMode.HIBERNATED:
+            if worker.mode is HIBERNATED:
                 heap = self._event_heap()
             elif after is None:
-                heapq.heappop(heap)
+                heappop(heap)
             else:
-                heapq.heapreplace(heap, (after, i))
-        if not (settle and self._settled()) and limit > self.clock.now():
-            self.clock.set_time(limit)
+                heapreplace(heap, (after, i))
+        if not (settle and self._settled()) and limit > clock.now():
+            clock.set_time(limit)
         self._spend_ticks()
 
     def _event_heap(self) -> list[tuple[float, int]]:
@@ -248,7 +251,7 @@ class BuildFarm:
             for i, t in enumerate(w.next_event_time() for w in self.workers)
             if t is not None
         ]
-        heapq.heapify(heap)
+        heapify(heap)
         return heap
 
     def _spend_ticks(self) -> None:
@@ -268,7 +271,7 @@ class BuildFarm:
         if self.records.pending_count() == 0:
             return True
         return self.queue.depth() == 0 and not any(
-            w.mode in (WorkerMode.BUILDING, WorkerMode.HIBERNATED)
+            w.mode is BUILDING or w.mode is HIBERNATED
             for w in self.workers
         )
 

@@ -98,7 +98,7 @@ class CompileQueue:
 
     def send(self, body: BuildKey, now: float) -> str:
         self._seq += 1
-        message = _Message(id=f"m{self._seq}", body=body, visible_at=now)
+        message = _Message(f"m{self._seq}", body, now)
         self._messages[message.id] = self._deliverable[message.id] = message
         return message.id
 

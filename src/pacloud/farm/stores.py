@@ -125,10 +125,11 @@ class BuildRecordStore:
         """Create a pending record; False if any record already exists."""
         if canonical in self._records:
             return False
-        record = BuildRecord(canonical, PENDING, created_at=now)
+        record = BuildRecord(canonical, PENDING, None, now)
         self._records[canonical] = record
         self._pending += 1
-        self._save(record)
+        if self._journal is not None:
+            self._save(record)
         return True
 
     def finalize_built(self, canonical: str, now: float) -> BuildRecord:
@@ -156,7 +157,8 @@ class BuildRecordStore:
             self._pending -= 1
         record = BuildRecord(canonical, status, error, created_at, now)
         self._records[canonical] = record
-        self._save(record)
+        if self._journal is not None:
+            self._save(record)
         return record
 
     def pending_count(self) -> int:
@@ -177,8 +179,7 @@ class BuildRecordStore:
             self._journal.close()
 
     def _save(self, record: BuildRecord) -> None:
-        if self._journal is not None:
-            self._journal.append(record.to_document())
+        self._journal.append(record.to_document())
 
     def _load(self) -> None:
         assert self._journal is not None

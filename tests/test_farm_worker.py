@@ -76,6 +76,28 @@ class TestWorkerLifecycle:
         assert record.completed_at == 25.0
         assert queue.depth() == 0
 
+        # Stepped straight to a time, a builder renews once, at the last
+        # tick up to it: at the tick itself when the time falls on one.
+        queue = SpyQueue()
+        factory = ExecutorFactory(ExecutorTable(default=JobProfile(duration=45.0)))
+        worker = Worker("w2", queue, BuildRecordStore(), artifacts, factory)
+        queue.send(KEY, now=0.0)
+        worker.step(0.0)
+        for now, renewed in [
+            (9.99, []), (10.0, [10.0]), (29.99, [20.0]), (30.0, [30.0])
+        ]:
+            queue.renewals.clear()
+            worker.step(now)
+            assert queue.renewals == renewed, now
+        # A hibernation on a renewal tick does not renew at the tie, so
+        # the message resurfaces 15 s after the renewal at 30.
+        worker.interrupt(30.0, notice=10.0)
+        queue.renewals.clear()
+        worker.step(40.0)
+        assert worker.mode is WorkerMode.HIBERNATED
+        assert queue.renewals == []
+        assert queue.next_visible_at() == 45.0
+
     def test_failure_preserves_error_and_stores_nothing(self):
         error_text = "configure: error: missing x"
         farm = make_farm({KEY.canonical(): JobProfile(5.0, error=error_text)})
