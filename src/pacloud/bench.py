@@ -6,15 +6,18 @@ queue, and once no record is pending the report is read from the
 workers' histories alone, each job's start and end from its one
 ``BUILT`` event, so totals are bit-reproducible across runs. A job list
 read from a file is checked at that boundary: each entry needs string
-``package`` and ``version``, a positive finite ``duration`` (seconds, or
-``[HH:]MM:SS[.ss]``) and, if present, a list of string ``useflags``.
+``package`` and ``version``, a positive ``duration`` of at most
+``MAX_DURATION`` (seconds, or ``[HH:]MM:SS[.ss]``) and, if present, a
+list of string ``useflags``. The bound, 2**40 s or about 35 000 years,
+keeps a replay's tick chains far below 2**53 s, where a 1 s poll no
+longer moves the clock: at 2**40 s adjacent floats are 2**-12 s apart.
 
 A ``JobTiming`` is a ``NamedTuple``, as is every value the farm builds
 per job or per event (``BuildRecord``, ``ReceivedMessage``,
-``JobProfile``, ``BuildEvent``): immutable, and built at C speed, where a
-frozen dataclass sets each field through ``object.__setattr__``.
-``PackageMetadata`` stays a frozen dataclass, because it is built once
-per parse.
+``JobProfile``, ``BuildEvent``), and ``run_makespan`` builds each job's
+``JobProfile`` and ``JobTiming`` with ``tuple.__new__``, past the class's
+Python-level ``__new__`` (see ``pacloud.farm.stores`` for the cost of
+each).
 
 Device build times ship as a checked-in table (machine x package, in
 seconds), and ``device_percent`` is the one ratio read from it; the
@@ -38,6 +41,9 @@ from .errors import PacloudError, UnknownMachine, UnknownPackage, UsageError
 from .farm import BuildFarm, ExecutorTable, JobProfile, VirtualClock
 from .farm.stores import BUILT
 from .files import from_json
+
+# The longest job a job list may hold, in seconds (see the docstring).
+MAX_DURATION = 2.0**40
 
 
 @dataclass(frozen=True)
@@ -103,7 +109,10 @@ def run_makespan(num_workers: int, jobs: list[JobSpec]) -> MakespanReport:
         raise ValueError("num_workers must be at least 1")
     if not jobs:
         raise ValueError("jobs must not be empty")
-    profiles = {job.key.canonical(): JobProfile(job.duration) for job in jobs}
+    profiles = {
+        job.key.canonical(): tuple.__new__(JobProfile, (job.duration, None))
+        for job in jobs
+    }
     if len(profiles) != len(jobs):
         raise ValueError("duplicate build keys in the job list")
     farm = BuildFarm(
@@ -115,11 +124,10 @@ def run_makespan(num_workers: int, jobs: list[JobSpec]) -> MakespanReport:
         farm.service.handle_request(job.key)
     budget = sum(job.duration for job in jobs) + 60.0 * len(jobs) + 60.0
     farm.run_until_settled(budget)
-    unfinished = farm.records.pending_keys()
-    if unfinished:
-        raise RuntimeError(f"jobs never finished: {unfinished}")
+    if farm.records.pending_count():
+        raise RuntimeError(f"jobs never finished: {farm.records.pending_keys()}")
     timings = {
-        event.key: JobTiming(event.started_at, event.finished_at)
+        event.key: tuple.__new__(JobTiming, (event.started_at, event.finished_at))
         for worker in farm.workers
         for event in worker.history
         if event.status == BUILT
@@ -204,6 +212,8 @@ def _job_from_doc(doc: object) -> JobSpec:
         seconds = float(duration)
     except OverflowError:
         raise ValueError("duration too large for a float") from None
+    if seconds > MAX_DURATION:
+        raise ValueError(f"duration {seconds!r} s is above the bound of 2**40 s")
     key = BuildKey(
         PackageId.parse(package), parse_version(version), UseFlagSet.of(useflags)
     )

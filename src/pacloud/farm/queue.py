@@ -43,11 +43,11 @@ root sends one message for each of their keys.
 The queue takes no lock of its own: it is a single-owner object, called
 on the thread that owns its farm or under ``BuildFarm.lock``.
 
-A delivery is handed out as a ``ReceivedMessage``, a ``NamedTuple``: the
-values the farm builds per job or per event are immutable and built at C
-speed (``PackageMetadata``, built once per parse, stays a frozen
-dataclass). The queue's own ``_Message`` is mutable, since a delivery
-changes it in place.
+A delivery is handed out as a ``ReceivedMessage``, a ``NamedTuple``, as
+is every value the farm builds per job or per event, and ``receive``
+builds it with ``tuple.__new__``, past the class's Python-level
+``__new__`` (see ``pacloud.farm.stores`` for the cost of each). The queue's
+own ``_Message`` is mutable, since a delivery changes it in place.
 """
 from __future__ import annotations
 
@@ -125,7 +125,10 @@ class CompileQueue:
             message.handle = handle = f"{message.id}#{message.receive_count}"
             self._handles[handle] = message
             result = (
-                ReceivedMessage(message.id, message.body, message.receive_count),
+                tuple.__new__(
+                    ReceivedMessage,
+                    (message.id, message.body, message.receive_count),
+                ),
                 handle,
             )
             break
@@ -183,9 +186,10 @@ class CompileQueue:
     def next_visible_at(self) -> float | None:
         """The earliest time a receive can find or dead-letter a message;
         None while every queued message is held, or none is queued."""
-        return min(
-            (m.visible_at for m in self._deliverable.values()), default=None
-        )
+        deliverable = self._deliverable
+        if not deliverable:
+            return None
+        return min(m.visible_at for m in deliverable.values())
 
     def dead_letters(self) -> list[ReceivedMessage]:
         return [

@@ -13,8 +13,10 @@ A poll that finds nothing makes the worker wait: its next event is the
 first tick of its chain at or after the queue's earliest visible time,
 and it has none while the queue holds nothing it can deliver. The ticks
 it skips are the polls that would have found nothing. Every walk along a
-chain of ticks goes through ``walk_ticks``, which raises ``ValueError``
-where the chain's next tick rounds to the same float.
+chain of ticks goes through ``walk_ticks``, which reaches the floats that
+one addition per tick would, in a few passes per binade, so a walk costs
+no more for a longer idle spell; it raises ``ValueError`` where the
+chain's next tick rounds to the same float.
 
 An interruption gives the worker a notice window: a build that fits inside
 it finishes normally, otherwise the worker keeps working until the window
@@ -41,12 +43,12 @@ nothing. A crashed worker lapses its hold and stops being driven; its
 message resurfaces 15 s after the last renewal it made, at its last step.
 
 A ``JobProfile`` and a ``BuildEvent`` are ``NamedTuple``s, as is every
-value the farm builds per job or per event: immutable, and built at C
-speed, where a frozen dataclass sets each field through
-``object.__setattr__``. ``PackageMetadata`` stays a frozen dataclass,
-because it is built once per parse. A worker's ``_Build`` is mutable,
-since the worker changes it as the build goes on. For the same per-event
-cost, the four ``WorkerMode`` members are also module names, ``IDLE``,
+value the farm builds per job or per event: immutable, and built on the
+per-job path with ``tuple.__new__``, past the class's Python-level
+``__new__`` (``_complete`` builds the event; see ``pacloud.farm.stores``
+for the cost of each). A worker's ``_Build`` is mutable, since the worker
+changes it as the build goes on. For the same per-event cost, the four
+``WorkerMode`` members are also module names, ``IDLE``,
 ``BUILDING``, ``HIBERNATED`` and ``STOPPED``, and the farm's hot path
 reads those: reading ``WorkerMode.IDLE`` looks the member up through the
 Enum class, about 108-128 ns against 14 ns for a module global on
@@ -57,6 +59,7 @@ WorkerMode.IDLE`` still holds, and ``WorkerMode`` stays the public name.
 from __future__ import annotations
 
 import io
+import math
 import tarfile
 from dataclasses import dataclass
 from enum import Enum
@@ -70,6 +73,11 @@ from .stores import BUILT, FAILED, ArtifactStore, BuildRecordStore
 DEFAULT_POLL_INTERVAL = 1.0
 DEFAULT_NOTICE_SECONDS = 120.0
 DEFAULT_BUILD_SECONDS = 10.0
+
+# A normal float is at least 2**52 of its ulps, and the top of its binade
+# is 2**53 of them.
+_NORMAL_ULPS = 2**52
+_TOP_ULPS = 2**53
 
 # A build event's status when the build's key was finished by another
 # worker first; a record's status is never this.
@@ -104,19 +112,61 @@ def build_artifact_tar(key: BuildKey) -> bytes:
 def walk_ticks(
     t: float, interval: float, limit: float, inclusive: bool
 ) -> tuple[float | None, float]:
-    """Walk the chain ``t, t + interval, ...`` by chained additions, as
-    acting at every tick would reach each one: the last tick before
+    """Walk the chain ``t, t + interval, ...`` to the floats that chained
+    additions reach, as acting at every tick would: the last tick before
     ``limit`` (or at it, when ``inclusive``), None if there is none, and
     the first tick past that one. A chain whose next tick rounds back to
     the same float raises ``ValueError``, since it would never pass
-    ``limit``."""
+    ``limit``.
+
+    The walk costs a few passes per binade (the floats between two powers
+    of two), not one per tick: ``_binade_end`` jumps along each binade,
+    and one real addition crosses into the next."""
     last = None
     while t < limit or (inclusive and t == limit):
-        last = t
-        t += interval
-        if t == last:
-            raise ValueError(f"a tick chain stops moving at {t}")
+        past = t + interval
+        if past == t:
+            raise ValueError(f"a tick chain stops moving at {past}")
+        if past < limit or (inclusive and past == limit):
+            t = _binade_end(t, past, interval, limit, inclusive)
+            past = t + interval
+        last, t = t, past
     return last, t
+
+
+def _binade_end(
+    t: float, past: float, interval: float, limit: float, inclusive: bool
+) -> float:
+    """The last tick before ``limit`` (or at it) that the chain from ``t``
+    reaches without leaving ``t``'s binade; ``t`` itself when no jump is
+    sure to reach the chained floats.
+
+    In a binade every float is a multiple of its ulp, so every sum
+    ``tick + interval`` that stays in it rounds to ``tick + d``, with the
+    same ``d``, and n steps add exactly ``n * d``. The exception is an
+    interval that leaves half an ulp over, a tie: a sum then rounds to an
+    even multiple of the ulp, so once two steps add the same ``d`` every
+    later one does (Goldberg, "What Every Computer Scientist Should Know
+    About Floating-Point Arithmetic", ACM Computing Surveys, 1991)."""
+    ulp = math.ulp(t)
+    units = t / ulp  # exact: an ulp is a power of two
+    # single steps below zero, among subnormals and across the binade's top
+    if units < _NORMAL_ULPS or math.ulp(past) != ulp:
+        return t
+    d = past - t
+    # the most steps of d that stay below the binade's top
+    steps = (_TOP_ULPS - 1 - int(units)) // int(d / ulp)
+    if steps < 2 or past + interval - past != d:
+        return t
+    end = t + steps * d
+    if end < limit or (inclusive and end == limit):
+        return end
+    # The limit falls inside the run. The quotient rounds to no fewer
+    # steps than fit (limit - t is exact), so count down from it.
+    n = min(steps - 1, int((limit - t) / d))
+    while not (t + n * d < limit or (inclusive and t + n * d == limit)):
+        n -= 1
+    return t + n * d
 
 
 class JobProfile(NamedTuple):
@@ -336,7 +386,9 @@ class Worker:
             self.records.finalize_failed(canonical, build.profile.error, t)
             status = FAILED
         self.queue.delete(build.handle)
-        self.history.append(BuildEvent(canonical, build.started_at, t, status))
+        self.history.append(
+            tuple.__new__(BuildEvent, (canonical, build.started_at, t, status))
+        )
         self._build = None
         if build.stop_after:
             self.mode = STOPPED

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -27,8 +28,17 @@ from pacloud.bench import (
 )
 from pacloud.core import BuildKey
 from pacloud.errors import UnknownMachine, UnknownPackage
-from pacloud.farm import BuildFarm, ExecutorTable, JobProfile, VirtualClock
-from pacloud.farm.stores import BUILT, BuildRecordStore
+from pacloud.farm import (
+    BuildEvent,
+    BuildFarm,
+    BuildRecord,
+    CompileQueue,
+    ExecutorTable,
+    JobProfile,
+    ReceivedMessage,
+    VirtualClock,
+)
+from pacloud.farm.stores import BUILT, PENDING, BuildRecordStore
 
 
 def job(name, duration):
@@ -145,6 +155,117 @@ class TestRunMakespan:
         report = run_makespan(2, [job("a", 10.0), job("b", 10.0), job("c", 10.0)])
         for value in report.worker_utilization.values():
             assert 0.0 <= value <= 1.0
+
+    @pytest.mark.parametrize(
+        "duration", [1e7, 1e11, 2.0**40], ids=["1e7", "1e11", "2**40"]
+    )
+    def test_idle_time_costs_no_replay_time(self, duration):
+        # The worker that builds the 1 s job then waits through the whole
+        # long build. Its poll ticks and the builder's renewals are walked
+        # in closed form: one addition per tick took about 0.3 s at 1e7 s,
+        # and a 1e11 s replay did not end.
+        started = time.perf_counter()
+        report = run_makespan(2, [job("long", duration), job("short", 1.0)])
+        assert time.perf_counter() - started < 0.1
+        assert report.total == duration
+
+    def test_a_chain_that_stops_moving_raises(self):
+        # A jobs file cannot hold such a duration (MAX_DURATION); a
+        # JobSpec can, and its replay raises instead of hanging.
+        with pytest.raises(ValueError, match="^a tick chain stops moving at 1e"):
+            run_makespan(2, [job("long", 1e18), job("short", 1.0)])
+
+
+PER_JOB_TYPES = [BuildRecord, ReceivedMessage, BuildEvent, JobProfile, JobTiming]
+
+
+class TestPerJobValues:
+    """Each value a replay builds per job is built by ``tuple.__new__``,
+    past its class's Python-level ``__new__``, and holds every field."""
+
+    def test_a_replay_calls_no_per_job_new(self, monkeypatch):
+        calls = []
+        for cls in PER_JOB_TYPES:
+            original = cls.__new__
+
+            def counting(cls, *args, original=original, **kwargs):
+                calls.append(cls.__name__)
+                return original(cls, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__new__", staticmethod(counting))
+        workers, jobs = lognormal_jobs(40, 8)
+        run_makespan(workers, jobs)
+        assert calls == []
+        # the counter counts: a constructor call runs the class's __new__
+        BuildRecord("cat/a-1.0[]", PENDING)
+        ReceivedMessage("m1", jobs[0].key, 1)
+        BuildEvent("cat/a-1.0[]", 0.0, 1.0, BUILT)
+        JobProfile(1.0)
+        JobTiming(0.0, 1.0)
+        assert calls == [cls.__name__ for cls in PER_JOB_TYPES]
+
+    def test_each_equals_the_value_built_by_keyword(self, monkeypatch):
+        farms, pending, received = [], [], []
+
+        class KeptFarm(BuildFarm):
+            def __init__(self, **kwargs):
+                super().__init__(**kwargs)
+                farms.append(self)
+
+        create_pending = BuildRecordStore.create_pending
+        receive = CompileQueue.receive
+
+        def keep_pending(self, key, now):
+            created = create_pending(self, key, now)
+            pending.append(self.get(key))
+            return created
+
+        def keep_received(self, now):
+            result = receive(self, now)
+            if result is not None:
+                received.append(result[0])
+            return result
+
+        monkeypatch.setattr(pacloud.bench, "BuildFarm", KeptFarm)
+        monkeypatch.setattr(BuildRecordStore, "create_pending", keep_pending)
+        monkeypatch.setattr(CompileQueue, "receive", keep_received)
+        jobs = [job("a", 10.0), job("b", 20.5), job("c", 7.25)]
+        report = run_makespan(2, jobs)
+        (farm,) = farms
+        events = {e.key: e for w in farm.workers for e in w.history}
+        assert len(pending) == len(received) == len(events) == len(jobs)
+        for number, spec in enumerate(jobs, 1):
+            key = spec.key.canonical()
+            timing = report.jobs[key]
+            assert pending[number - 1] == BuildRecord(
+                key=key,
+                status=PENDING,
+                error_message=None,
+                created_at=0.0,
+                completed_at=None,
+            )
+            assert received[number - 1] == ReceivedMessage(
+                id=f"m{number}", body=spec.key, receive_count=1
+            )
+            assert farm.executor_factory.table.profiles[key] == JobProfile(
+                duration=spec.duration, error=None
+            )
+            assert events[key] == BuildEvent(
+                key=key,
+                started_at=timing.start,
+                finished_at=timing.end,
+                status=BUILT,
+            )
+            assert farm.records.get(key) == BuildRecord(
+                key=key,
+                status=BUILT,
+                error_message=None,
+                created_at=0.0,
+                completed_at=timing.end,
+            )
+            assert timing == JobTiming(
+                start=timing.start, end=timing.start + spec.duration
+            )
 
 
 def lognormal_jobs(count=200, workers=32):
@@ -499,23 +620,67 @@ class TestBenchCli:
         with pytest.raises(ValueError, match="too large"):
             pacloud.bench._job_from_doc(doc)
 
-    def test_a_duration_no_tick_chain_can_pass_exits_1(self, tmp_path):
-        # Polls 1 s apart from 1e18 s round to one float; the replay hung there.
-        jobs_path = tmp_path / "jobs.json"
-        jobs_path.write_text(
-            '[{"package": "cat/a", "version": "1.0", "duration": 1e18}]',
-            encoding="utf-8",
-        )
+    @staticmethod
+    def run_bench(jobs_path):
+        """``pacloud-bench --jobs jobs_path --workers 2`` in a subprocess,
+        so a replay that hangs fails the test instead of the run."""
         src = str(Path(pacloud.bench.__file__).parents[1])
-        done = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-c",
              "import sys; from pacloud.bench import main; sys.exit(main())",
              "--jobs", str(jobs_path), "--workers", "2"],
             env={**os.environ, "PYTHONPATH": src},
             capture_output=True, text=True, timeout=10,
         )
+
+    def test_a_duration_no_tick_chain_can_pass_exits_1(self, tmp_path):
+        # Polls 1 s apart from 1e18 s round to one float; the replay hung
+        # there, and then raised once the chain stopped moving. The jobs
+        # file is now refused before any replay.
+        jobs_path = tmp_path / "jobs.json"
+        jobs_path.write_text(
+            '[{"package": "cat/a", "version": "1.0", "duration": 1e18}]',
+            encoding="utf-8",
+        )
+        done = self.run_bench(jobs_path)
         assert done.returncode == 1
-        assert done.stderr == "pacloud-bench: a tick chain stops moving at 1e+18\n"
+        assert done.stderr == (
+            f"pacloud-bench: {jobs_path}: job 1: duration 1e+18 s is above"
+            f" the bound of 2**40 s\n"
+        )
+
+    def test_a_duration_past_the_bound_exits_1_naming_the_file_and_the_job(
+        self, tmp_path
+    ):
+        # Without the bound a 2**41 s job replays, walking 2**41 poll ticks
+        # one at a time before the closed form.
+        jobs_path = tmp_path / "jobs.json"
+        jobs_path.write_text(
+            '[{"package": "cat/a", "version": "1.0", "duration": 1},'
+            ' {"package": "cat/b", "version": "1.0", "duration": 2199023255552}]',
+            encoding="utf-8",
+        )
+        done = self.run_bench(jobs_path)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == (
+            f"pacloud-bench: {jobs_path}: job 2: duration 2199023255552.0 s is"
+            f" above the bound of 2**40 s\n"
+        )
+
+    def test_a_duration_at_the_bound_replays(self, tmp_path, capsys):
+        jobs_path = tmp_path / "jobs.json"
+        jobs_path.write_text(
+            json.dumps(
+                [
+                    {"package": "cat/a", "version": "1.0", "duration": 1},
+                    {"package": "cat/b", "version": "1.0", "duration": 2**40},
+                ]
+            ),
+            encoding="utf-8",
+        )
+        assert main(["--jobs", str(jobs_path), "--workers", "2"]) == 0
+        assert f"total: {2.0**40:.2f} s on 2 workers" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "args",

@@ -248,7 +248,19 @@ class TestInterruption:
 
 
 class TestWalkTicks:
-    """``walk_ticks`` reaches the floats of the loops it replaced."""
+    """``walk_ticks`` reaches the floats of the chained loop it replaced,
+    and of the worker's three loops before that."""
+
+    @staticmethod
+    def chained(t, interval, limit, inclusive):
+        """The oracle: one addition per tick, as ``walk_ticks`` was."""
+        last = None
+        while t < limit or (inclusive and t == limit):
+            last = t
+            t += interval
+            if t == last:
+                raise ValueError(f"a tick chain stops moving at {t}")
+        return last, t
 
     @staticmethod
     def loops(t, interval, limit, inclusive):
@@ -265,27 +277,77 @@ class TestWalkTicks:
             t += interval
         return last, t, (first_after if inclusive else first_at_or_after)
 
-    @pytest.mark.parametrize("interval", [1.0, 0.1, 1 / 3, 0.7])
+    @staticmethod
+    def outcome(walk, *args):
+        try:
+            return walk(*args)
+        except ValueError as exc:
+            return str(exc)
+
+    @staticmethod
+    def tie_binade(interval):
+        """The first float of the binade whose ulp is twice the lowest bit
+        of ``interval``: there every sum leaves half an ulp over."""
+        numerator, denominator = interval.as_integer_ratio()
+        lowest = (numerator & -numerator) / denominator
+        return 2 * lowest * 2.0**52
+
+    @pytest.mark.parametrize(
+        "interval", [1.0, 0.1, 1 / 3, 0.7, 0.3, 10.0, 3.0, 2.75, 1.5]
+    )
     def test_matches_the_loops(self, interval):
         rng = random.Random(interval)
-        for case in range(400):
-            # starts just below a power of two, so the chain crosses binades
-            start = 2.0 ** rng.randint(-3, 12) - rng.uniform(0, 20 * interval)
+        for case in range(600):
+            kind = case % 3
+            if kind == 0:  # just below a power of two: crosses binades
+                start = 2.0 ** rng.randint(-3, 20) - rng.uniform(0, 20 * interval)
+            elif kind == 1:  # into and through the binade of half-ulp ties
+                binade = self.tie_binade(interval)
+                start = binade * rng.uniform(1, 2) - rng.randint(0, 40) * interval
+            else:
+                start = rng.choice([0.0, rng.uniform(0, 1e6)])
+            start = max(start, 0.0)
             ticks = [start]
-            for _ in range(rng.randint(0, 40)):
+            for _ in range(rng.randint(0, 300)):
                 ticks.append(ticks[-1] + interval)
             # a limit on the chain itself decides the inclusive case
-            limit = rng.choice([ticks[-1], ticks[-1] + rng.uniform(0, interval)])
+            limit = rng.choice(
+                [ticks[-1], ticks[-1] + rng.uniform(0, interval), start - 1.0]
+            )
+            expected = {
+                inclusive: self.outcome(self.chained, start, interval, limit, inclusive)
+                for inclusive in (False, True)
+            }
             for inclusive in (False, True):
-                last, past, first = self.loops(start, interval, limit, inclusive)
-                assert walk_ticks(start, interval, limit, inclusive) == (last, past)
-                assert past == first, (case, start, limit, inclusive)
+                args = (start, interval, limit, inclusive)
+                assert self.outcome(walk_ticks, *args) == expected[inclusive], (
+                    case, args
+                )
+                # the loops have no check: they hang where a chain stops
+                if all(isinstance(e, tuple) for e in expected.values()):
+                    last, past, first = self.loops(*args)
+                    assert expected[inclusive] == (last, past), (case, args)
+                    assert past == first, (case, args)
+
+    @pytest.mark.parametrize("interval", [0.1, 1 / 3, 1.0, 2.75])
+    @pytest.mark.parametrize("inclusive", [False, True])
+    def test_matches_a_long_chain(self, interval, inclusive):
+        limit = 20_000 * interval
+        expected = self.chained(0.0, interval, limit, inclusive)
+        assert walk_ticks(0.0, interval, limit, inclusive) == expected
 
     @pytest.mark.parametrize("inclusive", [False, True])
     def test_a_chain_that_stops_moving_raises(self, inclusive):
         with pytest.raises(ValueError, match="a tick chain stops moving at 1e"):
             walk_ticks(1e18, 1.0, 2e18, inclusive)
         assert walk_ticks(1e18, 1.0, 1e18, False) == (None, 1e18)
+        # 2**53 + 1 rounds back to 2**53, after the chain crossed a binade
+        # in one jump
+        start = 2.0**53 - 10.0
+        args = (start, 1.0, 2.0**54, inclusive)
+        assert self.outcome(walk_ticks, *args) == self.outcome(self.chained, *args)
+        with pytest.raises(ValueError, match="a tick chain stops moving at"):
+            walk_ticks(*args)
 
 
 class TestArtifactStore:
