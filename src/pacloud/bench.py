@@ -9,15 +9,17 @@ read from a file is checked at that boundary: each entry needs string
 ``package`` and ``version``, a positive ``duration`` of at most
 ``MAX_DURATION`` (seconds, or ``[HH:]MM:SS[.ss]``) and, if present, a
 list of string ``useflags``. The bound, 2**40 s or about 35 000 years,
-keeps a replay's tick chains far below 2**53 s, where a 1 s poll no
+keeps one job's tick chains far below 2**53 s, where a 1 s poll no
 longer moves the clock: at 2**40 s adjacent floats are 2**-12 s apart.
+It bounds each job, not the makespan: jobs queued one after another
+past 2**53 s still end in the tick walk's ``ValueError``.
 
 A ``JobTiming`` is a ``NamedTuple``, as is every value the farm builds
 per job or per event (``BuildRecord``, ``ReceivedMessage``,
 ``JobProfile``, ``BuildEvent``), and ``run_makespan`` builds each job's
-``JobProfile`` and ``JobTiming`` with ``tuple.__new__``, past the class's
-Python-level ``__new__`` (see ``pacloud.farm.stores`` for the cost of
-each).
+``JobProfile`` (by ``pacloud.farm.worker.job_profile``) and ``JobTiming``
+with ``tuple.__new__``, past the class's Python-level ``__new__`` (see
+``pacloud.farm.stores`` for the cost of each).
 
 Device build times ship as a checked-in table (machine x package, in
 seconds), and ``device_percent`` is the one ratio read from it; the
@@ -40,6 +42,7 @@ from .core import BuildKey, PackageId, UseFlagSet, parse_version
 from .errors import PacloudError, UnknownMachine, UnknownPackage, UsageError
 from .farm import BuildFarm, ExecutorTable, JobProfile, VirtualClock
 from .farm.stores import BUILT
+from .farm.worker import job_profile
 from .files import from_json
 
 # The longest job a job list may hold, in seconds (see the docstring).
@@ -110,7 +113,7 @@ def run_makespan(num_workers: int, jobs: list[JobSpec]) -> MakespanReport:
     if not jobs:
         raise ValueError("jobs must not be empty")
     profiles = {
-        job.key.canonical(): tuple.__new__(JobProfile, (job.duration, None))
+        job.key.canonical(): job_profile(job.duration)
         for job in jobs
     }
     if len(profiles) != len(jobs):
@@ -213,7 +216,9 @@ def _job_from_doc(doc: object) -> JobSpec:
     except OverflowError:
         raise ValueError("duration too large for a float") from None
     if seconds > MAX_DURATION:
-        raise ValueError(f"duration {seconds!r} s is above the bound of 2**40 s")
+        raise ValueError(
+            f"duration {seconds!r} s is above the bound of {MAX_DURATION!r} s"
+        )
     key = BuildKey(
         PackageId.parse(package), parse_version(version), UseFlagSet.of(useflags)
     )

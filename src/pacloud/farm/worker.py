@@ -45,9 +45,10 @@ message resurfaces 15 s after the last renewal it made, at its last step.
 A ``JobProfile`` and a ``BuildEvent`` are ``NamedTuple``s, as is every
 value the farm builds per job or per event: immutable, and built on the
 per-job path with ``tuple.__new__``, past the class's Python-level
-``__new__`` (``_complete`` builds the event; see ``pacloud.farm.stores``
-for the cost of each). A worker's ``_Build`` is mutable, since the worker
-changes it as the build goes on. For the same per-event cost, the four
+``__new__`` (``_complete`` builds the event, ``job_profile`` a
+profile; see ``pacloud.farm.stores`` for the cost of each). A worker's
+``_Build`` is mutable, since the worker changes it as the build goes
+on. For the same per-event cost, the four
 ``WorkerMode`` members are also module names, ``IDLE``,
 ``BUILDING``, ``HIBERNATED`` and ``STOPPED``, and the farm's hot path
 reads those: reading ``WorkerMode.IDLE`` looks the member up through the
@@ -174,6 +175,12 @@ class JobProfile(NamedTuple):
 
     duration: float = DEFAULT_BUILD_SECONDS
     error: str | None = None
+
+
+def job_profile(duration: float) -> JobProfile:
+    """``JobProfile(duration)``, built by ``tuple.__new__`` for callers that
+    build one per job."""
+    return tuple.__new__(JobProfile, (duration, None))
 
 
 class ExecutorTable:

@@ -16,6 +16,7 @@ from conftest import assert_frozen
 
 import pacloud.bench
 from pacloud.bench import (
+    MAX_DURATION,
     JobSpec,
     JobTiming,
     device_percent,
@@ -646,7 +647,7 @@ class TestBenchCli:
         assert done.returncode == 1
         assert done.stderr == (
             f"pacloud-bench: {jobs_path}: job 1: duration 1e+18 s is above"
-            f" the bound of 2**40 s\n"
+            f" the bound of {MAX_DURATION!r} s\n"
         )
 
     def test_a_duration_past_the_bound_exits_1_naming_the_file_and_the_job(
@@ -665,7 +666,7 @@ class TestBenchCli:
         assert done.stdout == ""
         assert done.stderr == (
             f"pacloud-bench: {jobs_path}: job 2: duration 2199023255552.0 s is"
-            f" above the bound of 2**40 s\n"
+            f" above the bound of {MAX_DURATION!r} s\n"
         )
 
     def test_a_duration_at_the_bound_replays(self, tmp_path, capsys):

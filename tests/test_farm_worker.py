@@ -299,14 +299,14 @@ class TestWalkTicks:
         rng = random.Random(interval)
         for case in range(600):
             kind = case % 3
-            if kind == 0:  # just below a power of two: crosses binades
+            if kind == 0:  # below a power of two, often below zero: crosses
+                # binades, and from below zero through the subnormals
                 start = 2.0 ** rng.randint(-3, 20) - rng.uniform(0, 20 * interval)
             elif kind == 1:  # into and through the binade of half-ulp ties
                 binade = self.tie_binade(interval)
                 start = binade * rng.uniform(1, 2) - rng.randint(0, 40) * interval
             else:
                 start = rng.choice([0.0, rng.uniform(0, 1e6)])
-            start = max(start, 0.0)
             ticks = [start]
             for _ in range(rng.randint(0, 300)):
                 ticks.append(ticks[-1] + interval)
